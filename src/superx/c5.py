@@ -12,7 +12,6 @@ from __future__ import annotations
 from .bitsets import mask_of, subsets_of_size
 from .errors import ConsistencyError
 from .families import MaximalLinkedSystem, SetFamily, generate_family
-from .groups import FiniteGroup, build_group
 
 
 def _sets(*point_lists) -> tuple[int, ...]:
@@ -51,10 +50,6 @@ T17_NAMES = (
     "2Γ",
     "-2Γ",
 )
-
-
-def c5_group() -> FiniteGroup:
-    return build_group("C5")
 
 
 def affine_image(system: MaximalLinkedSystem, a: int, b: int) -> MaximalLinkedSystem:

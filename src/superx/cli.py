@@ -2,7 +2,7 @@
 
 Commands: sl-table, lambda, invariant, c5-t17, verify-paper, explore-sl.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 capacity exceeded.
+3 capacity exceeded, 4 internal invariant failed.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import sys
 import time
 
 from . import expected as ref
-from .c5 import c5_named_catalog, canonical_names, T17_NAMES
+from .c5 import canonical_names
 from .cache import cache_path, load_table, resolve_cache_dir, save_table
-from .errors import CapacityError, GroupParseError
+from .errors import CapacityError, ConsistencyError, GroupParseError
 from .groups import build_group
 from .invariants import (
     enumerate_invariant_mls,
@@ -38,12 +38,13 @@ from .superext import (
     shift_orbits,
     transversal_subsemigroup_search,
 )
-from .verify import run_verification
+from .verify import run_verification, sl_table_rows, t17_cells
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _timed(fn):
@@ -54,15 +55,7 @@ def _timed(fn):
 
 
 def cmd_sl_table(max_order: int = 13) -> Report:
-    rows = []
-    for name, want in ref.SL_TABLE.items():
-        g = build_group(name)
-        if g.order > max_order:
-            continue
-        got = sl(g)
-        rows.append(
-            {"group": name, "order": g.order, "expected": want, "computed": got, "match": got == want}
-        )
+    rows = sl_table_rows(max_order)
     all_match = all(r["match"] for r in rows)
     return Report(
         command="sl-table",
@@ -99,7 +92,7 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
         table = load_table(directory, g.name, g.order)
         hit = table is not None
         if table is None:
-            table = build_lambda_table(g, allow_large=allow_large)
+            table = build_lambda_table(g)
             path = save_table(directory, g.name, table)
         else:
             path = cache_path(directory, g.name, "table")
@@ -113,7 +106,7 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
             payload["elements"] = [s.serialize() for s in table.elements]
         return Report("lambda", group_name, "pass", payload)
     if what == "structure":
-        table = build_lambda_table(g, allow_large=allow_large)
+        table = build_lambda_table(g)
         labels = _lambda_labels(g, table.elements)
         idem = idempotents(table)
         z = zero(table)
@@ -161,29 +154,8 @@ def cmd_invariant(group_name: str, *, allow_large: bool = False) -> Report:
 
 
 def cmd_c5_t17() -> Report:
-    g = build_group("C5")
-    table = build_lambda_table(g)
-    catalog = c5_named_catalog()
-    names = canonical_names()
-    index = {s.minimal_sets: i for i, s in enumerate(table.elements)}
-    want = ref.expected_t17_table()
-    cells = []
-    row_col_full = col_row_full = True
-    for r in T17_NAMES:
-        ri = index[catalog[r].minimal_sets]
-        for c in T17_NAMES:
-            ci = index[catalog[c].minimal_sets]
-            computed = names[table.elements[int(table.product[ri, ci])].minimal_sets]
-            reversed_ = names[table.elements[int(table.product[ci, ri])].minimal_sets]
-            expected = want[(r, c)]
-            same_system = catalog[computed].minimal_sets == catalog[expected].minimal_sets
-            cells.append(
-                {"row": r, "col": c, "expected": expected, "computed": computed, "match": same_system}
-            )
-            if not same_system:
-                row_col_full = False
-            if catalog[reversed_].minimal_sets != catalog[expected].minimal_sets:
-                col_row_full = False
+    cells, col_row_full = t17_cells()
+    row_col_full = all(c["match"] for c in cells)
     exactly_one = row_col_full != col_row_full
     payload = {
         "cells": cells,
@@ -265,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
         return report.to_json()
+    prefix = suffix = ""
     if report.command == "sl-table":
         headers = ["group", "order", "expected", "computed", "match"]
         rows = [
@@ -296,24 +269,17 @@ def _render(report: Report, fmt: str) -> str:
         if "s" in report.payload:
             head += [f"s={report.payload['s']}", f"up_majority={report.payload['up_majority']}"]
         prefix = "  ".join(head) + "\n"
-        body = render_rows_csv(headers, rows) if fmt == "csv" else render_rows_text(headers, rows)
-        return prefix + body
     elif report.command == "lambda":
-        items = [(k, v) for k, v in report.payload.items() if k not in ("matrix", "elements")]
         headers = ["key", "value"]
-        rows = [[k, v] for k, v in items]
-        extra = ""
+        rows = [[k, v] for k, v in report.payload.items() if k not in ("matrix", "elements")]
         if "matrix" in report.payload and fmt != "csv":
             lines = [" ".join(f"{v:3d}" for v in row) for row in report.payload["matrix"]]
-            extra = "\n" + "\n".join(lines)
-        body = render_rows_csv(headers, rows) if fmt == "csv" else render_rows_text(headers, rows)
-        return body + extra
+            suffix = "\n" + "\n".join(lines)
     else:
         headers = ["key", "value"]
         rows = [[k, v] for k, v in report.payload.items()]
-    if fmt == "csv":
-        return render_rows_csv(headers, rows)
-    return render_rows_text(headers, rows)
+    body = render_rows_csv(headers, rows) if fmt == "csv" else render_rows_text(headers, rows)
+    return prefix + body + suffix
 
 
 def main(argv=None) -> int:
@@ -345,6 +311,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except ConsistencyError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(_render(report, args.format))
     return EXIT_MISMATCH if report.status == "fail" else EXIT_OK
 

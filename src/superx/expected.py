@@ -113,15 +113,4 @@ def expected_t17_table() -> dict[tuple[str, str], str]:
     return table
 
 
-# Summary structure by group order (both order-4 groups behave alike):
-# (idempotent count, minimal ideal size, largest maximal-subgroup order).
-SUMMARY_BY_ORDER = {
-    1: (1, 1, 1),
-    2: (1, 2, 2),
-    3: (2, 1, 3),
-    4: (2, 8, 8),
-    5: (5, 1, 5),
-}
-
-CATALOG_LE13 = tuple(SL_TABLE)
 CATALOG_LE8 = tuple(INVARIANT_COUNTS)

@@ -59,10 +59,6 @@ class FiniteGroup:
     def __str__(self) -> str:
         return self.name
 
-    def describe(self, mask: int) -> str:
-        """Render a subset mask with element names, e.g. ``{e,a,a3}``."""
-        return "{" + ",".join(self.element_names[i] for i in iter_bits(mask)) + "}"
-
 
 def _validate_table(name: str, mul: list[list[int]]) -> tuple[int, ...]:
     """Check the group axioms exhaustively and return the inverse table."""
@@ -269,11 +265,6 @@ def translate_set(g: FiniteGroup, x: int, mask: int) -> int:
     for a in iter_bits(mask):
         out |= 1 << row[a]
     return out
-
-
-def inverse_translate_set(g: FiniteGroup, x: int, mask: int) -> int:
-    """x^-1 A = {y : x*y in A}, i.e. the translate by the inverse of x."""
-    return translate_set(g, g.inv[x], mask)
 
 
 def difference_set(g: FiniteGroup, a_mask: int, b_mask: int) -> int:

@@ -47,7 +47,3 @@ def render_rows_csv(headers: list[str], rows: list[list]) -> str:
     writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
-
-def verify_rows(payload_rows: list[dict]) -> list[list]:
-    """Flatten verify payload rows (name/expected/computed/match)."""
-    return [[r["name"], r["expected"], r["computed"], "ok" if r["match"] else "MISMATCH"] for r in payload_rows]

@@ -147,20 +147,16 @@ def principal_ideal(t: SemigroupTable, a: int) -> frozenset[int]:
 
 
 def minimal_ideal(t: SemigroupTable) -> frozenset[int]:
-    """The unique minimal two-sided ideal.
+    """The unique minimal two-sided ideal (the kernel).
 
-    Small tables follow the direct route: compute every principal ideal
-    and assert the inclusion-minimal one is unique.  Larger tables walk
-    a strictly descending chain of principal ideals instead, then check
-    that every member regenerates the same ideal, which forces it to be
-    the minimum (any smaller ideal would regenerate a smaller one).
+    Walks a strictly descending chain of principal ideals from J(0):
+    whenever a member k of the current ideal generates a smaller ideal
+    J(k), the walk moves to J(k).  It stops once every member
+    regenerates the current ideal, which forces it to be the minimum:
+    any smaller ideal would contain a member generating a smaller one.
+    A finite semigroup has exactly one minimal ideal, so the walk's end
+    does not depend on the order in which members are tried.
     """
-    if t.order <= ASSOC_EXHAUSTIVE_LIMIT:
-        ideals = {principal_ideal(t, a) for a in range(t.order)}
-        minimal = [i for i in ideals if not any(j < i for j in ideals)]
-        if len(minimal) != 1:
-            raise ConsistencyError("minimal ideal is not unique")
-        return minimal[0]
     current = principal_ideal(t, 0)
     settled = False
     while not settled:

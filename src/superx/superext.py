@@ -25,10 +25,10 @@ from .families import (
     enumerate_mls,
     family_from_bitmap,
 )
-from .groups import FiniteGroup, inverse_translate_set
+from .groups import FiniteGroup
 from .semigroups import SemigroupTable
 
-MAX_TABLE_GROUND = 7
+MAX_TABLE_GROUND = 6
 _ROW_CHUNK = 256
 _BITMAP_GROUND_LIMIT = 10
 
@@ -38,33 +38,20 @@ def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
     n = g.order
     if fam_a.ground_size != n or fam_b.ground_size != n:
         raise ConsistencyError("families must live on the group's ground set")
+    if n > _BITMAP_GROUND_LIMIT:
+        raise CapacityError(f"the product is supported for |G| <= {_BITMAP_GROUND_LIMIT}")
     members = 0
-    if n <= _BITMAP_GROUND_LIMIT:
-        bm_a, bm_b = fam_a.bitmap, fam_b.bitmap
-        tabs = _translate_tables(g)
-        for cand in range(1, 1 << n):
-            witness = 0
-            for x in g.elements():
-                witness |= (bm_b >> tabs[x][cand] & 1) << x
-            if bm_a >> witness & 1:
-                members |= 1 << cand
-    else:
-        for cand in range(1, 1 << n):
-            witness = 0
-            for x in g.elements():
-                if fam_b.contains(inverse_translate_set(g, x, cand)):
-                    witness |= 1 << x
-            if witness and fam_a.contains(witness):
-                members |= 1 << cand
+    bm_a, bm_b = fam_a.bitmap, fam_b.bitmap
+    tabs = _translate_tables(g)
+    for cand in range(1, 1 << n):
+        witness = 0
+        for x in g.elements():
+            witness |= (bm_b >> tabs[x][cand] & 1) << x
+        if bm_a >> witness & 1:
+            members |= 1 << cand
     if not members:
         raise ConsistencyError("product family is empty")
     return family_from_bitmap(n, members)
-
-
-def circ_mls(
-    g: FiniteGroup, a: MaximalLinkedSystem, b: MaximalLinkedSystem
-) -> MaximalLinkedSystem:
-    return MaximalLinkedSystem.from_family(circ(g, a.family, b.family))
 
 
 @lru_cache(maxsize=32)
@@ -90,23 +77,17 @@ def lambda_elements(g: FiniteGroup, *, allow_large: bool = False) -> list[Maxima
     return enumerate_mls(g.order, allow_large=allow_large)
 
 
-def build_lambda_table(
-    g: FiniteGroup,
-    *,
-    allow_large: bool = False,
-    systems: list[MaximalLinkedSystem] | None = None,
-) -> SemigroupTable:
+def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     """Cayley table of the extended product over all systems on g.
 
-    Supported up to |G| = 6 (7 behind allow_large, which is far beyond
-    desk scale for the full table).  Every product is checked to land
+    Supported up to |G| = MAX_TABLE_GROUND; larger groups are refused
+    before anything is enumerated.  Every product is checked to land
     back in the enumerated element set.
     """
     n = g.order
-    if n > MAX_TABLE_GROUND or (n == 7 and not allow_large):
-        raise CapacityError("lambda tables are supported for |G| <= 6 (7 behind allow_large)")
-    if systems is None:
-        systems = lambda_elements(g, allow_large=allow_large)
+    if n > MAX_TABLE_GROUND:
+        raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
+    systems = lambda_elements(g)
     size = 1 << n
     bitmaps = [s.family.bitmap for s in systems]
     m = len(systems)

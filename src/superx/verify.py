@@ -3,12 +3,14 @@
 Each check row compares a computed quantity against a reference value
 from :mod:`superx.expected` and carries name/expected/computed/match.
 The fast scope covers everything that does not need a Cayley table on
-a six-element ground set; the all scope builds those tables too.
+a six-element ground set; the all scope builds those tables too.  Each
+table is built at most once per process and shared by the checks.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from . import expected as ref
 from .c5 import c5_named_catalog, canonical_names, T17_NAMES
@@ -27,6 +29,7 @@ from .invariants import (
     up_majority_count,
 )
 from .semigroups import (
+    SemigroupTable,
     adjoin_identity,
     adjoin_zero,
     central_elements,
@@ -51,6 +54,19 @@ from .superext import (
     shift_orbits,
     transversal_subsemigroup_search,
 )
+
+# Groups whose lambda tables every scope builds; ORDER6_GROUPS need --scope=all.
+TABLE_GROUPS = ("C1", "C2", "C3", "C4", "C2xC2", "C5")
+ORDER6_GROUPS = ("C6", "D6")
+
+
+@lru_cache(maxsize=None)
+def _lambda_table(name: str) -> SemigroupTable:
+    """The lambda table of a catalog group, built once per process.
+
+    Several checks read the same tables; none of them mutates one.
+    """
+    return build_lambda_table(build_group(name))
 
 
 def _row(name, expected, computed):
@@ -77,11 +93,22 @@ def check_orbit_counts() -> list[dict]:
     return rows
 
 
+def sl_table_rows(max_order: int = 13) -> list[dict]:
+    """sl of every reference group up to max_order against its table value."""
+    rows = []
+    for name, want in ref.SL_TABLE.items():
+        g = build_group(name)
+        if g.order > max_order:
+            continue
+        got = sl(g)
+        rows.append(
+            {"group": name, "order": g.order, "expected": want, "computed": got, "match": got == want}
+        )
+    return rows
+
+
 def check_sl_table() -> list[dict]:
-    return [
-        _row(f"sl({name})", want, sl(build_group(name)))
-        for name, want in ref.SL_TABLE.items()
-    ]
+    return [_row(f"sl({r['group']})", r["expected"], r["computed"]) for r in sl_table_rows()]
 
 
 def check_invariant_counts() -> list[dict]:
@@ -102,7 +129,7 @@ def check_two_power_s() -> list[dict]:
 
 def _c5_context():
     g = build_group("C5")
-    table = build_lambda_table(g)
+    table = _lambda_table("C5")
     names = canonical_names()
     return g, table, lambda i: names[table.elements[i].minimal_sets]
 
@@ -138,43 +165,54 @@ def check_c5_structure() -> list[dict]:
     return rows
 
 
-def check_t17_table() -> list[dict]:
-    g, table, _ = _c5_context()
+def t17_cells() -> tuple[list[dict], bool]:
+    """The 289 products ROW o COLUMN of the T17 representatives over C5.
+
+    Returns one cell per product (row, col, expected, computed, match),
+    with the computed system under its canonical name, and whether the
+    reversed orientation COLUMN o ROW also matches on every cell.
+    """
+    _, table, name_of = _c5_context()
     catalog = c5_named_catalog()
     index = {s.minimal_sets: i for i, s in enumerate(table.elements)}
     want = ref.expected_t17_table()
-    rc = cr = 0
-    mismatches = []
+    cells = []
+    col_row_full = True
     for r in T17_NAMES:
+        ri = index[catalog[r].minimal_sets]
         for c in T17_NAMES:
-            target = index[catalog[want[(r, c)]].minimal_sets]
-            ri, ci = index[catalog[r].minimal_sets], index[catalog[c].minimal_sets]
-            if int(table.product[ri, ci]) == target:
-                rc += 1
-            else:
-                mismatches.append((r, c))
-            if int(table.product[ci, ri]) == target:
-                cr += 1
+            ci = index[catalog[c].minimal_sets]
+            expected = want[(r, c)]
+            target = index[catalog[expected].minimal_sets]
+            got = int(table.product[ri, ci])
+            cells.append(
+                {"row": r, "col": c, "expected": expected, "computed": name_of(got), "match": got == target}
+            )
+            if int(table.product[ci, ri]) != target:
+                col_row_full = False
+    return cells, col_row_full
+
+
+def check_t17_table() -> list[dict]:
+    cells, col_row_full = t17_cells()
+    rc = sum(c["match"] for c in cells)
     rows = [_row("T17 row*column cells", 289, rc)]
-    rows.append(_row("T17 exactly one orientation", True, (rc == 289) != (cr == 289)))
+    rows.append(_row("T17 exactly one orientation", True, (rc == 289) != col_row_full))
+    mismatches = [c for c in cells if not c["match"]]
     if mismatches:
-        names = canonical_names()
-        detail = [
-            f"{r}*{c}: computed {names[table.elements[int(table.product[index[catalog[r].minimal_sets], index[catalog[c].minimal_sets]])].minimal_sets]}"
-            for r, c in mismatches[:20]
-        ]
+        detail = [f"{c['row']}*{c['col']}: computed {c['computed']}" for c in mismatches[:20]]
         rows.append(_row("T17 mismatched cells", [], detail))
     return rows
 
 
 def check_isomorphisms() -> list[dict]:
     rows = []
-    lam3 = build_lambda_table(build_group("C3"))
+    lam3 = _lambda_table("C3")
     model3 = adjoin_zero(from_group(build_group("C3")))
     rows.append(_row("lambda(C3) ~ C3+zero", True, find_isomorphism(lam3, model3) is not None))
     c2_unit = adjoin_identity(from_group(build_group("C2")))
     for name in ("C4", "C2xC2"):
-        lam = build_lambda_table(build_group(name))
+        lam = _lambda_table(name)
         model = direct_product(c2_unit, from_group(build_group(name)))
         rows.append(_row(f"lambda({name}) ~ (C2+unit)x{name}", True, find_isomorphism(lam, model) is not None))
     return rows
@@ -189,13 +227,11 @@ def check_zero_existence(include_order6_tables: bool) -> list[dict]:
     rows = []
     expected_zero = {"C1": True, "C2": False, "C3": True, "C4": False, "C2xC2": False, "C5": True}
     for name, want in expected_zero.items():
-        table = build_lambda_table(build_group(name))
-        rows.append(_row(f"zero in lambda({name})", want, zero(table) is not None))
-    for name in ("C6", "D6"):
+        rows.append(_row(f"zero in lambda({name})", want, zero(_lambda_table(name)) is not None))
+    for name in ORDER6_GROUPS:
         g = build_group(name)
         if include_order6_tables:
-            table = build_lambda_table(g)
-            has_zero = zero(table) is not None
+            has_zero = zero(_lambda_table(name)) is not None
         else:
             systems = lambda_elements(g)
             rz = right_zero_systems(g, systems)
@@ -212,8 +248,7 @@ def check_commutativity() -> list[dict]:
     rows = []
     expected = {"C1": True, "C2": True, "C3": True, "C4": True, "C2xC2": True, "C5": False}
     for name, want in expected.items():
-        table = build_lambda_table(build_group(name))
-        rows.append(_row(f"lambda({name}) commutative", want, is_commutative(table)[0]))
+        rows.append(_row(f"lambda({name}) commutative", want, is_commutative(_lambda_table(name))[0]))
     rows.append(_row("boolean-cube witness", True, boolean_cube_noncommutativity_witness()))
     return rows
 
@@ -247,14 +282,18 @@ def boolean_cube_noncommutativity_witness() -> bool:
     return prod12.contains(bc_a) and prod21.contains(b_a) and prod12 != prod21
 
 
-def check_odd_equivalences(tables: dict | None = None) -> list[dict]:
-    """The odd-order conditions agree on every catalog group of order <= 8."""
-    tables = tables or {}
+def check_odd_equivalences(include_order6_tables: bool) -> list[dict]:
+    """The odd-order conditions agree on every catalog group of order <= 8.
+
+    Groups with a lambda table in scope also check its right zeros.
+    """
+    tabled = TABLE_GROUPS + (ORDER6_GROUPS if include_order6_tables else ())
     rows = []
     odd_names = {"C1", "C3", "C5", "C7"}
     for name in ("C1",) + ref.CATALOG_LE8:
         g = build_group(name)
-        report = odd_equivalence_report(g, lam_table=tables.get(name))
+        table = _lambda_table(name) if name in tabled else None
+        report = odd_equivalence_report(g, lam_table=table)
         rows.append(_row(f"odd equivalences {name}", name in odd_names, report.verdict))
     return rows
 
@@ -275,19 +314,22 @@ def check_embedding() -> list[dict]:
     return rows
 
 
+def _sampled_associative(table: SemigroupTable, rng: random.Random) -> bool:
+    """(ab)c == a(bc) on 10,000 triples drawn from rng, stopping at a failure."""
+    p = table.product
+    n = table.order
+    for _ in range(10_000):
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if p[p[a, b], c] != p[a, p[b, c]]:
+            return False
+    return True
+
+
 def check_property_samples() -> list[dict]:
     """Sampled algebraic properties: associativity and double transversal."""
     rows = []
-    table = build_lambda_table(build_group("C5"))
-    p = table.product
     rng = random.Random(20_26)
-    ok = all(
-        p[p[a, b], c] == p[a, p[b, c]]
-        for a, b, c in (
-            (rng.randrange(81), rng.randrange(81), rng.randrange(81)) for _ in range(10_000)
-        )
-    )
-    rows.append(_row("assoc samples lambda(C5)", True, bool(ok)))
+    rows.append(_row("assoc samples lambda(C5)", True, _sampled_associative(_lambda_table("C5"), rng)))
     involution_ok = True
     for _ in range(1_000):
         n = rng.randint(1, 6)
@@ -303,25 +345,15 @@ def check_order6_tables() -> list[dict]:
     """The expensive block: Cayley tables on six-point grounds."""
     rows = []
     g6 = build_group("C6")
-    t6 = build_lambda_table(g6)
+    t6 = _lambda_table("C6")
     rows.append(_row("lambda(C6) table order", ref.LAMBDA_COUNTS[6], t6.order))
     rows.append(_row("lambda(C6) right zeros", [], right_zeros(t6)))
     rows.append(_row("lambda(C6) left zeros", [], left_zeros(t6)))
     q = orbit_quotient(g6, t6)
     rows.append(_row("lambda(C6) orbit count", ref.LAMBDA_ORBIT_COUNTS[6], q.orbit_count))
     rows.append(_row("lambda(C6) quotient defined", True, q.product is not None))
-    rng = random.Random(664)
-    p = t6.product
-    ok = all(
-        p[p[a, b], c] == p[a, p[b, c]]
-        for a, b, c in (
-            (rng.randrange(t6.order), rng.randrange(t6.order), rng.randrange(t6.order))
-            for _ in range(10_000)
-        )
-    )
-    rows.append(_row("assoc samples lambda(C6)", True, bool(ok)))
-    gd = build_group("D6")
-    td = build_lambda_table(gd)
+    rows.append(_row("assoc samples lambda(C6)", True, _sampled_associative(t6, random.Random(664))))
+    td = _lambda_table("D6")
     rows.append(_row("lambda(D6) right zeros", [], right_zeros(td)))
     rows.append(_row("lambda(D6) zero", None, zero(td)))
     return rows
@@ -340,16 +372,10 @@ def run_verification(scope: str = "fast") -> tuple[list[dict], bool]:
     rows += check_c5_structure()
     rows += check_t17_table()
     rows += check_isomorphisms()
-    rows += check_zero_existence(include_order6_tables=(scope == "all"))
+    order6 = scope == "all"
+    rows += check_zero_existence(include_order6_tables=order6)
     rows += check_commutativity()
-    tables = {}
-    if scope == "all":
-        for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"):
-            tables[name] = build_lambda_table(build_group(name))
-    else:
-        for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5"):
-            tables[name] = build_lambda_table(build_group(name))
-    rows += check_odd_equivalences(tables)
+    rows += check_odd_equivalences(include_order6_tables=order6)
     rows += check_embedding()
     rows += check_property_samples()
     if scope == "all":

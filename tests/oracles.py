@@ -137,3 +137,24 @@ def oracle_smallest_self_linked(mul):
             if oracle_self_linked(mul, sum(1 << c for c in combo)):
                 return k
     raise AssertionError("whole group is always self-linked")
+
+
+def oracle_principal_ideal(product, a):
+    """S^1 a S^1 = {a} + Sa + aS + SaS, straight from the definition."""
+    n = len(product)
+    left = {product[x][a] for x in range(n)}
+    ideal = {a} | left | {product[a][y] for y in range(n)}
+    ideal |= {product[xa][y] for xa in left for y in range(n)}
+    return frozenset(ideal)
+
+
+def oracle_minimal_ideal(product):
+    """The inclusion-minimal principal ideal, asserted to be unique.
+
+    Every ideal contains a principal ideal, so the minimal ideal is the
+    unique inclusion-minimal one among all of them.
+    """
+    ideals = {oracle_principal_ideal(product, a) for a in range(len(product))}
+    minimal = [i for i in ideals if not any(j < i for j in ideals)]
+    assert len(minimal) == 1, "minimal ideal is not unique"
+    return minimal[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 from superx.cache import (
@@ -10,8 +11,10 @@ from superx.cache import (
     save_systems,
     save_table,
 )
+import superx.cli as cli
 from superx.cli import (
     EXIT_CAPACITY,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
@@ -23,6 +26,7 @@ from superx.cli import (
     cmd_verify_paper,
     main,
 )
+from superx.errors import ConsistencyError
 from superx.families import enumerate_mls
 from superx.groups import build_group
 from superx.superext import build_lambda_table
@@ -191,6 +195,20 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["lambda", "C7", "--what=count"]) == EXIT_CAPACITY
     capsys.readouterr()
+    # refused before the 1.42 M ground-7 systems are enumerated
+    assert main(["lambda", "C7", "--what=structure", "--allow-large"]) == EXIT_CAPACITY
+    capsys.readouterr()
+
+
+def test_main_internal_error_exit_code(monkeypatch, capsys):
+    def broken(max_n):
+        raise ConsistencyError("broken on purpose")
+
+    monkeypatch.setattr(cli, "cmd_explore_sl", broken)
+    assert main(["explore-sl"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal invariant failed: broken on purpose\n"
 
 
 def test_main_formats(capsys):
@@ -204,3 +222,30 @@ def test_main_formats(capsys):
     assert main(["c5-t17", "--format=text"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "MISMATCH" not in out
+
+
+# sha256 of the stdout of the commands that bench/pinned.json does not pin;
+# JSON is digested without its elapsed_ms field.  A refactor must leave
+# every one of them unchanged.
+UNPINNED_OUTPUT_DIGESTS = {
+    ("sl-table", "text"): "9077d12c31634711d5149e6d70ed86eeeb20dfd06b5a86ef0e7adda88095804a",
+    ("sl-table", "json"): "0a0750850874d6007a53d2b458110aa7ee1db8c7821680c9144c254f3a49fd0d",
+    ("c5-t17", "text"): "ba890ef10fe28aa53d7ac9510875f18b1dece707ed0eaa11cc9bae02939772dc",
+    ("c5-t17", "json"): "4a5cb42ffdb34818a97de3cd9b69dd72b02d4e505949e1f5cd6948ec10499741",
+    ("explore-sl --max-n=8", "text"): "4037dc9770bda590415e13a9465cc84d8c631efe3eda2eafbebeab73cc7f25ca",
+    ("explore-sl --max-n=8", "json"): "39227375bb7c4404d70842015e2afc7314ae31fd5c7df6bb02a2765a457e56db",
+    ("invariant C6", "text"): "685edb341ad129ac2cc83a2c0c2657b53723244c6a3b594b2e1b1775aaf2145e",
+    ("invariant C6", "json"): "b052924f2f75ee1dc5c1f2b47b1059612f6787a1920b61310017ca4f4bb8ec18",
+}
+
+
+def test_unpinned_command_outputs_unchanged(capsys):
+    for (command, fmt), digest in UNPINNED_OUTPUT_DIGESTS.items():
+        code = main(command.split() + [f"--format={fmt}"])
+        assert code == (EXIT_MISMATCH if command == "sl-table" else EXIT_OK)
+        out = capsys.readouterr().out
+        if fmt == "json":
+            data = json.loads(out)
+            del data["elapsed_ms"]
+            out = json.dumps(data, ensure_ascii=False, sort_keys=True)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, fmt)

@@ -24,6 +24,7 @@ from superx.semigroups import (
     subtable,
     zero,
 )
+from oracles import oracle_minimal_ideal
 
 
 def _names(table):
@@ -112,6 +113,18 @@ def test_minimal_ideal(lam_table):
     sub = subtable(t4, ideal4)
     model = direct_product(from_group(build_group("C2")), from_group(build_group("C4")))
     assert find_isomorphism(sub, model) is not None
+
+
+def test_minimal_ideal_matches_oracle(lam_table):
+    tables = [lam_table(name) for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5")]
+    tables += [
+        adjoin_zero(lam_table("C4")),
+        adjoin_zero(from_group(build_group("C3"))),
+        direct_product(lam_table("C2"), lam_table("C3")),
+        direct_product(adjoin_identity(from_group(build_group("C2"))), from_group(build_group("C4"))),
+    ]
+    for t in tables:
+        assert minimal_ideal(t) == oracle_minimal_ideal(t.product.tolist()), t.name
 
 
 def test_maximal_subgroups(lam_table):

@@ -51,6 +51,12 @@ def test_circ_ground_mismatch():
         circ(g, majority_family(build_group("C5")), majority_family(g))
 
 
+def test_circ_capacity():
+    g = build_group("C11")
+    with pytest.raises(CapacityError):
+        circ(g, majority_family(g), principal_ultrafilter(g, 0).family)
+
+
 def test_circ_named_c5_products():
     g = build_group("C5")
     cat = c5_named_catalog()
@@ -81,7 +87,7 @@ def test_circ_rectangular_on_invariant_systems():
 
 
 def test_lambda_table_matches_scalar_circ_exhaustively():
-    for name in ("C1", "C2", "C3", "C4", "C2xC2"):
+    for name in SMALL:
         g = build_group(name)
         table = build_lambda_table(g)
         systems = table.elements
