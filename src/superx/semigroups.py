@@ -87,13 +87,12 @@ def idempotents(t: SemigroupTable) -> list[int]:
 
 def right_zeros(t: SemigroupTable) -> list[int]:
     """All z with x*z = z for every x (columns constant at z)."""
-    p = t.product
-    return [z for z in range(t.order) if np.all(p[:, z] == z)]
+    return np.flatnonzero((t.product == np.arange(t.order)).all(axis=0)).tolist()
 
 
 def left_zeros(t: SemigroupTable) -> list[int]:
-    p = t.product
-    return [z for z in range(t.order) if np.all(p[z, :] == z)]
+    """All z with z*x = z for every x (rows constant at z)."""
+    return np.flatnonzero((t.product == np.arange(t.order)[:, None]).all(axis=1)).tolist()
 
 
 def zero(t: SemigroupTable) -> int | None:
@@ -109,16 +108,19 @@ def zero(t: SemigroupTable) -> int | None:
 def is_commutative(t: SemigroupTable) -> tuple[bool, tuple[int, int] | None]:
     """Symmetry of the table, with the least witness pair on failure."""
     p = t.product
-    if np.array_equal(p, p.T):
+    diff = p != p.T
+    if not diff.any():
         return True, None
-    diff = np.argwhere(p != p.T)
-    i, j = min((int(a), int(b)) for a, b in diff)
+    # argmax finds the first asymmetric cell in row-major order, which is
+    # the lexicographically least pair
+    i, j = divmod(int(np.argmax(diff)), t.order)
     return False, (i, j)
 
 
 def central_elements(t: SemigroupTable) -> list[int]:
+    """All c with c*x = x*c for every x (row c equals column c)."""
     p = t.product
-    return [c for c in range(t.order) if np.array_equal(p[c, :], p[:, c])]
+    return np.flatnonzero((p == p.T).all(axis=1)).tolist()
 
 
 def sqrt_of_idempotents(t: SemigroupTable) -> list[int]:
@@ -149,27 +151,22 @@ def principal_ideal(t: SemigroupTable, a: int) -> frozenset[int]:
 def minimal_ideal(t: SemigroupTable) -> frozenset[int]:
     """The unique minimal two-sided ideal (the kernel).
 
-    Walks a strictly descending chain of principal ideals from J(0):
-    whenever a member k of the current ideal generates a smaller ideal
-    J(k), the walk moves to J(k).  It stops once every member
-    regenerates the current ideal, which forces it to be the minimum:
-    any smaller ideal would contain a member generating a smaller one.
-    A finite semigroup has exactly one minimal ideal, so the walk's end
-    does not depend on the order in which members are tried.
+    A finite semigroup has exactly one minimal ideal K.  Fold the whole
+    table into x = s_1 s_2 ... s_m, the product of every element in index
+    order.  One factor lies in K and K absorbs products on both sides, so
+    x is in K; J(x) is then an ideal inside K, and minimality gives
+    K = J(x).  As a certificate every k in K must regenerate J(k) = K:
+    a member generating a smaller ideal would mean the fold missed the
+    kernel.
     """
-    current = principal_ideal(t, 0)
-    settled = False
-    while not settled:
-        settled = True
-        for k in current:
-            regenerated = principal_ideal(t, k)
-            if regenerated != current:
-                if not regenerated < current:
-                    raise ConsistencyError("principal ideal escaped its generator's ideal")
-                current = regenerated
-                settled = False
-                break
-    return current
+    p = t.product
+    x = 0
+    for s in range(1, t.order):
+        x = int(p[x, s])
+    kernel = principal_ideal(t, x)
+    if any(principal_ideal(t, k) != kernel for k in kernel):
+        raise ConsistencyError("a kernel element generates a different ideal")
+    return kernel
 
 
 def subtable(t: SemigroupTable, indices) -> SemigroupTable:

@@ -5,10 +5,13 @@ For families A, B on a group X the product is
     A o B = {C subset X : {x in X : x^-1 C in B} in A},
 
 which restricted to one-point systems is the group operation itself.
-Cayley tables for the full system space are built bit-parallel: each
-system is a membership bitmap over all 2^n subsets, the witness sets
-{x : x^-1 C in B} are assembled for all systems at once with numpy,
-and products are resolved back to element indices by binary search.
+Cayley tables for the full system space are built with numpy: each
+system is a membership bitmap over all 2^n subsets, and the witness sets
+{x : x^-1 C in B} are assembled for all systems at once.  Since A o B is
+the union over W in A of the fibre {C : witness_B(C) = W}, each row of
+product bitmaps is one matrix product of A's 0/1 membership row with the
+fibre matrix.  Products are resolved back to element indices by binary
+search.
 """
 
 from __future__ import annotations
@@ -80,9 +83,13 @@ def lambda_elements(g: FiniteGroup, *, allow_large: bool = False) -> list[Maxima
 def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     """Cayley table of the extended product over all systems on g.
 
-    Supported up to |G| = MAX_TABLE_GROUND; larger groups are refused
-    before anything is enumerated.  Every product is checked to land
-    back in the enumerated element set.
+    The product bitmaps of a block of rows are the rows' membership
+    matrix ("W in A", rows x 2^n) times the fibre matrix whose cell
+    (W, B) is the mask of candidates C >= 1 with witness W in B, one
+    float32 GEMM per exact 16-bit limb of the mask.  Supported up to |G| =
+    MAX_TABLE_GROUND; larger groups are refused before anything is
+    enumerated.  Every product is checked to land back in the enumerated
+    element set.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
@@ -103,15 +110,27 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
             acc |= ((b >> np.uint64(tabs[x][c])) & one) << np.uint64(x)
         witness[c] = acc
 
+    # fibre[limb, w, j] holds one 16-bit limb of the mask of candidates
+    # c >= 1 whose witness in system j is w.  For fixed j the fibres are
+    # disjoint, so row a of products is the 0/1 row "w in a" times fibre:
+    # each limb sum is a sum of distinct powers of two below 2^16 and so is
+    # exact in float32 whatever order the BLAS adds in.
+    limbs = (size + 15) // 16
+    cols = np.arange(m)
+    fibre = np.zeros((limbs, size, m), dtype=np.float32)
+    for c in range(1, size):
+        fibre[c >> 4, witness[c], cols] += np.float32(1 << (c & 15))
+    subsets = np.arange(size, dtype=np.uint64)
+
     sort_idx = np.argsort(b)
     sorted_b = b[sort_idx]
     product = np.empty((m, m), dtype=np.int32)
     for start in range(0, m, _ROW_CHUNK):
         stop = min(start + _ROW_CHUNK, m)
-        rows = b[start:stop, None]  # (r, 1)
+        member = ((b[start:stop, None] >> subsets) & one).astype(np.float32)
         result = np.zeros((stop - start, m), dtype=np.uint64)
-        for c in range(1, size):
-            result |= ((rows >> witness[c][None, :]) & one) << np.uint64(c)
+        for limb in range(limbs):
+            result |= (member @ fibre[limb]).astype(np.uint64) << np.uint64(16 * limb)
         pos = np.searchsorted(sorted_b, result)
         if pos.max() >= m or not np.array_equal(sorted_b[pos], result):
             raise ConsistencyError("a product left the enumerated system space")
@@ -188,16 +207,13 @@ def orbit_quotient(g: FiniteGroup, table: SemigroupTable) -> OrbitQuotient:
     quotient = None
     if central:
         oa = np.array(orbit_of, dtype=np.int32)
-        mapped = oa[p]
-        k = len(orbits)
-        quotient = np.empty((k, k), dtype=np.int32)
-        for qa, members_a in enumerate(orbits):
-            for qb, members_b in enumerate(orbits):
-                cells = mapped[np.ix_(members_a, members_b)]
-                val = int(cells[0, 0])
-                if not np.all(cells == val):
-                    raise ConsistencyError("orbit product is not well-defined")
-                quotient[qa, qb] = val
+        reps = [members[0] for members in orbits]
+        quotient = oa[p[np.ix_(reps, reps)]]
+        # every cell, not just the representatives, must map onto its orbit pair
+        for start in range(0, len(oa), _ROW_CHUNK):
+            rows = slice(start, start + _ROW_CHUNK)
+            if not np.array_equal(oa[p[rows]], quotient[oa[rows, None], oa]):
+                raise ConsistencyError("orbit product is not well-defined")
     return OrbitQuotient(orbit_of, orbits, central, quotient)
 
 

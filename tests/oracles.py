@@ -158,3 +158,18 @@ def oracle_minimal_ideal(product):
     minimal = [i for i in ideals if not any(j < i for j in ideals)]
     assert len(minimal) == 1, "minimal ideal is not unique"
     return minimal[0]
+
+
+def oracle_right_zeros(product):
+    n = len(product)
+    return [z for z in range(n) if all(product[x][z] == z for x in range(n))]
+
+
+def oracle_left_zeros(product):
+    n = len(product)
+    return [z for z in range(n) if all(product[z][x] == z for x in range(n))]
+
+
+def oracle_central_elements(product):
+    n = len(product)
+    return [c for c in range(n) if all(product[c][x] == product[x][c] for x in range(n))]

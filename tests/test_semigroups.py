@@ -24,7 +24,12 @@ from superx.semigroups import (
     subtable,
     zero,
 )
-from oracles import oracle_minimal_ideal
+from oracles import (
+    oracle_central_elements,
+    oracle_left_zeros,
+    oracle_minimal_ideal,
+    oracle_right_zeros,
+)
 
 
 def _names(table):
@@ -101,6 +106,32 @@ def test_commutativity(lam_table):
             assert p[a, b] == p[b, a]
 
 
+def test_commutativity_witness_c6(lam_table):
+    ok, witness = is_commutative(lam_table("C6"))
+    assert not ok
+    assert witness == (2, 3)
+    # brute force: scan pairs in lexicographic order up to the first asymmetric one
+    p = lam_table("C6").product
+    n = p.shape[0]
+    first = next((a, b) for a in range(n) for b in range(n) if p[a, b] != p[b, a])
+    assert first == witness
+
+
+def test_zeros_and_centre_match_loops(lam_table):
+    tables = [lam_table(name) for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5")]
+    tables += [
+        adjoin_zero(lam_table("C4")),
+        adjoin_identity(from_group(build_group("C3"))),
+        direct_product(lam_table("C2"), lam_table("C3")),
+        SemigroupTable(np.array([[0, 1], [0, 1]], dtype=np.int32)),
+    ]
+    for t in tables:
+        p = t.product.tolist()
+        assert right_zeros(t) == oracle_right_zeros(p), t.name
+        assert left_zeros(t) == oracle_left_zeros(p), t.name
+        assert central_elements(t) == oracle_central_elements(p), t.name
+
+
 def test_minimal_ideal(lam_table):
     t5 = lam_table("C5")
     ideal5 = minimal_ideal(t5)
@@ -125,6 +156,19 @@ def test_minimal_ideal_matches_oracle(lam_table):
     ]
     for t in tables:
         assert minimal_ideal(t) == oracle_minimal_ideal(t.product.tolist()), t.name
+
+
+def test_minimal_ideal_order6(lam_table):
+    for name in ("C6", "D6"):
+        t = lam_table(name)
+        kernel = minimal_ideal(t)
+        assert len(kernel) == 18, name
+        # the kernel absorbs any product of all elements, in any order
+        p = t.product
+        x = t.order - 1
+        for s in range(t.order - 2, -1, -1):
+            x = int(p[x, s])
+        assert x in kernel, name
 
 
 def test_maximal_subgroups(lam_table):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from superx.bitsets import mask_of
@@ -98,6 +101,34 @@ def test_lambda_table_matches_scalar_circ_exhaustively():
                 assert int(table.product[i, j]) == index[want.minimal_sets]
 
 
+# sha256 of each table as computed before the product became a fibre GEMM
+ORDER6_DIGESTS = {
+    "C6": "ca1e466a6b313ddcc33d24c3f4f2cd20fae59ccc64d9591d34d89cd6a0cdb9b5",
+    "D6": "23eafa5b3bc3ad5fbc743bec9def668289755c8649446a411a05b781b09bdc6d",
+}
+
+
+def _table_digest(product):
+    """sha256 of str(shape), then the rows as little-endian int32."""
+    h = hashlib.sha256(str(product.shape).encode())
+    h.update(np.ascontiguousarray(product, dtype="<i4").tobytes())
+    return h.hexdigest()
+
+
+def test_order6_tables_pinned_and_match_scalar_circ(lam_table):
+    for name, digest in ORDER6_DIGESTS.items():
+        g = build_group(name)
+        table = lam_table(name)
+        assert _table_digest(table.product) == digest, name
+        systems = table.elements
+        index = {s.minimal_sets: i for i, s in enumerate(systems)}
+        rng = random.Random(6)
+        for _ in range(300):
+            i, j = rng.randrange(table.order), rng.randrange(table.order)
+            want = circ(g, systems[i].family, systems[j].family)
+            assert int(table.product[i, j]) == index[want.minimal_sets], (name, i, j)
+
+
 def test_lambda_table_closure_and_mls_products():
     # closure is asserted during construction; spot-check products stay maximal linked
     g = build_group("C5")
@@ -167,6 +198,34 @@ def test_orbit_quotient_c5():
     # orbit sizes: the zero is fixed, everything else moves freely
     sizes = sorted(len(o) for o in q.orbits)
     assert sizes == [1] + [5] * 16
+
+
+def test_orbit_quotient_rejects_a_cell_crossing_orbits(lam_table):
+    g = build_group("C5")
+    table = copy.copy(lam_table("C5"))
+    table.product = table.product.copy()
+    orbit_of, orbits = shift_orbits(g, table.elements)
+    principals = set(principal_indices(g, table.elements))
+    # a non-representative cell between two free orbits without one-point systems
+    free = [o for o in orbits if len(o) == 5 and not principals & set(o)]
+    a, b = free[0][1], free[1][2]
+    moved = next(i for i in range(table.order) if orbit_of[i] != orbit_of[int(table.product[a, b])])
+    table.product[a, b] = moved
+    with pytest.raises(ConsistencyError):
+        orbit_quotient(g, table)
+
+
+def test_orbit_quotient_c6_matches_per_pair(lam_table):
+    g = build_group("C6")
+    table = lam_table("C6")
+    q = orbit_quotient(g, table)
+    assert q.orbit_count == 447
+    p = table.product
+    rng = random.Random(447)
+    for _ in range(200):
+        qa, qb = rng.randrange(q.orbit_count), rng.randrange(q.orbit_count)
+        cells = {q.orbit_of[int(p[a, b])] for a in q.orbits[qa] for b in q.orbits[qb]}
+        assert cells == {int(q.product[qa, qb])}
 
 
 def test_orbit_quotient_c1():
