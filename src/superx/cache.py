@@ -1,9 +1,14 @@
-"""On-disk cache for system lists and Cayley tables.
+"""On-disk cache of lambda tables, one ``<group>-table-v2.npy`` entry per group.
 
-File layout: one header line ``superx-cache v1 <group> <kind> <checksum>``
-followed by the payload.  The checksum is the sha256 hex digest of the
-payload text; a mismatch marks the file corrupt and forces a recompute.
-Writes go to a temp file first and are moved into place atomically.
+File layout: one header line ``superx-cache v2 <group> <sha256>`` followed
+by the product table in numpy's NPY format.  The sha256 covers the
+group's multiplication table, the serialized system list from
+``lambda_elements`` in order, and the NPY bytes.  A load recomputes it
+from the current group and enumerator, so a corrupt byte, a changed group
+layout and a changed enumerator all read as a miss, and the table is
+rebuilt and the entry overwritten.  The systems are not stored: the
+digest pins their order, so they come from the enumerator.  Writes go to
+a temp file first and are moved into place atomically.
 """
 
 from __future__ import annotations
@@ -16,11 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConsistencyError
-from .families import MaximalLinkedSystem
+from .groups import FiniteGroup
 from .semigroups import SemigroupTable
+from .superext import lambda_elements, lambda_table
 
-FORMAT_VERSION = "v1"
+FORMAT_VERSION = "v2"
 ENV_VAR = "SUPERX_CACHE_DIR"
+_READ_CHUNK = 1 << 20
 
 
 def resolve_cache_dir(flag_value: str | None = None) -> Path:
@@ -34,115 +41,60 @@ def resolve_cache_dir(flag_value: str | None = None) -> Path:
     return Path(base) / "superx"
 
 
-def _safe_name(group_name: str) -> str:
-    return group_name.replace(":", "_")
+def cache_path(cache_dir: Path, group_name: str) -> Path:
+    return cache_dir / f"{group_name.replace(':', '_')}-table-{FORMAT_VERSION}.npy"
 
 
-def cache_path(cache_dir: Path, group_name: str, kind: str) -> Path:
-    return cache_dir / f"{_safe_name(group_name)}-{kind}-{FORMAT_VERSION}.txt"
+def _header(group_name: str, digest: str) -> bytes:
+    return f"superx-cache {FORMAT_VERSION} {group_name} {digest}\n".encode()
 
 
-def _checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+def _digest(g: FiniteGroup, systems, payload) -> str:
+    """sha256 of the group table, the system list and the rest of the open payload file."""
+    h = hashlib.sha256(repr(g.mul).encode())
+    h.update("\n".join(s.serialize() for s in systems).encode() + b"\n")
+    for chunk in iter(lambda: payload.read(_READ_CHUNK), b""):
+        h.update(chunk)
+    return h.hexdigest()
 
 
-def _write(path: Path, group_name: str, kind: str, payload: str) -> None:
+def save_table(cache_dir: Path, g: FiniteGroup, table: SemigroupTable) -> Path:
+    """Write the entry for lambda(g); the digest is filled in once the payload is on disk."""
+    path = cache_path(cache_dir, g.name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = f"superx-cache {FORMAT_VERSION} {group_name} {kind} {_checksum(payload)}\n"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(header)
-            fh.write(payload)
+        with os.fdopen(fd, "w+b") as fh:
+            placeholder = _header(g.name, "0" * 64)
+            fh.write(placeholder)
+            np.lib.format.write_array(fh, table.product, allow_pickle=False)
+            fh.seek(len(placeholder))
+            digest = _digest(g, table.elements, fh)
+            fh.seek(0)
+            fh.write(_header(g.name, digest))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _read(path: Path, group_name: str, kind: str) -> str | None:
-    """The payload if the file exists and passes validation, else None."""
-    try:
-        text = path.read_text()
-    except OSError:
-        return None
-    head, sep, payload = text.partition("\n")
-    parts = head.split()
-    if (
-        not sep
-        or len(parts) != 5
-        or parts[:2] != ["superx-cache", FORMAT_VERSION]
-        or parts[2] != group_name
-        or parts[3] != kind
-        or parts[4] != _checksum(payload)
-    ):
-        return None
-    return payload
-
-
-def systems_payload(group_name: str, ground_size: int, systems: list[MaximalLinkedSystem]) -> str:
-    lines = [f"ground={ground_size} group={group_name} count={len(systems)}"]
-    lines.extend(s.serialize() for s in systems)
-    return "\n".join(lines) + "\n"
-
-
-def save_systems(cache_dir: Path, group_name: str, ground_size: int, systems) -> Path:
-    path = cache_path(cache_dir, group_name, "systems")
-    _write(path, group_name, "systems", systems_payload(group_name, ground_size, systems))
     return path
 
 
-def load_systems(cache_dir: Path, group_name: str, ground_size: int) -> list[MaximalLinkedSystem] | None:
-    payload = _read(cache_path(cache_dir, group_name, "systems"), group_name, "systems")
-    if payload is None:
-        return None
-    lines = payload.splitlines()
-    meta = dict(tok.split("=") for tok in lines[0].split())
-    if int(meta["ground"]) != ground_size or int(meta["count"]) != len(lines) - 1:
-        return None
+def load_table(cache_dir: Path, g: FiniteGroup) -> SemigroupTable | None:
+    """The cached lambda(g) table, or None when the entry is missing, corrupt or stale."""
     try:
-        return [MaximalLinkedSystem.deserialize(ground_size, line) for line in lines[1:]]
-    except (ValueError, ConsistencyError):
-        return None
-
-
-def table_payload(group_name: str, table: SemigroupTable) -> str:
-    systems = table.elements
-    ground = systems[0].ground_size
-    lines = [f"ground={ground} group={group_name} count={table.order}"]
-    lines.extend(s.serialize() for s in systems)
-    lines.extend(" ".join(str(int(v)) for v in row) for row in table.product)
-    return "\n".join(lines) + "\n"
-
-
-def save_table(cache_dir: Path, group_name: str, table: SemigroupTable) -> Path:
-    path = cache_path(cache_dir, group_name, "table")
-    _write(path, group_name, "table", table_payload(group_name, table))
-    return path
-
-
-def load_table(cache_dir: Path, group_name: str, ground_size: int) -> SemigroupTable | None:
-    payload = _read(cache_path(cache_dir, group_name, "table"), group_name, "table")
-    if payload is None:
-        return None
-    lines = payload.splitlines()
-    meta = dict(tok.split("=") for tok in lines[0].split())
-    if int(meta["ground"]) != ground_size:
-        return None
-    count = int(meta["count"])
-    if len(lines) != 1 + 2 * count:
-        return None
-    try:
-        systems = [MaximalLinkedSystem.deserialize(ground_size, line) for line in lines[1 : 1 + count]]
-        product = np.stack(
-            [np.array(line.split(), dtype=np.int32) for line in lines[1 + count :]]
-        )
-        return SemigroupTable(
-            product,
-            elements=systems,
-            labels=[s.serialize() for s in systems],
-            name=f"lambda({group_name})",
-        )
-    except (ValueError, ConsistencyError):
+        with open(cache_path(cache_dir, g.name), "rb") as fh:
+            head = fh.readline().split()
+            if head[:3] != _header(g.name, "").split() or len(head) != 4:
+                return None
+            start = fh.tell()
+            systems = lambda_elements(g)
+            if _digest(g, systems, fh).encode() != head[3]:
+                return None
+            fh.seek(start)
+            product = np.lib.format.read_array(fh, allow_pickle=False)
+        if product.shape != (len(systems), len(systems)):
+            return None
+        return lambda_table(g, systems, product)
+    except (OSError, ValueError, ConsistencyError):
         return None

@@ -89,16 +89,14 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
         return Report("lambda", group_name, "fail" if mismatched else "pass", payload)
     if what == "table":
         directory = resolve_cache_dir(cache_dir)
-        table = load_table(directory, g.name, g.order)
+        table = load_table(directory, g)
         hit = table is not None
         if table is None:
             table = build_lambda_table(g)
-            path = save_table(directory, g.name, table)
-        else:
-            path = cache_path(directory, g.name, "table")
+            save_table(directory, g, table)
         payload = {
             "count": table.order,
-            "cache_file": str(path),
+            "cache_file": str(cache_path(directory, g.name)),
             "cache_hit": hit,
         }
         if table.order <= 100:
@@ -206,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             p.add_argument("group", help="group name, e.g. C5, C2xC4, D8, Q8, A4, C3:C4")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("sl-table", help="smallest self-linked set sizes for the catalog")
     p.add_argument("--max-order", type=int, default=13)
@@ -216,9 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="system counts, Cayley table or structure for one group")
     common(p, group=True)
     p.add_argument("--what", choices=("count", "table", "structure"), default="count")
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("invariant", help="maximal invariant linked systems of one group")
     common(p, group=True)
+    p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("c5-t17", help="validate the 17x17 representative table over C5")
     common(p)

@@ -58,18 +58,23 @@ class SemigroupTable:
     def _check_associative(self) -> None:
         p = self.product
         n = self.order
-        if n == 0:
-            return
         if n <= ASSOC_EXHAUSTIVE_LIMIT:
             # left[a,b,c] = p[p[a,b],c], right[a,b,c] = p[a,p[b,c]]
-            if not np.array_equal(p[p, :], p[:, p]):
-                raise ConsistencyError(f"{self.name or 'semigroup'}: product is not associative")
+            associative = np.array_equal(p[p, :], p[:, p])
         else:
-            rng = random.Random(0xA55)
-            for _ in range(ASSOC_SAMPLES):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if p[p[a, b], c] != p[a, p[b, c]]:
-                    raise ConsistencyError(f"{self.name or 'semigroup'}: product is not associative")
+            associative = sampled_associative(p, random.Random(0xA55))
+        if not associative:
+            raise ConsistencyError(f"{self.name or 'semigroup'}: product is not associative")
+
+
+def sampled_associative(p: np.ndarray, rng: random.Random) -> bool:
+    """(ab)c == a(bc) on ASSOC_SAMPLES triples drawn from rng, stopping at a failure."""
+    n = p.shape[0]
+    for _ in range(ASSOC_SAMPLES):
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if p[p[a, b], c] != p[a, p[b, c]]:
+            return False
+    return True
 
 
 def from_group(g: FiniteGroup) -> SemigroupTable:
@@ -172,15 +177,11 @@ def minimal_ideal(t: SemigroupTable) -> frozenset[int]:
 def subtable(t: SemigroupTable, indices) -> SemigroupTable:
     """The induced table on a product-closed subset of elements."""
     order = sorted(indices)
-    pos = {v: i for i, v in enumerate(order)}
-    p = t.product
-    prod = np.empty((len(order), len(order)), dtype=np.int32)
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            ab = int(p[a, b])
-            if ab not in pos:
-                raise ConsistencyError("subset is not closed under products")
-            prod[i, j] = pos[ab]
+    pos = np.full(t.order, -1, dtype=np.int32)
+    pos[order] = np.arange(len(order), dtype=np.int32)
+    prod = pos[t.product[np.ix_(order, order)]]
+    if (prod < 0).any():
+        raise ConsistencyError("subset is not closed under products")
     return SemigroupTable(
         prod,
         elements=[t.elements[v] for v in order],
@@ -204,14 +205,7 @@ def maximal_subgroup_at(t: SemigroupTable, e: int) -> SemigroupTable:
     block = p[np.ix_(monoid, monoid)]
     invertible = (block == e) & (block.T == e)
     units = [int(monoid[i]) for i in np.flatnonzero(invertible.any(axis=1))]
-    pos = {u: i for i, u in enumerate(units)}
-    prod = np.array([[pos[int(p[a, b])] for b in units] for a in units], dtype=np.int32)
-    return SemigroupTable(
-        prod,
-        elements=[t.elements[u] for u in units],
-        labels=[t.label(u) for u in units],
-        name=f"{t.name}|H({e})",
-    )
+    return subtable(t, units)
 
 
 def adjoin_zero(t: SemigroupTable) -> SemigroupTable:

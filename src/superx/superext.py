@@ -80,6 +80,12 @@ def lambda_elements(g: FiniteGroup, *, allow_large: bool = False) -> list[Maxima
     return enumerate_mls(g.order, allow_large=allow_large)
 
 
+def lambda_table(g: FiniteGroup, systems: list[MaximalLinkedSystem], product) -> SemigroupTable:
+    """The lambda(g) table over the given systems, whether built or loaded."""
+    labels = [s.serialize() for s in systems]
+    return SemigroupTable(product, elements=list(systems), labels=labels, name=f"lambda({g.name})")
+
+
 def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     """Cayley table of the extended product over all systems on g.
 
@@ -135,9 +141,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
         if pos.max() >= m or not np.array_equal(sorted_b[pos], result):
             raise ConsistencyError("a product left the enumerated system space")
         product[start:stop] = sort_idx[pos]
-
-    labels = [s.serialize() for s in systems]
-    return SemigroupTable(product, elements=list(systems), labels=labels, name=f"lambda({g.name})")
+    return lambda_table(g, systems, product)
 
 
 def principal_indices(g: FiniteGroup, systems: list[MaximalLinkedSystem]) -> list[int]:

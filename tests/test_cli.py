@@ -1,17 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 
-from superx.cache import (
-    cache_path,
-    load_systems,
-    load_table,
-    resolve_cache_dir,
-    save_systems,
-    save_table,
-)
+import numpy as np
+
+from superx.cache import cache_path, load_table, resolve_cache_dir, save_table
 import superx.cli as cli
+import superx.superext as superext
 from superx.cli import (
     EXIT_CAPACITY,
     EXIT_INTERNAL,
@@ -28,7 +25,7 @@ from superx.cli import (
 )
 from superx.errors import ConsistencyError
 from superx.families import enumerate_mls
-from superx.groups import build_group
+from superx.groups import _make_group, build_group
 from superx.superext import build_lambda_table
 
 
@@ -84,40 +81,104 @@ def test_lambda_structure_command():
 def test_lambda_table_cache_round_trip(tmp_path):
     report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
     assert not report.payload["cache_hit"]
-    path = cache_path(tmp_path, "C4", "table")
+    path = cache_path(tmp_path, "C4")
+    assert report.payload["cache_file"] == str(tmp_path / "C4-table-v2.npy") == str(path)
     first = path.read_bytes()
     report2 = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
     assert report2.payload["cache_hit"]
     assert path.read_bytes() == first
     assert report2.payload["matrix"] == report.payload["matrix"]
+    assert report2.payload["elements"] == report.payload["elements"]
 
 
 def test_lambda_table_cache_corruption_recomputes(tmp_path):
     cmd_lambda("C3", "table", cache_dir=str(tmp_path))
-    path = cache_path(tmp_path, "C3", "table")
-    original = path.read_text()
-    corrupted = original.replace("\n0 ", "\n1 ", 1)
-    assert corrupted != original
-    path.write_text(corrupted)
+    path = cache_path(tmp_path, "C3")
+    original = path.read_bytes()
+    corrupted = bytearray(original)
+    corrupted[-4] ^= 1  # low byte of the last cell: still an index in range
+    path.write_bytes(bytes(corrupted))
     report = cmd_lambda("C3", "table", cache_dir=str(tmp_path))
     assert not report.payload["cache_hit"]
-    assert path.read_text() == original
+    assert path.read_bytes() == original
 
 
 def test_cache_header_and_loaders(tmp_path):
     g = build_group("C3")
-    systems = enumerate_mls(3)
-    save_systems(tmp_path, "C3", 3, systems)
-    head = cache_path(tmp_path, "C3", "systems").read_text().splitlines()[0]
-    assert head.startswith("superx-cache v1 C3 systems ")
-    assert load_systems(tmp_path, "C3", 3) == systems
-    assert load_systems(tmp_path, "C3", 4) is None
     table = build_lambda_table(g)
-    save_table(tmp_path, "C3", table)
-    loaded = load_table(tmp_path, "C3", 3)
+    path = save_table(tmp_path, g, table)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    fields = head.split()
+    assert fields[:3] == [b"superx-cache", b"v2", b"C3"] and len(fields[3]) == 64
+    assert payload.startswith(b"\x93NUMPY")
+    loaded = load_table(tmp_path, g)
     assert loaded is not None
     assert (loaded.product == table.product).all()
     assert loaded.elements == table.elements
+    assert (loaded.labels, loaded.name) == (table.labels, table.name)
+    assert load_table(tmp_path / "missing", g) is None
+
+
+def _relabelled_c4():
+    """C4 under its own name with elements 1 and 2 swapped: another layout."""
+    swap = [0, 2, 1, 3]
+    return _make_group("C4", [[swap[(swap[a] + swap[b]) % 4] for b in range(4)] for a in range(4)])
+
+
+def test_cache_entry_for_another_group_layout_is_rebuilt(tmp_path, monkeypatch):
+    c4 = cmd_lambda("C4", "table", cache_dir=str(tmp_path)).payload["matrix"]
+    relabelled = _relabelled_c4()
+    monkeypatch.setattr(cli, "build_group", lambda name: relabelled)
+    report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
+    assert not report.payload["cache_hit"]
+    assert report.payload["matrix"] == build_lambda_table(relabelled).product.tolist() != c4
+    assert cmd_lambda("C4", "table", cache_dir=str(tmp_path)).payload["cache_hit"]
+
+
+def test_cache_entry_from_another_enumerator_is_rebuilt(tmp_path, monkeypatch):
+    first = cmd_lambda("C4", "table", cache_dir=str(tmp_path)).payload
+    reordered = list(reversed(enumerate_mls(4)))
+    monkeypatch.setattr(superext, "enumerate_mls", lambda n, allow_large=False: list(reordered))
+    report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
+    assert not report.payload["cache_hit"]
+    assert report.payload["elements"] == first["elements"][::-1]
+    # the same semigroup, indexed the other way round
+    last = len(reordered) - 1
+    assert report.payload["matrix"] == [
+        [last - first["matrix"][last - a][last - b] for b in range(last + 1)] for a in range(last + 1)
+    ]
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append("unpickled")
+
+
+class _Tripwire:
+    """Records being unpickled."""
+
+    def __reduce__(self):
+        return (_record_unpickling, ())
+
+
+def test_cache_never_unpickles_a_payload(tmp_path):
+    g = build_group("C2")
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.array([[_Tripwire()] * 2] * 2, dtype=object), allow_pickle=True)
+    npy = buf.getvalue()
+    h = hashlib.sha256(repr(g.mul).encode())
+    h.update("\n".join(s.serialize() for s in enumerate_mls(2)).encode() + b"\n" + npy)
+    path = cache_path(tmp_path, "C2")
+    path.write_bytes(f"superx-cache v2 C2 {h.hexdigest()}\n".encode() + npy)
+    assert load_table(tmp_path, g) is None
+    assert _UNPICKLED == []
+    report = cmd_lambda("C2", "table", cache_dir=str(tmp_path))
+    assert not report.payload["cache_hit"]
+    assert load_table(tmp_path, g) is not None
+    np.lib.format.read_array(io.BytesIO(npy), allow_pickle=True)
+    assert _UNPICKLED  # the payload does run code when unpickled
 
 
 def test_resolve_cache_dir_priority(tmp_path, monkeypatch):
@@ -200,6 +261,13 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_options_only_on_the_commands_that_read_them(capsys):
+    assert main(["verify-paper", "--cache-dir=x"]) == EXIT_USAGE
+    assert main(["invariant", "C2", "--cache-dir=x"]) == EXIT_USAGE
+    assert main(["sl-table", "--allow-large"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
 def test_main_internal_error_exit_code(monkeypatch, capsys):
     def broken(max_n):
         raise ConsistencyError("broken on purpose")
@@ -211,8 +279,8 @@ def test_main_internal_error_exit_code(monkeypatch, capsys):
     assert captured.err == "error: internal invariant failed: broken on purpose\n"
 
 
-def test_main_formats(capsys):
-    assert main(["lambda", "C2", "--what=table", "--format=json", "--cache-dir=/tmp/superx-test-json"]) == EXIT_OK
+def test_main_formats(tmp_path, capsys):
+    assert main(["lambda", "C2", "--what=table", "--format=json", f"--cache-dir={tmp_path}"]) == EXIT_OK
     out = capsys.readouterr().out
     data = json.loads(out)
     assert data["payload"]["matrix"] == [[0, 1], [1, 0]]

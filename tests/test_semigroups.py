@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from superx.semigroups import (
     maximal_subgroup_at,
     minimal_ideal,
     right_zeros,
+    sampled_associative,
     sqrt_of_idempotents,
     subtable,
     zero,
@@ -42,6 +45,23 @@ def test_table_validation_rejects_non_associative():
         SemigroupTable(np.array([[1, 1], [0, 0]], dtype=np.int32))
     with pytest.raises(ConsistencyError):
         SemigroupTable(np.array([[0, 2], [1, 0]], dtype=np.int32))
+
+
+def test_sampled_associativity_above_the_exhaustive_limit():
+    n = 101
+    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    cyclic = (a + b) % n
+    skew = (a + 2 * b) % n  # (ab)c = a + 2b + 2c, a(bc) = a + 2b + 4c
+    assert SemigroupTable(cyclic).order == n
+    with pytest.raises(ConsistencyError):
+        SemigroupTable(skew)
+    assert not sampled_associative(skew, random.Random(0))
+    # on success the check draws exactly three indices per sample, in order
+    rng, ref = random.Random(7), random.Random(7)
+    assert sampled_associative(cyclic, rng)
+    for _ in range(3 * 10_000):
+        ref.randrange(n)
+    assert rng.random() == ref.random()
 
 
 def test_idempotent_counts(lam_table):
@@ -257,5 +277,5 @@ def test_find_isomorphism_negative():
 
 def test_subtable_rejects_non_closed(lam_table):
     t4 = lam_table("C4")
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="not closed under products"):
         subtable(t4, [idempotents(t4)[0], (idempotents(t4)[0] + 1) % 12, 5])
