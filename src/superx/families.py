@@ -88,7 +88,16 @@ class SetFamily:
         return all(a & b for i, a in enumerate(sets) for b in sets[i:])
 
     def is_maximal_linked(self) -> bool:
-        return self.transversal() == self
+        """True iff self equals its transversal.
+
+        The transversal of a monotone family F is {B : complement of B not
+        in F}, so F is maximal linked iff it holds exactly one set of every
+        complementary pair: the bitmap XOR its mirror image (bit s moved to
+        bit full ^ s) sets all 2^n bits.
+        """
+        size = 1 << self.ground_size
+        mirror = int(format(self.bitmap, f"0{size}b")[::-1], 2)
+        return self.bitmap ^ mirror == (1 << size) - 1
 
     def shift(self, g: FiniteGroup, x: int) -> "SetFamily":
         """The image family {xA : A in self} under left translation."""

@@ -3,10 +3,17 @@
 A subset A of a group G is self-linked when A meets every translate xA,
 equivalently AA^-1 = G.  Invariant linked families are exactly the
 upward closures of cliques in the compatibility graph on self-linked
-subsets (A compatible with B iff AB^-1 = G): compatibility is preserved
-by shifts and supersets, so maximal cliques are shift- and
-superset-closed and correspond one-to-one to the maximal invariant
-linked systems.  Both facts are asserted on every enumerated clique.
+subsets (A compatible with B iff A meets every xB, i.e. AB^-1 = G):
+compatibility is preserved by shifts and supersets, so maximal cliques
+are shift- and superset-closed and correspond one-to-one to the maximal
+invariant linked systems.
+
+Everything here reads one translation table, ``shifts[x, A] = xA`` for
+every element x and subset mask A.  Both closure facts are asserted on
+every enumerated clique in vertex-index space: the translates of the
+clique's vertices are looked up as vertex indices and must all be in the
+clique, and the OR of the clique's per-vertex superset bitmaps must not
+leave it.
 """
 
 from __future__ import annotations
@@ -14,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitsets import iter_bits, mask_of, subsets_of_size
+import numpy as np
+
+from .bitsets import iter_bits, mask_of
 from .errors import CapacityError, ConsistencyError
-from .families import SetFamily, generate_family, majority_family
+from .families import SetFamily, family_from_bitmap, majority_family
 from .groups import (
     FiniteGroup,
     difference_set,
@@ -28,6 +37,32 @@ from .groups import (
 
 MAX_INVARIANT_ORDER = 8
 MAX_INVARIANT_ORDER_LARGE = 10
+
+
+def _shift_table(g: FiniteGroup) -> np.ndarray:
+    """shifts[x, A] = xA for every element x and subset mask A, as uint16.
+
+    Built by doubling: a mask with top bit b is the mask below it plus
+    the point b, whose translate is the point x*b.
+    """
+    n = g.order
+    points = np.uint16(1) << np.array(g.mul, dtype=np.uint16)  # points[x, b] = {x*b}
+    shifts = np.zeros((n, 1 << n), dtype=np.uint16)
+    for b in range(n):
+        half = 1 << b
+        shifts[:, half : 2 * half] = shifts[:, :half] | points[:, b, None]
+    return shifts
+
+
+def _self_linked_flags(shifts: np.ndarray) -> np.ndarray:
+    """flags[A] is True iff A meets every translate xA (AA^-1 = G)."""
+    masks = np.arange(shifts.shape[1], dtype=np.uint16)
+    return (shifts & masks).all(axis=0)
+
+
+def _packed(row: np.ndarray) -> int:
+    """A boolean row as a Python int with bit j set iff row[j]."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def is_self_linked(g: FiniteGroup, mask: int) -> bool:
@@ -63,8 +98,7 @@ def sl(g: FiniteGroup) -> int:
 
 def self_linked_subsets(g: FiniteGroup) -> list[int]:
     """All non-empty self-linked subsets, ascending by mask."""
-    full = g.full_mask
-    return [m for m in range(1, full + 1) if difference_set(g, m, m) == full]
+    return np.flatnonzero(_self_linked_flags(_shift_table(g))).tolist()
 
 
 @dataclass(frozen=True)
@@ -146,8 +180,9 @@ def enumerate_half_self_linked(g: FiniteGroup) -> list[int]:
     n = g.order
     if n % 2:
         raise ConsistencyError("half-size self-linked sets need an even group order")
-    full = g.full_mask
-    return [m for m in subsets_of_size(n, n // 2) if difference_set(g, m, m) == full]
+    flags = _self_linked_flags(_shift_table(g))
+    half = np.bitwise_count(np.arange(flags.size)) == n // 2
+    return np.flatnonzero(flags & half).tolist()
 
 
 @dataclass(frozen=True)
@@ -182,13 +217,13 @@ def sim_classes(g: FiniteGroup) -> SimClasses:
             parent[ri] = rj
 
     full = g.full_mask
+    shifts = _shift_table(g)
     for m in sets:
         comp = full ^ m
         if comp not in index:
             raise ConsistencyError("complement of a half-size self-linked set must be one too")
-        for x in g.elements():
-            union(index[m], index[translate_set(g, x, m)])
-            union(index[m], index[translate_set(g, x, comp)])
+        for t in shifts[:, [m, comp]].ravel().tolist():
+            union(index[m], index[t])
     groups: dict[int, list[int]] = {}
     for i, m in enumerate(sets):
         groups.setdefault(find(i), []).append(m)
@@ -210,31 +245,24 @@ class InvariantLinkedSystem:
         return self.family.contains(mask)
 
 
-def _compatible(g: FiniteGroup, a: int, b: int) -> bool:
-    # A meets every translate of B exactly when AB^-1 = G.
-    return difference_set(g, a, b) == g.full_mask
+def _compatibility_graph(shifts: np.ndarray, vertices: list[int]) -> list[int]:
+    """Adjacency rows over vertex indices: A ~ B iff A meets every xB (AB^-1 = G).
 
-
-def enumerate_invariant_mls(
-    g: FiniteGroup, *, allow_large: bool = False
-) -> list[InvariantLinkedSystem]:
-    """All maximal invariant linked systems via maximal cliques.
-
-    Vertices are the self-linked subsets, edges join shift-compatible
-    pairs, and maximal cliques are enumerated by pivoting backtracking.
+    The relation is symmetric, since BA^-1 is the inverse set of AB^-1;
+    row i is a Python int with bit j set iff i != j and the pair is
+    compatible.
     """
-    cap = MAX_INVARIANT_ORDER_LARGE if allow_large else MAX_INVARIANT_ORDER
-    if g.order > cap:
-        raise CapacityError(f"invariant enumeration supports |G| <= {cap}")
-    vertices = self_linked_subsets(g)
-    nv = len(vertices)
-    adj = [0] * nv
+    moved = shifts[:, vertices]  # moved[x, j] = x * vertices[j]
+    adj = []
     for i, a in enumerate(vertices):
-        for j in range(i + 1, nv):
-            if _compatible(g, a, vertices[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        row = (moved & a).all(axis=0)
+        row[i] = False
+        adj.append(_packed(row))
+    return adj
 
+
+def _maximal_cliques(adj: list[int]) -> list[int]:
+    """Every maximal clique as a vertex bitmask (Bron-Kerbosch with pivoting)."""
     cliques: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
@@ -249,58 +277,101 @@ def enumerate_invariant_mls(
             p &= ~bit
             x |= bit
 
-    expand(0, (1 << nv) - 1, 0)
+    expand(0, (1 << len(adj)) - 1, 0)
+    return cliques
 
-    systems = []
+
+def _closed_families(
+    g: FiniteGroup, shifts: np.ndarray, vertices: list[int], cliques: list[int]
+) -> list[SetFamily]:
+    """Certify that every clique is shift- and superset-closed; return its family.
+
+    Both checks run on vertex indices.  sigma[x, i] is the index of the
+    translate x * vertices[i] (nv when it is not a vertex), and up[i] is
+    the packed row of the vertices containing vertices[i].  A
+    superset-closed clique is its own upward closure, so its family is
+    read straight off its vertex masks.
+    """
+    nv = len(vertices)
+    verts = np.array(vertices, dtype=np.intp)
+    index = np.full(1 << g.order, nv, dtype=np.intp)
+    index[verts] = np.arange(nv)
+    sigma = index[shifts[:, verts]]
+    up = np.array([np.packbits((verts & v) == v, bitorder="little") for v in vertices])
+    width = up.shape[1]
+    member = np.zeros(nv + 1, dtype=bool)  # member[nv] stays False
+    in_family = np.zeros(1 << g.order, dtype=bool)
+    families = []
     for clique in cliques:
-        members = [vertices[i] for i in iter_bits(clique)]
-        member_set = set(members)
-        for m in members:
-            for x in g.elements():
-                if translate_set(g, x, m) not in member_set:
-                    raise ConsistencyError("maximal clique is not shift-closed")
-            for sup in vertices:
-                if sup & m == m and sup not in member_set:
-                    raise ConsistencyError("maximal clique is not superset-closed")
-        systems.append(InvariantLinkedSystem(generate_family(g.order, members), g))
+        packed = np.frombuffer(clique.to_bytes(width, "little"), dtype=np.uint8)
+        member[:nv] = np.unpackbits(packed, count=nv, bitorder="little")
+        idx = np.flatnonzero(member[:nv])
+        if not member[sigma[:, idx]].all():
+            raise ConsistencyError("maximal clique is not shift-closed")
+        if (np.bitwise_or.reduce(up[idx], axis=0) & ~packed).any():
+            raise ConsistencyError("maximal clique is not superset-closed")
+        in_family[:] = False
+        in_family[verts[idx]] = True
+        families.append(family_from_bitmap(g.order, _packed(in_family)))
+    return families
+
+
+def enumerate_invariant_mls(
+    g: FiniteGroup, *, allow_large: bool = False
+) -> list[InvariantLinkedSystem]:
+    """All maximal invariant linked systems via maximal cliques.
+
+    Vertices are the self-linked subsets, edges join shift-compatible
+    pairs, and maximal cliques are enumerated by pivoting backtracking.
+    """
+    cap = MAX_INVARIANT_ORDER_LARGE if allow_large else MAX_INVARIANT_ORDER
+    if g.order > cap:
+        raise CapacityError(f"invariant enumeration supports |G| <= {cap}")
+    shifts = _shift_table(g)
+    vertices = self_linked_subsets(g)
+    cliques = _maximal_cliques(_compatibility_graph(shifts, vertices))
+    systems = [InvariantLinkedSystem(f, g) for f in _closed_families(g, shifts, vertices, cliques)]
     systems.sort(key=lambda s: s.family.minimal_sets)
     return systems
 
 
-def up_majority_count(g: FiniteGroup, systems: list[InvariantLinkedSystem] | None = None) -> int:
-    """How many invariant systems contain every majority set; equals 2^s."""
+def up_majority_count(
+    g: FiniteGroup,
+    systems: list[InvariantLinkedSystem] | None = None,
+    classes: SimClasses | None = None,
+) -> int:
+    """How many invariant systems contain every majority set; equals 2^s.
+
+    ``systems`` and ``classes`` default to a fresh enumeration and
+    ``sim_classes(g)``.
+    """
     if g.order % 2:
         raise ConsistencyError("the 2^s law applies to even group orders")
     if systems is None:
         systems = enumerate_invariant_mls(g)
-    majority = majority_family(g)
-    count = sum(
-        1
-        for sys_ in systems
-        if all(sys_.family.contains(m) for m in majority.minimal_sets)
-    )
-    if count != 2 ** sim_classes(g).s:
+    if classes is None:
+        classes = sim_classes(g)
+    majority = majority_family(g).bitmap
+    count = sum(1 for sys_ in systems if sys_.family.bitmap & majority == majority)
+    if count != 2**classes.s:
         raise ConsistencyError("invariant-system count above the majority family is not 2^s")
     return count
 
 
 def partition_condition(g: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
-    """Whether every complementary pair has a side with full difference set.
+    """Whether every complementary pair has a self-linked side.
 
     Scans the 2^(|G|-1) pairs through the side containing the identity;
     returns the first failing partition as a witness.
     """
-    n = g.order
     full = g.full_mask
-    for half in range(1 << (n - 1)):
-        a = (half << 1) | 1  # the side containing element 0
-        b = full ^ a
-        if difference_set(g, a, a) == full:
-            continue
-        if b and difference_set(g, b, b) == full:
-            continue
-        return False, (a, b)
-    return True, None
+    flags = _self_linked_flags(_shift_table(g))
+    sides = np.arange(1 << (g.order - 1)) * 2 + 1  # the side containing element 0
+    failing = np.flatnonzero(~flags[sides] & ~flags[full ^ sides])
+    if failing.size == 0:
+        return True, None
+    a = int(sides[failing[0]])
+    return False, (a, full ^ a)
 
 
 @dataclass(frozen=True)

@@ -123,8 +123,9 @@ def check_two_power_s() -> list[dict]:
     rows = []
     for name, s_want in ref.SIM_CLASS_COUNTS.items():
         g = build_group(name)
-        rows.append(_row(f"s({name})", s_want, sim_classes(g).s))
-        rows.append(_row(f"upL0({name})", 2**s_want, up_majority_count(g)))
+        classes = sim_classes(g)
+        rows.append(_row(f"s({name})", s_want, classes.s))
+        rows.append(_row(f"upL0({name})", 2**s_want, up_majority_count(g, classes=classes)))
     return rows
 
 

@@ -304,6 +304,9 @@ UNPINNED_OUTPUT_DIGESTS = {
     ("explore-sl --max-n=8", "json"): "39227375bb7c4404d70842015e2afc7314ae31fd5c7df6bb02a2765a457e56db",
     ("invariant C6", "text"): "685edb341ad129ac2cc83a2c0c2657b53723244c6a3b594b2e1b1775aaf2145e",
     ("invariant C6", "json"): "b052924f2f75ee1dc5c1f2b47b1059612f6787a1920b61310017ca4f4bb8ec18",
+    ("invariant C3xC3 --allow-large", "json"): "c7825f01c767d095314f61d31c40cc4b16b51cfaec34514eabdf5cae05558bc9",
+    ("invariant C9 --allow-large", "json"): "c11eba500103eabc30812f3c14b0fd9754051e7c2aa8463bd38297a98c844453",
+    ("invariant D10 --allow-large", "json"): "c4b2eaf9965be60e11acf46e76df4aa8198cdb34306ad3364a91dabeb2d06ef1",
 }
 
 
@@ -317,3 +320,18 @@ def test_unpinned_command_outputs_unchanged(capsys):
             del data["elapsed_ms"]
             out = json.dumps(data, ensure_ascii=False, sort_keys=True)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, fmt)
+
+
+def test_invariant_c10_output_pinned(capsys):
+    # C10 is the largest group the invariant enumeration admits (2,312
+    # systems, none maximal linked); digest as in UNPINNED_OUTPUT_DIGESTS
+    assert main(["invariant", "C10", "--allow-large", "--format=json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    del data["elapsed_ms"]
+    payload = data["payload"]
+    assert payload["count"] == len(payload["systems"]) == 2312
+    assert (payload["s"], payload["up_majority"]) == (11, 2**11)
+    assert not any(s["maximal_linked"] for s in payload["systems"])
+    out = json.dumps(data, ensure_ascii=False, sort_keys=True)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "01d763f12956f8f6b67ad4e9fb57fd43a6cba6063c236a458bc1c37a9dc598fc"

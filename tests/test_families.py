@@ -11,6 +11,7 @@ from superx.families import (
     SetFamily,
     enumerate_mls,
     extend_to_mls,
+    family_from_bitmap,
     generate_family,
     is_invariant_mls,
     majority_family,
@@ -113,6 +114,24 @@ def test_is_maximal_linked():
     assert not four.is_maximal_linked()
     assert oracle_hitting_family(four.minimal_sets, 4) != four.minimal_sets
     assert _family(3, [1]).is_maximal_linked()
+
+
+def test_is_maximal_linked_matches_transversal_on_every_monotone_family():
+    # Dedekind numbers 3, 6, 20, 168 count the monotone families on n <= 4
+    # points; less the empty family and the one holding the empty set
+    family_counts = {1: 1, 2: 4, 3: 18, 4: 166}
+    for n, want in family_counts.items():
+        size = 1 << n
+        full = size - 1
+        families = []
+        for bitmap in range(1 << full, 1 << size, 2):  # holds the ground set, not the empty set
+            members = [s for s in range(1, size) if bitmap >> s & 1]
+            if all(bitmap >> (s | 1 << b) & 1 for s in members for b in range(n)):
+                families.append(family_from_bitmap(n, bitmap))
+        assert len(families) == want
+        flags = [f.is_maximal_linked() for f in families]
+        assert flags == [f.transversal() == f for f in families]
+        assert sum(flags) == MLS_COUNTS[n]
 
 
 def test_enumerate_mls_counts():

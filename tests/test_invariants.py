@@ -8,8 +8,11 @@ from superx.bitsets import mask_of
 from superx.errors import CapacityError, ConsistencyError
 from superx.expected import INVARIANT_COUNTS, SIM_CLASS_COUNTS, SL_TABLE
 from superx.families import majority_family
-from superx.groups import build_group, enumerate_subgroups, translate_set
+from superx.groups import build_group, difference_set, enumerate_subgroups, translate_set
 from superx.invariants import (
+    _closed_families,
+    _compatibility_graph,
+    _shift_table,
     check_slbound_composite,
     enumerate_half_self_linked,
     enumerate_invariant_mls,
@@ -30,6 +33,7 @@ from oracles import (
 )
 
 CATALOG_LE8 = ("C1",) + tuple(INVARIANT_COUNTS)
+CATALOG_LE10 = ("C1",) + tuple(name for name in SL_TABLE if build_group(name).order <= 10)
 
 
 def test_is_self_linked_examples():
@@ -419,3 +423,65 @@ def test_self_linked_subsets_sorted():
     subsets = self_linked_subsets(g)
     assert subsets == sorted(subsets)
     assert all(is_self_linked(g, m) for m in subsets)
+
+
+def test_shift_table_is_left_translation():
+    for name in ("C6", "D6", "Q8"):
+        g = build_group(name)
+        shifts = _shift_table(g)
+        assert shifts.shape == (g.order, 1 << g.order)
+        for x in g.elements():
+            assert shifts[x].tolist() == [translate_set(g, x, m) for m in range(1 << g.order)]
+
+
+def test_compatibility_graph_matches_difference_sets():
+    """Vertices and adjacency rows equal their difference-set definitions."""
+    assert {"C9", "C3xC3", "D10", "C10"} <= set(CATALOG_LE10)
+    for name in CATALOG_LE10:
+        g = build_group(name)
+        full = g.full_mask
+        vertices = self_linked_subsets(g)
+        assert vertices == [m for m in range(1, full + 1) if difference_set(g, m, m) == full]
+        adj = _compatibility_graph(_shift_table(g), vertices)
+        want = [0] * len(vertices)
+        for i, a in enumerate(vertices):
+            for j in range(i + 1, len(vertices)):
+                if difference_set(g, a, vertices[j]) == full:
+                    want[i] |= 1 << j
+                    want[j] |= 1 << i
+        assert adj == want, name
+
+
+def _clique_of(vertices, family):
+    return sum(1 << i for i, v in enumerate(vertices) if family.bitmap >> v & 1)
+
+
+def test_closure_certificates_reject_open_cliques():
+    for name in ("C6", "C7", "Q8"):
+        g = build_group(name)
+        shifts = _shift_table(g)
+        vertices = self_linked_subsets(g)
+        index = {v: i for i, v in enumerate(vertices)}
+        for system in enumerate_invariant_mls(g):
+            family = system.family
+            clique = _clique_of(vertices, family)
+            assert _closed_families(g, shifts, vertices, [clique]) == [family]
+            # a minimal set with another translate: dropping it keeps the
+            # clique superset-closed but loses one translate
+            m = next(m for m in family.minimal_sets if any(translate_set(g, x, m) != m for x in g.elements()))
+            with pytest.raises(ConsistencyError, match="not shift-closed"):
+                _closed_families(g, shifts, vertices, [clique & ~(1 << index[m])])
+            # the whole group is its only translate: dropping it keeps the
+            # clique shift-closed but loses one superset
+            with pytest.raises(ConsistencyError, match="not superset-closed"):
+                _closed_families(g, shifts, vertices, [clique & ~(1 << index[g.full_mask])])
+
+
+def test_is_maximal_linked_matches_transversal_on_invariant_systems():
+    flags = {}
+    for name in CATALOG_LE8:
+        for s in enumerate_invariant_mls(build_group(name)):
+            assert s.family.is_maximal_linked() == (s.family.transversal() == s.family)
+            flags.setdefault(name, []).append(s.family.is_maximal_linked())
+    assert flags["D6"] == [False]
+    assert flags["C7"] == [True] * 3
