@@ -12,7 +12,6 @@ import sys
 import time
 
 from . import expected as ref
-from .c5 import canonical_names
 from .cache import cache_path, load_table, resolve_cache_dir, save_table
 from .errors import CapacityError, ConsistencyError, GroupParseError
 from .groups import build_group
@@ -38,7 +37,7 @@ from .superext import (
     shift_orbits,
     transversal_subsemigroup_search,
 )
-from .verify import run_verification, sl_table_rows, t17_cells
+from .verify import lambda_labels, run_verification, sl_table_rows, t17_cells
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -62,13 +61,6 @@ def cmd_sl_table(max_order: int = 13) -> Report:
         status="pass" if all_match else "fail",
         payload={"rows": rows, "all_match": all_match},
     )
-
-
-def _lambda_labels(g, systems):
-    if g.name == "C5":
-        names = canonical_names()
-        return [names[s.minimal_sets] for s in systems]
-    return [s.serialize() for s in systems]
 
 
 def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_dir=None) -> Report:
@@ -105,7 +97,7 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
         return Report("lambda", group_name, "pass", payload)
     if what == "structure":
         table = build_lambda_table(g)
-        labels = _lambda_labels(g, table.elements)
+        labels = lambda_labels(g, table.elements)
         idem = idempotents(table)
         z = zero(table)
         commutative, witness = is_commutative(table)

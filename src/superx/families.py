@@ -140,11 +140,6 @@ class MaximalLinkedSystem:
     def serialize(self) -> str:
         return ",".join(str(s) for s in self.minimal_sets)
 
-    @classmethod
-    def deserialize(cls, ground_size: int, text: str) -> "MaximalLinkedSystem":
-        sets = tuple(int(tok) for tok in text.split(","))
-        return cls(SetFamily(ground_size, sets))
-
     def __str__(self) -> str:
         return str(self.family)
 

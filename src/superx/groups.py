@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
+
+import numpy as np
 
 from .bitsets import iter_bits
 from .errors import CapacityError, ConsistencyError, GroupParseError
@@ -44,9 +46,6 @@ class FiniteGroup:
 
     def product(self, a: int, b: int) -> int:
         return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
 
     def elements(self) -> range:
         return range(self.order)
@@ -265,6 +264,24 @@ def translate_set(g: FiniteGroup, x: int, mask: int) -> int:
     for a in iter_bits(mask):
         out |= 1 << row[a]
     return out
+
+
+@lru_cache(maxsize=32)
+def shift_table(g: FiniteGroup) -> np.ndarray:
+    """shifts[x, A] = xA for every element x and subset mask A, as uint16.
+
+    Built by doubling: a mask with top bit b is the mask below it plus
+    the point b, whose translate is the point x*b.  The array is cached
+    per group and read-only.
+    """
+    n = g.order
+    points = np.uint16(1) << np.array(g.mul, dtype=np.uint16)  # points[x, b] = {x*b}
+    shifts = np.zeros((n, 1 << n), dtype=np.uint16)
+    for b in range(n):
+        half = 1 << b
+        shifts[:, half : 2 * half] = shifts[:, :half] | points[:, b, None]
+    shifts.flags.writeable = False
+    return shifts
 
 
 def difference_set(g: FiniteGroup, a_mask: int, b_mask: int) -> int:

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import iter_bits
 from .errors import CapacityError, ConsistencyError
 from .families import SetFamily, family_from_bitmap, majority_family
 from .groups import (
@@ -31,27 +31,13 @@ from .groups import (
     difference_set,
     enumerate_subgroups,
     is_odd_group,
+    shift_table,
     subgroup_as_group,
     translate_set,
 )
 
 MAX_INVARIANT_ORDER = 8
 MAX_INVARIANT_ORDER_LARGE = 10
-
-
-def _shift_table(g: FiniteGroup) -> np.ndarray:
-    """shifts[x, A] = xA for every element x and subset mask A, as uint16.
-
-    Built by doubling: a mask with top bit b is the mask below it plus
-    the point b, whose translate is the point x*b.
-    """
-    n = g.order
-    points = np.uint16(1) << np.array(g.mul, dtype=np.uint16)  # points[x, b] = {x*b}
-    shifts = np.zeros((n, 1 << n), dtype=np.uint16)
-    for b in range(n):
-        half = 1 << b
-        shifts[:, half : 2 * half] = shifts[:, :half] | points[:, b, None]
-    return shifts
 
 
 def _self_linked_flags(shifts: np.ndarray) -> np.ndarray:
@@ -81,24 +67,13 @@ def sl_lower_bound(n: int) -> int:
 
 
 def sl(g: FiniteGroup) -> int:
-    """Smallest size of a self-linked subset.
-
-    Self-linkedness is shift-invariant, so the search only scans subsets
-    containing the identity, from the lower bound upward.
-    """
-    n = g.order
-    full = g.full_mask
-    for k in range(sl_lower_bound(n), n + 1):
-        for rest in combinations(range(1, n), k - 1):
-            mask = 1 | mask_of(rest)
-            if difference_set(g, mask, mask) == full:
-                return k
-    raise ConsistencyError("no self-linked subset found (the full group always is)")
+    """Smallest size of a self-linked subset: the least popcount of a flagged mask."""
+    return int(np.bitwise_count(np.flatnonzero(_self_linked_flags(shift_table(g)))).min())
 
 
 def self_linked_subsets(g: FiniteGroup) -> list[int]:
     """All non-empty self-linked subsets, ascending by mask."""
-    return np.flatnonzero(_self_linked_flags(_shift_table(g))).tolist()
+    return np.flatnonzero(_self_linked_flags(shift_table(g))).tolist()
 
 
 @dataclass(frozen=True)
@@ -180,7 +155,7 @@ def enumerate_half_self_linked(g: FiniteGroup) -> list[int]:
     n = g.order
     if n % 2:
         raise ConsistencyError("half-size self-linked sets need an even group order")
-    flags = _self_linked_flags(_shift_table(g))
+    flags = _self_linked_flags(shift_table(g))
     half = np.bitwise_count(np.arange(flags.size)) == n // 2
     return np.flatnonzero(flags & half).tolist()
 
@@ -217,7 +192,7 @@ def sim_classes(g: FiniteGroup) -> SimClasses:
             parent[ri] = rj
 
     full = g.full_mask
-    shifts = _shift_table(g)
+    shifts = shift_table(g)
     for m in sets:
         comp = full ^ m
         if comp not in index:
@@ -327,7 +302,7 @@ def enumerate_invariant_mls(
     cap = MAX_INVARIANT_ORDER_LARGE if allow_large else MAX_INVARIANT_ORDER
     if g.order > cap:
         raise CapacityError(f"invariant enumeration supports |G| <= {cap}")
-    shifts = _shift_table(g)
+    shifts = shift_table(g)
     vertices = self_linked_subsets(g)
     cliques = _maximal_cliques(_compatibility_graph(shifts, vertices))
     systems = [InvariantLinkedSystem(f, g) for f in _closed_families(g, shifts, vertices, cliques)]
@@ -365,7 +340,7 @@ def partition_condition(g: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
     returns the first failing partition as a witness.
     """
     full = g.full_mask
-    flags = _self_linked_flags(_shift_table(g))
+    flags = _self_linked_flags(shift_table(g))
     sides = np.arange(1 << (g.order - 1)) * 2 + 1  # the side containing element 0
     failing = np.flatnonzero(~flags[sides] & ~flags[full ^ sides])
     if failing.size == 0:

@@ -17,7 +17,6 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .families import (
     enumerate_mls,
     family_from_bitmap,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
 MAX_TABLE_GROUND = 6
@@ -45,7 +44,7 @@ def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
         raise CapacityError(f"the product is supported for |G| <= {_BITMAP_GROUND_LIMIT}")
     members = 0
     bm_a, bm_b = fam_a.bitmap, fam_b.bitmap
-    tabs = _translate_tables(g)
+    tabs = shift_table(g)[list(g.inv)].tolist()  # tabs[x][c] = x^-1 c
     for cand in range(1, 1 << n):
         witness = 0
         for x in g.elements():
@@ -55,24 +54,6 @@ def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
     if not members:
         raise ConsistencyError("product family is empty")
     return family_from_bitmap(n, members)
-
-
-@lru_cache(maxsize=32)
-def _translate_tables(g: FiniteGroup) -> list[list[int]]:
-    """tab[x][c] = mask of x^-1 c for every subset c."""
-    n = g.order
-    size = 1 << n
-    tabs = []
-    for x in g.elements():
-        xi = g.inverse(x)
-        row = g.mul[xi]
-        single = [1 << row[a] for a in range(n)]
-        tab = [0] * size
-        for c in range(1, size):
-            low = c & -c
-            tab[c] = tab[c ^ low] | single[low.bit_length() - 1]
-        tabs.append(tab)
-    return tabs
 
 
 def lambda_elements(g: FiniteGroup, *, allow_large: bool = False) -> list[MaximalLinkedSystem]:
@@ -105,7 +86,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     bitmaps = [s.family.bitmap for s in systems]
     m = len(systems)
     b = np.array(bitmaps, dtype=np.uint64)
-    tabs = _translate_tables(g)
+    tabs = shift_table(g)[list(g.inv)].tolist()  # tabs[x][c] = x^-1 c
     one = np.uint64(1)
 
     # witness[c, j] = {x : x^-1 c in system j} for every candidate subset c
@@ -291,29 +272,3 @@ def is_transversal_subsemigroup(
         return False
     members = set(picks)
     return all(int(table.product[a, b]) in members for a in picks for b in picks)
-
-
-def right_zero_systems(
-    g: FiniteGroup, systems: list[MaximalLinkedSystem]
-) -> list[int]:
-    """Indices of systems z with x o z = z for every system x.
-
-    Works directly from the product definition with early exit, so it
-    does not need the full Cayley table.  Non-identity one-point systems
-    are tried first; they disqualify most candidates after one product.
-    """
-    principals = principal_indices(g, systems)
-    identity_idx = principals[0]
-    probe_order = [i for i in principals if i != identity_idx]
-    probe_order += [i for i in range(len(systems)) if i not in set(principals)]
-    probe_order.append(identity_idx)
-    out = []
-    for j, z in enumerate(systems):
-        ok = True
-        for i in probe_order:
-            if circ(g, systems[i].family, z.family) != z.family:
-                ok = False
-                break
-        if ok:
-            out.append(j)
-    return out

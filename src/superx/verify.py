@@ -51,7 +51,6 @@ from .superext import (
     circ,
     lambda_elements,
     orbit_quotient,
-    right_zero_systems,
     shift_orbits,
     transversal_subsemigroup_search,
 )
@@ -129,32 +128,35 @@ def check_two_power_s() -> list[dict]:
     return rows
 
 
-def _c5_context():
-    g = build_group("C5")
-    table = _lambda_table("C5")
-    names = canonical_names()
-    return g, table, lambda i: names[table.elements[i].minimal_sets]
+def lambda_labels(g, systems) -> list[str]:
+    """Display labels of lambda(g)'s elements: canonical names over C5, else serialized."""
+    if g.name == "C5":
+        names = canonical_names()
+        return [names[s.minimal_sets] for s in systems]
+    return [s.serialize() for s in systems]
 
 
 def check_c5_structure() -> list[dict]:
-    g, table, name_of = _c5_context()
+    g = build_group("C5")
+    table = _lambda_table("C5")
+    labels = lambda_labels(g, table.elements)
     rows = [
-        _row("lambda(C5) zero", "Z", name_of(zero(table))),
+        _row("lambda(C5) zero", "Z", labels[zero(table)]),
         _row(
             "lambda(C5) idempotents",
             sorted(ref.C5_IDEMPOTENT_NAMES),
-            sorted(name_of(i) for i in idempotents(table)),
+            sorted(labels[i] for i in idempotents(table)),
         ),
         _row(
             "lambda(C5) central",
             sorted(ref.C5_CENTRAL_NAMES),
-            sorted(name_of(i) for i in central_elements(table)),
+            sorted(labels[i] for i in central_elements(table)),
         ),
         _row("lambda(C5) |sqrtE|", ref.C5_SQRT_IDEMPOTENT_COUNT, len(sqrt_of_idempotents(table))),
         _row(
             "lambda(C5) minimal ideal",
             sorted(ref.C5_MINIMAL_IDEAL_NAMES),
-            sorted(name_of(i) for i in minimal_ideal(table)),
+            sorted(labels[i] for i in minimal_ideal(table)),
         ),
         _row(
             "lambda(C5) subgroup orders",
@@ -174,7 +176,8 @@ def t17_cells() -> tuple[list[dict], bool]:
     with the computed system under its canonical name, and whether the
     reversed orientation COLUMN o ROW also matches on every cell.
     """
-    _, table, name_of = _c5_context()
+    table = _lambda_table("C5")
+    labels = lambda_labels(build_group("C5"), table.elements)
     catalog = c5_named_catalog()
     index = {s.minimal_sets: i for i, s in enumerate(table.elements)}
     want = ref.expected_t17_table()
@@ -188,7 +191,7 @@ def t17_cells() -> tuple[list[dict], bool]:
             target = index[catalog[expected].minimal_sets]
             got = int(table.product[ri, ci])
             cells.append(
-                {"row": r, "col": c, "expected": expected, "computed": name_of(got), "match": got == target}
+                {"row": r, "col": c, "expected": expected, "computed": labels[got], "match": got == target}
             )
             if int(table.product[ci, ri]) != target:
                 col_row_full = False
@@ -220,30 +223,13 @@ def check_isomorphisms() -> list[dict]:
     return rows
 
 
-def check_zero_existence(include_order6_tables: bool) -> list[dict]:
-    """Zero exists in lambda(G) exactly for C1, C3, C5 over the catalog.
+def check_zero_existence(tabled: tuple[str, ...]) -> list[dict]:
+    """lambda(G) has a zero iff |G| is odd and at most 5, so C1, C3 and C5 of the catalog.
 
-    Order <= 5 groups use full tables; the six-element groups use the
-    direct product-definition scan unless their tables are requested.
+    One row per tabled group, read off its Cayley table.
     """
-    rows = []
-    expected_zero = {"C1": True, "C2": False, "C3": True, "C4": False, "C2xC2": False, "C5": True}
-    for name, want in expected_zero.items():
-        rows.append(_row(f"zero in lambda({name})", want, zero(_lambda_table(name)) is not None))
-    for name in ORDER6_GROUPS:
-        g = build_group(name)
-        if include_order6_tables:
-            has_zero = zero(_lambda_table(name)) is not None
-        else:
-            systems = lambda_elements(g)
-            rz = right_zero_systems(g, systems)
-            has_zero = False
-            for j in rz:
-                z = systems[j]
-                if all(circ(g, z.family, x.family) == z.family for x in systems):
-                    has_zero = True
-        rows.append(_row(f"zero in lambda({name})", False, has_zero))
-    return rows
+    odd_small = ("C1", "C3", "C5")
+    return [_row(f"zero in lambda({n})", n in odd_small, zero(_lambda_table(n)) is not None) for n in tabled]
 
 
 def check_commutativity() -> list[dict]:
@@ -284,12 +270,11 @@ def boolean_cube_noncommutativity_witness() -> bool:
     return prod12.contains(bc_a) and prod21.contains(b_a) and prod12 != prod21
 
 
-def check_odd_equivalences(include_order6_tables: bool) -> list[dict]:
+def check_odd_equivalences(tabled: tuple[str, ...]) -> list[dict]:
     """The odd-order conditions agree on every catalog group of order <= 8.
 
-    Groups with a lambda table in scope also check its right zeros.
+    The tabled groups also check the right zeros of their lambda table.
     """
-    tabled = TABLE_GROUPS + (ORDER6_GROUPS if include_order6_tables else ())
     rows = []
     odd_names = {"C1", "C3", "C5", "C7"}
     for name in ("C1",) + ref.CATALOG_LE8:
@@ -363,10 +348,10 @@ def run_verification(scope: str = "fast") -> tuple[list[dict], bool]:
     rows += check_c5_structure()
     rows += check_t17_table()
     rows += check_isomorphisms()
-    order6 = scope == "all"
-    rows += check_zero_existence(include_order6_tables=order6)
+    tabled = TABLE_GROUPS + (ORDER6_GROUPS if scope == "all" else ())
+    rows += check_zero_existence(tabled)
     rows += check_commutativity()
-    rows += check_odd_equivalences(include_order6_tables=order6)
+    rows += check_odd_equivalences(tabled)
     rows += check_embedding()
     rows += check_property_samples()
     if scope == "all":

@@ -9,6 +9,7 @@ import numpy as np
 from superx.cache import cache_path, load_table, resolve_cache_dir, save_table
 import superx.cli as cli
 import superx.superext as superext
+import superx.verify as verify
 from superx.cli import (
     EXIT_CAPACITY,
     EXIT_INTERNAL,
@@ -231,16 +232,35 @@ def test_explore_sl_command():
     assert rows[16]["reference"] is None
 
 
-def test_verify_paper_fast():
+def test_verify_paper_fast(monkeypatch):
+    """The fast scope is the all scope minus the rows that need an order-6 table."""
     import time
 
+    all_rows = cmd_verify_paper("all").payload["rows"]
+    tabled = ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6")
+    assert [r["name"] for r in all_rows if r["name"].startswith("zero in")] == [
+        f"zero in lambda({name})" for name in tabled
+    ]
+    order6_rows = {r["name"] for r in verify.check_order6_tables()}
+    order6_rows |= {"zero in lambda(C6)", "zero in lambda(D6)"}
+    assert len(order6_rows) == 10
+    build = verify.build_lambda_table
+
+    def build_below_order6(g):
+        assert g.order < 6, f"the fast scope built lambda({g.name})"
+        return build(g)
+
+    verify._lambda_table.cache_clear()
+    monkeypatch.setattr(verify, "build_lambda_table", build_below_order6)
     start = time.perf_counter()
     report = cmd_verify_paper("fast")
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    assert report.status == "fail"  # the lone D10 reference mismatch
-    bad = [r for r in report.payload["rows"] if not r["match"]]
-    assert [r["name"] for r in bad] == ["sl(D10)"]
+    rows = report.payload["rows"]
+    assert rows == [r for r in all_rows if r["name"] not in order6_rows]
+    for scope_rows in (rows, all_rows):  # the lone D10 reference mismatch
+        assert [r["name"] for r in scope_rows if not r["match"]] == ["sl(D10)"]
+    assert report.status == "fail"
 
 
 def test_main_exit_codes(tmp_path, capsys):

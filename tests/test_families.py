@@ -235,9 +235,3 @@ def test_extend_to_mls():
         extend_to_mls(_family(4, [0], [1]))
     # deterministic
     assert extend_to_mls(fam) == extend_to_mls(fam)
-
-
-def test_serialization_round_trip():
-    for s in enumerate_mls(4):
-        text = s.serialize()
-        assert MaximalLinkedSystem.deserialize(4, text) == s

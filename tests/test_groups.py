@@ -11,6 +11,7 @@ from superx.groups import (
     element_order,
     enumerate_subgroups,
     is_odd_group,
+    shift_table,
     translate_set,
 )
 from oracles import (
@@ -172,3 +173,17 @@ def test_enumerate_subgroups():
         assert enumerate_subgroups(g) == oracle_subgroups(g.mul)
         assert enumerate_subgroups(g)[0] == 1
         assert enumerate_subgroups(g)[-1] == g.full_mask
+
+
+def test_shift_table_is_left_translation():
+    for name in ("C6", "D6", "Q8"):
+        g = build_group(name)
+        shifts = shift_table(g)
+        assert shifts.shape == (g.order, 1 << g.order)
+        assert not shifts.flags.writeable
+        assert shift_table(g) is shifts
+        subsets = range(1 << g.order)
+        inverse_rows = shifts[list(g.inv)].tolist()  # as circ and build_lambda_table read them
+        for x in g.elements():
+            assert shifts[x].tolist() == [translate_set(g, x, m) for m in subsets]
+            assert inverse_rows[x] == [translate_set(g, g.inv[x], m) for m in subsets]

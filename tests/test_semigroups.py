@@ -102,13 +102,14 @@ def test_left_zero_only_with_zero(lam_table):
 
 
 def test_right_zeros_are_shift_invariant_systems(lam_table):
+    """The right zeros of lambda(G) are exactly its invariant maximal linked systems."""
     from superx.families import is_invariant_mls
 
-    for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5"):
+    for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"):
         g = build_group(name)
         t = lam_table(name)
         invariant = [i for i, s in enumerate(t.elements) if is_invariant_mls(g, s)]
-        assert right_zeros(t) == invariant
+        assert right_zeros(t) == invariant, name
 
 
 def test_commutativity(lam_table):

@@ -14,13 +14,12 @@ from superx.families import (
     MaximalLinkedSystem,
     enumerate_mls,
     generate_family,
-    is_invariant_mls,
     majority_family,
     principal_ultrafilter,
 )
 from superx.groups import build_group
 from superx.invariants import enumerate_invariant_mls
-from superx.semigroups import from_group, find_isomorphism, right_zeros
+from superx.semigroups import from_group, find_isomorphism
 from superx.superext import (
     build_lambda_table,
     circ,
@@ -29,7 +28,6 @@ from superx.superext import (
     orbit_quotient,
     principal_indices,
     quotient_table,
-    right_zero_systems,
     shift_orbits,
     transversal_subsemigroup_search,
 )
@@ -260,18 +258,6 @@ def test_find_isomorphism_capacity(lam_table):
 
     with pytest.raises(CapacityError):
         find_isomorphism(lam_table("C5"), lam_table("C5"))
-
-
-def test_right_zero_systems_against_table():
-    for name in SMALL:
-        g = build_group(name)
-        table = build_lambda_table(g)
-        direct = right_zero_systems(g, table.elements)
-        assert direct == right_zeros(table)
-        invariant = [
-            i for i, s in enumerate(table.elements) if is_invariant_mls(g, s)
-        ]
-        assert direct == invariant
 
 
 def test_transversal_search_c4():
