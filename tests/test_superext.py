@@ -14,12 +14,13 @@ from superx.families import (
     MaximalLinkedSystem,
     enumerate_mls,
     generate_family,
+    is_invariant_mls,
     majority_family,
     principal_ultrafilter,
 )
 from superx.groups import build_group
 from superx.invariants import enumerate_invariant_mls
-from superx.semigroups import from_group, find_isomorphism
+from superx.semigroups import from_group, find_isomorphism, right_zeros
 from superx.superext import (
     build_lambda_table,
     circ,
@@ -258,6 +259,20 @@ def test_find_isomorphism_capacity(lam_table):
 
     with pytest.raises(CapacityError):
         find_isomorphism(lam_table("C5"), lam_table("C5"))
+
+
+def test_right_zero_systems_against_table(lam_table):
+    """The table's right zeros are the systems z with x o z = z under circ, i.e. the invariant ones."""
+    for name in SMALL:
+        g = build_group(name)
+        table = lam_table(name)
+        fams = [s.family for s in table.elements]
+        direct = [
+            j for j, z in enumerate(fams) if all(circ(g, x, z) == z for x in fams)
+        ]
+        assert direct == right_zeros(table), name
+        invariant = [i for i, s in enumerate(table.elements) if is_invariant_mls(g, s)]
+        assert direct == invariant, name
 
 
 def test_transversal_search_c4():
