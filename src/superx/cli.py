@@ -1,6 +1,10 @@
 """Command-line front door.
 
 Commands: sl-table, lambda, invariant, c5-t17, verify-paper, explore-sl.
+Each command returns one Report: --format=json prints its record, and the
+text and CSV formats are views of the same Report (see reports.Report).
+explore-sl --max-n above 16, the group order cap, exits 3 like any other
+over-cap input.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 capacity exceeded, 4 internal invariant failed.
 """
@@ -37,7 +41,7 @@ from .superext import (
     shift_orbits,
     transversal_subsemigroup_search,
 )
-from .verify import lambda_labels, run_verification, sl_table_rows, t17_cells
+from .verify import run_verification, sl_table_rows, t17_cells
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -46,11 +50,8 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    report = fn()
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return report
+def _ok(match: bool) -> str:
+    return "ok" if match else "MISMATCH"
 
 
 def cmd_sl_table(max_order: int = 13) -> Report:
@@ -60,11 +61,16 @@ def cmd_sl_table(max_order: int = 13) -> Report:
         command="sl-table",
         status="pass" if all_match else "fail",
         payload={"rows": rows, "all_match": all_match},
+        headers=["group", "order", "expected", "computed", "match"],
+        rows=[[r["group"], r["order"], r["expected"], r["computed"], _ok(r["match"])] for r in rows],
+        head="",
+        tail="",
     )
 
 
 def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_dir=None) -> Report:
     g = build_group(group_name)
+    status, tail = "pass", ""
     if what == "count":
         systems = lambda_elements(g, allow_large=allow_large)
         _, orbits = shift_orbits(g, systems)
@@ -78,8 +84,8 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
         mismatched = (
             expected_count is not None and payload["count"] != expected_count
         ) or payload.get("expected_orbit_count") not in (None, payload["orbit_count"])
-        return Report("lambda", group_name, "fail" if mismatched else "pass", payload)
-    if what == "table":
+        status = "fail" if mismatched else "pass"
+    elif what == "table":
         directory = resolve_cache_dir(cache_dir)
         table = load_table(directory, g)
         hit = table is not None
@@ -94,10 +100,10 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
         if table.order <= 100:
             payload["matrix"] = [[int(v) for v in row] for row in table.product]
             payload["elements"] = [s.serialize() for s in table.elements]
-        return Report("lambda", group_name, "pass", payload)
-    if what == "structure":
+            tail = "\n" + "\n".join(" ".join(f"{v:3d}" for v in row) for row in payload["matrix"])
+    elif what == "structure":
         table = build_lambda_table(g)
-        labels = lambda_labels(g, table.elements)
+        labels = table.labels
         idem = idempotents(table)
         z = zero(table)
         commutative, witness = is_commutative(table)
@@ -116,8 +122,10 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
         if g.order <= 5:
             tr = transversal_subsemigroup_search(g, table)
             payload["transversal"] = [labels[i] for i in tr] if tr is not None else None
-        return Report("lambda", group_name, "pass", payload)
-    raise GroupParseError(f"unknown --what value {what!r}")
+    else:
+        raise GroupParseError(f"unknown --what value {what!r}")
+    rows = [[k, v] for k, v in payload.items() if k not in ("matrix", "elements")]
+    return Report("lambda", group_name, status, payload, headers=["key", "value"], rows=rows, head="", tail=tail)
 
 
 def cmd_invariant(group_name: str, *, allow_large: bool = False) -> Report:
@@ -141,22 +149,34 @@ def cmd_invariant(group_name: str, *, allow_large: bool = False) -> Report:
     status = "pass"
     if payload["expected"] is not None and payload["expected"] != payload["count"]:
         status = "fail"
-    return Report("invariant", group_name, status, payload)
+    head = [f"count={payload['count']}", f"expected={payload['expected']}"]
+    if "s" in payload:
+        head += [f"s={payload['s']}", f"up_majority={payload['up_majority']}"]
+    return Report(
+        "invariant",
+        group_name,
+        status,
+        payload,
+        headers=["minimal sets", "maximal linked"],
+        rows=[[",".join(map(str, s["minimal_sets"])), s["maximal_linked"]] for s in payload["systems"]],
+        head="  ".join(head) + "\n",
+        tail="",
+    )
 
 
 def cmd_c5_t17() -> Report:
-    cells, col_row_full = t17_cells()
-    row_col_full = all(c["match"] for c in cells)
-    exactly_one = row_col_full != col_row_full
-    payload = {
-        "cells": cells,
-        "row_col_match": row_col_full,
-        "col_row_match": col_row_full,
-        "exactly_one_orientation": exactly_one,
-        "mismatches": [c for c in cells if not c["match"]],
-    }
-    status = "pass" if (row_col_full and exactly_one) else "fail"
-    return Report("c5-t17", "C5", status, payload)
+    verdict = t17_cells()
+    status = "pass" if verdict["row_col_match"] and verdict["exactly_one_orientation"] else "fail"
+    return Report(
+        "c5-t17",
+        "C5",
+        status,
+        verdict,
+        headers=["row", "col", "expected", "computed", "match"],
+        rows=[[c["row"], c["col"], c["expected"], c["computed"], _ok(c["match"])] for c in verdict["cells"]],
+        head="",
+        tail="",
+    )
 
 
 def cmd_verify_paper(scope: str = "fast") -> Report:
@@ -165,25 +185,34 @@ def cmd_verify_paper(scope: str = "fast") -> Report:
         command="verify-paper",
         status="pass" if all_pass else "fail",
         payload={"scope": scope, "rows": rows, "all_pass": all_pass},
+        headers=["check", "expected", "computed", "match"],
+        rows=[[r["name"], r["expected"], r["computed"], _ok(r["match"])] for r in rows],
+        head="",
+        tail="",
     )
 
 
 def cmd_explore_sl(max_n: int = 16) -> Report:
-    max_n = min(max_n, 16)
+    groups = [build_group(f"C{n}") for n in range(1, max_n + 1)]  # refuse n > 16 before any sl
     rows = []
-    for n in range(1, max_n + 1):
-        got = sl(build_group(f"C{n}"))
-        conjecture = sl_lower_bound(n)
+    for n, g in enumerate(groups, start=1):
+        got, conjecture = sl(g), sl_lower_bound(n)
+        reference = ref.SL_TABLE.get(f"C{n}")
         rows.append(
-            {
-                "n": n,
-                "sl": got,
-                "conjecture": conjecture,
-                "equal": got == conjecture,
-                "reference": ref.SL_TABLE.get(f"C{n}"),
-            }
+            {"n": n, "sl": got, "conjecture": conjecture, "equal": got == conjecture, "reference": reference}
         )
-    return Report("explore-sl", status="info", payload={"rows": rows})
+    return Report(
+        "explore-sl",
+        status="info",
+        payload={"rows": rows},
+        headers=["n", "sl", "conjecture", "equal", "reference"],
+        rows=[
+            [r["n"], r["sl"], r["conjecture"], r["equal"], "-" if r["reference"] is None else r["reference"]]
+            for r in rows
+        ],
+        head="",
+        tail="",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,35 +222,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=False):
-        if group:
-            p.add_argument("group", help="group name, e.g. C5, C2xC4, D8, Q8, A4, C3:C4")
+    group_help = "group name, e.g. C5, C2xC4, D8, Q8, A4, C3:C4"
+
+    def common(p, run):
+        """The option every command takes, and how main runs the command on the parsed args."""
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("sl-table", help="smallest self-linked set sizes for the catalog")
     p.add_argument("--max-order", type=int, default=13)
-    common(p)
+    common(p, lambda a: cmd_sl_table(a.max_order))
 
     p = sub.add_parser("lambda", help="system counts, Cayley table or structure for one group")
-    common(p, group=True)
+    p.add_argument("group", help=group_help)
+    common(p, lambda a: cmd_lambda(a.group, a.what, allow_large=a.allow_large, cache_dir=a.cache_dir))
     p.add_argument("--what", choices=("count", "table", "structure"), default="count")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("invariant", help="maximal invariant linked systems of one group")
-    common(p, group=True)
+    p.add_argument("group", help=group_help)
+    common(p, lambda a: cmd_invariant(a.group, allow_large=a.allow_large))
     p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("c5-t17", help="validate the 17x17 representative table over C5")
-    common(p)
+    common(p, lambda a: cmd_c5_t17())
 
     p = sub.add_parser("verify-paper", help="run the embedded verification suite")
     p.add_argument("--scope", choices=("fast", "all"), default="fast")
-    common(p)
+    common(p, lambda a: cmd_verify_paper(a.scope))
 
     p = sub.add_parser("explore-sl", help="sl of cyclic groups against the conjectured bound")
     p.add_argument("--max-n", type=int, default=16)
-    common(p)
+    common(p, lambda a: cmd_explore_sl(a.max_n))
 
     return parser
 
@@ -229,49 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
         return report.to_json()
-    prefix = suffix = ""
-    if report.command == "sl-table":
-        headers = ["group", "order", "expected", "computed", "match"]
-        rows = [
-            [r["group"], r["order"], r["expected"], r["computed"], "ok" if r["match"] else "MISMATCH"]
-            for r in report.payload["rows"]
-        ]
-    elif report.command == "explore-sl":
-        headers = ["n", "sl", "conjecture", "equal", "reference"]
-        rows = [
-            [r["n"], r["sl"], r["conjecture"], r["equal"], r["reference"] if r["reference"] is not None else "-"]
-            for r in report.payload["rows"]
-        ]
-    elif report.command == "verify-paper":
-        headers = ["check", "expected", "computed", "match"]
-        rows = [
-            [r["name"], r["expected"], r["computed"], "ok" if r["match"] else "MISMATCH"]
-            for r in report.payload["rows"]
-        ]
-    elif report.command == "c5-t17":
-        headers = ["row", "col", "expected", "computed", "match"]
-        rows = [
-            [c["row"], c["col"], c["expected"], c["computed"], "ok" if c["match"] else "MISMATCH"]
-            for c in report.payload["cells"]
-        ]
-    elif report.command == "invariant":
-        headers = ["minimal sets", "maximal linked"]
-        rows = [[",".join(map(str, s["minimal_sets"])), s["maximal_linked"]] for s in report.payload["systems"]]
-        head = [f"count={report.payload['count']}", f"expected={report.payload['expected']}"]
-        if "s" in report.payload:
-            head += [f"s={report.payload['s']}", f"up_majority={report.payload['up_majority']}"]
-        prefix = "  ".join(head) + "\n"
-    elif report.command == "lambda":
-        headers = ["key", "value"]
-        rows = [[k, v] for k, v in report.payload.items() if k not in ("matrix", "elements")]
-        if "matrix" in report.payload and fmt != "csv":
-            lines = [" ".join(f"{v:3d}" for v in row) for row in report.payload["matrix"]]
-            suffix = "\n" + "\n".join(lines)
-    else:
-        headers = ["key", "value"]
-        rows = [[k, v] for k, v in report.payload.items()]
-    body = render_rows_csv(headers, rows) if fmt == "csv" else render_rows_text(headers, rows)
-    return prefix + body + suffix
+    if fmt == "csv":
+        return report.head + render_rows_csv(report.headers, report.rows)
+    return report.head + render_rows_text(report.headers, report.rows) + report.tail
 
 
 def main(argv=None) -> int:
@@ -280,23 +273,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    start = time.perf_counter()
     try:
-        if args.command == "sl-table":
-            report = _timed(lambda: cmd_sl_table(args.max_order))
-        elif args.command == "lambda":
-            report = _timed(
-                lambda: cmd_lambda(
-                    args.group, args.what, allow_large=args.allow_large, cache_dir=args.cache_dir
-                )
-            )
-        elif args.command == "invariant":
-            report = _timed(lambda: cmd_invariant(args.group, allow_large=args.allow_large))
-        elif args.command == "c5-t17":
-            report = _timed(cmd_c5_t17)
-        elif args.command == "verify-paper":
-            report = _timed(lambda: cmd_verify_paper(args.scope))
-        else:
-            report = _timed(lambda: cmd_explore_sl(args.max_n))
+        report = args.run(args)
     except GroupParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -306,6 +285,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     print(_render(report, args.format))
     return EXIT_MISMATCH if report.status == "fail" else EXIT_OK
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 
 @dataclass
@@ -13,6 +13,13 @@ class Report:
     status: str = "info"  # pass | fail | info
     payload: dict = field(default_factory=dict)
     elapsed_ms: int = 0
+    # The text and CSV view, not part of to_dict(): head, the table of
+    # headers and rows, then tail, which only the text format prints.
+    _: KW_ONLY
+    headers: list[str]
+    rows: list[list]
+    head: str
+    tail: str
 
     def to_dict(self) -> dict:
         return {

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
 from .families import (
     MaximalLinkedSystem,
@@ -62,8 +63,16 @@ def lambda_elements(g: FiniteGroup, *, allow_large: bool = False) -> list[Maxima
 
 
 def lambda_table(g: FiniteGroup, systems: list[MaximalLinkedSystem], product) -> SemigroupTable:
-    """The lambda(g) table over the given systems, whether built or loaded."""
-    labels = [s.serialize() for s in systems]
+    """The lambda(g) table over the given systems, whether built or loaded.
+
+    Elements are labelled by their canonical names over C5 and by
+    ``serialize()`` over every other group.
+    """
+    if g.name == "C5":
+        names = canonical_names()
+        labels = [names[s.minimal_sets] for s in systems]
+    else:
+        labels = [s.serialize() for s in systems]
     return SemigroupTable(product, elements=list(systems), labels=labels, name=f"lambda({g.name})")
 
 

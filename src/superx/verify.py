@@ -13,7 +13,7 @@ import random
 from functools import lru_cache
 
 from . import expected as ref
-from .c5 import c5_named_catalog, canonical_names, T17_NAMES
+from .c5 import c5_named_catalog, T17_NAMES
 from .families import (
     enumerate_mls,
     extend_to_mls,
@@ -128,18 +128,10 @@ def check_two_power_s() -> list[dict]:
     return rows
 
 
-def lambda_labels(g, systems) -> list[str]:
-    """Display labels of lambda(g)'s elements: canonical names over C5, else serialized."""
-    if g.name == "C5":
-        names = canonical_names()
-        return [names[s.minimal_sets] for s in systems]
-    return [s.serialize() for s in systems]
-
-
 def check_c5_structure() -> list[dict]:
     g = build_group("C5")
     table = _lambda_table("C5")
-    labels = lambda_labels(g, table.elements)
+    labels = table.labels
     rows = [
         _row("lambda(C5) zero", "Z", labels[zero(table)]),
         _row(
@@ -169,20 +161,21 @@ def check_c5_structure() -> list[dict]:
     return rows
 
 
-def t17_cells() -> tuple[list[dict], bool]:
-    """The 289 products ROW o COLUMN of the T17 representatives over C5.
+def t17_cells() -> dict:
+    """The c5-t17 verdict: the 289 products ROW o COLUMN of the T17 representatives.
 
-    Returns one cell per product (row, col, expected, computed, match),
-    with the computed system under its canonical name, and whether the
-    reversed orientation COLUMN o ROW also matches on every cell.
+    ``cells`` holds one cell per product (row, col, expected, computed,
+    match), with the computed system under its canonical name.  The
+    verdict also says whether every cell matches in this orientation and
+    in the reversed one, COLUMN o ROW, whether exactly one of them does,
+    and which cells mismatch.
     """
     table = _lambda_table("C5")
-    labels = lambda_labels(build_group("C5"), table.elements)
     catalog = c5_named_catalog()
     index = {s.minimal_sets: i for i, s in enumerate(table.elements)}
     want = ref.expected_t17_table()
     cells = []
-    col_row_full = True
+    col_row_match = True
     for r in T17_NAMES:
         ri = index[catalog[r].minimal_sets]
         for c in T17_NAMES:
@@ -191,19 +184,28 @@ def t17_cells() -> tuple[list[dict], bool]:
             target = index[catalog[expected].minimal_sets]
             got = int(table.product[ri, ci])
             cells.append(
-                {"row": r, "col": c, "expected": expected, "computed": labels[got], "match": got == target}
+                {"row": r, "col": c, "expected": expected, "computed": table.labels[got], "match": got == target}
             )
             if int(table.product[ci, ri]) != target:
-                col_row_full = False
-    return cells, col_row_full
+                col_row_match = False
+    mismatches = [c for c in cells if not c["match"]]
+    row_col_match = not mismatches
+    return {
+        "cells": cells,
+        "row_col_match": row_col_match,
+        "col_row_match": col_row_match,
+        "exactly_one_orientation": row_col_match != col_row_match,
+        "mismatches": mismatches,
+    }
 
 
 def check_t17_table() -> list[dict]:
-    cells, col_row_full = t17_cells()
-    rc = sum(c["match"] for c in cells)
-    rows = [_row("T17 row*column cells", 289, rc)]
-    rows.append(_row("T17 exactly one orientation", True, (rc == 289) != col_row_full))
-    mismatches = [c for c in cells if not c["match"]]
+    verdict = t17_cells()
+    mismatches = verdict["mismatches"]
+    rows = [
+        _row("T17 row*column cells", 289, len(verdict["cells"]) - len(mismatches)),
+        _row("T17 exactly one orientation", True, verdict["exactly_one_orientation"]),
+    ]
     if mismatches:
         detail = [f"{c['row']}*{c['col']}: computed {c['computed']}" for c in mismatches[:20]]
         rows.append(_row("T17 mismatched cells", [], detail))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from superx.bitsets import mask_of
-from superx.c5 import c5_named_catalog
+from superx.c5 import c5_named_catalog, canonical_names
+from superx.cache import load_table, save_table
 from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
     MaximalLinkedSystem,
@@ -154,6 +155,21 @@ def test_lambda_c2_is_the_group():
 def test_lambda_table_order_row():
     assert build_lambda_table(build_group("C4")).order == 12
     assert build_lambda_table(build_group("C5")).order == 81
+
+
+def test_lambda_table_labels(lam_table, tmp_path):
+    """Canonical names label lambda(C5), serialize() every other lambda table, built or loaded."""
+    names = canonical_names()
+    c5 = lam_table("C5")
+    assert c5.labels == [names[s.minimal_sets] for s in c5.elements]
+    assert len(set(c5.labels)) == 81
+    for name in ("C1", "C4", "C2xC2"):
+        table = lam_table(name)
+        assert table.labels == [s.serialize() for s in table.elements]
+    for name in ("C4", "C5"):
+        g = build_group(name)
+        save_table(tmp_path, g, lam_table(name))
+        assert load_table(tmp_path, g).labels == lam_table(name).labels
 
 
 def test_associativity_sampled_on_c5():
