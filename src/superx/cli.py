@@ -4,7 +4,7 @@ Commands: sl-table, lambda, invariant, c5-t17, verify-paper, explore-sl.
 Each command returns one Report: --format=json prints its record, and the
 text and CSV formats are views of the same Report (see reports.Report).
 explore-sl --max-n above 16, the group order cap, exits 3 like any other
-over-cap input.
+over-cap input; --max-n and sl-table --max-order below 1 are usage errors.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 capacity exceeded, 4 internal invariant failed.
 """
@@ -48,6 +48,17 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
+
+
+def _limit(text: str) -> int:
+    """The argparse type of --max-order and --max-n: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _ok(match: bool) -> str:
@@ -136,8 +147,8 @@ def cmd_invariant(group_name: str, *, allow_large: bool = False) -> Report:
         "expected": ref.INVARIANT_COUNTS.get(group_name),
         "systems": [
             {
-                "minimal_sets": list(s.family.minimal_sets),
-                "maximal_linked": s.family.is_maximal_linked(),
+                "minimal_sets": list(s.minimal_sets),
+                "maximal_linked": s.is_maximal_linked(),
             }
             for s in systems
         ],
@@ -230,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
 
     p = sub.add_parser("sl-table", help="smallest self-linked set sizes for the catalog")
-    p.add_argument("--max-order", type=int, default=13)
+    p.add_argument("--max-order", type=_limit, default=13)
     common(p, lambda a: cmd_sl_table(a.max_order))
 
     p = sub.add_parser("lambda", help="system counts, Cayley table or structure for one group")
@@ -253,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, lambda a: cmd_verify_paper(a.scope))
 
     p = sub.add_parser("explore-sl", help="sl of cyclic groups against the conjectured bound")
-    p.add_argument("--max-n", type=int, default=16)
+    p.add_argument("--max-n", type=_limit, default=16)
     common(p, lambda a: cmd_explore_sl(a.max_n))
 
     return parser

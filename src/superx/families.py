@@ -20,7 +20,7 @@ from .bitsets import (
     superset_closures,
 )
 from .errors import CapacityError, ConsistencyError
-from .groups import FiniteGroup, translate_set
+from .groups import FiniteGroup, shift_table
 
 MAX_ENUM_GROUND = 7
 
@@ -103,7 +103,7 @@ class SetFamily:
         """The image family {xA : A in self} under left translation."""
         if g.order != self.ground_size:
             raise ConsistencyError("ground size does not match the group order")
-        return SetFamily(self.ground_size, tuple(sorted(translate_set(g, x, s) for s in self.minimal_sets)))
+        return SetFamily(self.ground_size, tuple(sorted(shift_table(g)[x, list(self.minimal_sets)].tolist())))
 
     def __str__(self) -> str:
         parts = ("{" + ",".join(str(b) for b in iter_bits(s)) + "}" for s in self.minimal_sets)

@@ -9,17 +9,18 @@ are shift- and superset-closed and correspond one-to-one to the maximal
 invariant linked systems.
 
 Everything here reads one translation table, ``shifts[x, A] = xA`` for
-every element x and subset mask A.  Both closure facts are asserted on
-every enumerated clique in vertex-index space: the translates of the
-clique's vertices are looked up as vertex indices and must all be in the
-clique, and the OR of the clique's per-vertex superset bitmaps must not
-leave it.
+every element x and subset mask A: the self-linked flags, the cosets of
+a subgroup and the compatibility graph all come from it.  Both closure
+facts are asserted on every enumerated clique in vertex-index space: the
+translates of the clique's vertices are looked up as vertex indices and
+must all be in the clique, and the OR of the clique's per-vertex
+superset bitmaps must not leave it.  The certified systems are returned
+as plain ``SetFamily`` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .groups import (
     is_odd_group,
     shift_table,
     subgroup_as_group,
-    translate_set,
 )
 
 MAX_INVARIANT_ORDER = 8
@@ -110,26 +110,18 @@ class SlBoundReport:
 def coset_space_sl(g: FiniteGroup, h_mask: int) -> int:
     """Smallest self-linked subset of the coset space G/H.
 
-    A subset of cosets is self-linked when it meets each of its
-    translates under the action g.(xH) = (gx)H.
+    A subset S of cosets is self-linked when it meets each of its
+    translates under the action g.(xH) = (gx)H.  Translates of cosets are
+    cosets, so S meets gS iff the union of S meets g times that union:
+    the answer is the least |S| whose union is a self-linked subset of G.
     """
-    cosets = []
-    seen = 0
-    for x in g.elements():
-        if seen >> x & 1:
-            continue
-        coset = translate_set(g, x, h_mask)
-        cosets.append(coset)
-        seen |= coset
-    index = {c: i for i, c in enumerate(cosets)}
-    m = len(cosets)
-    action = [[index[translate_set(g, x, c)] for c in cosets] for x in g.elements()]
-    for k in range(1, m + 1):
-        for combo in combinations(range(m), k):
-            picked = set(combo)
-            if all(any(row[c] in picked for c in combo) for row in action):
-                return k
-    raise ConsistencyError("coset space has no self-linked subset")
+    shifts = shift_table(g)
+    cosets = np.unique(shifts[:, h_mask])  # the distinct left cosets xH
+    unions = np.zeros(1 << cosets.size, dtype=np.uint16)  # unions[S] = union of the cosets in S
+    for i, coset in enumerate(cosets):
+        unions[1 << i : 2 << i] = unions[: 1 << i] | coset
+    linked = _self_linked_flags(shifts)[unions]
+    return int(np.bitwise_count(np.flatnonzero(linked)).min())
 
 
 def check_slbound_composite(g: FiniteGroup, h_mask: int) -> SlBoundReport:
@@ -206,20 +198,6 @@ def sim_classes(g: FiniteGroup) -> SimClasses:
     return SimClasses(classes)
 
 
-@dataclass(frozen=True)
-class InvariantLinkedSystem:
-    """A maximal invariant linked family (not necessarily maximal linked)."""
-
-    family: SetFamily
-    group: FiniteGroup
-
-    def is_shift_closed(self) -> bool:
-        return all(self.family.shift(self.group, x) == self.family for x in self.group.elements())
-
-    def contains(self, mask: int) -> bool:
-        return self.family.contains(mask)
-
-
 def _compatibility_graph(shifts: np.ndarray, vertices: list[int]) -> list[int]:
     """Adjacency rows over vertex indices: A ~ B iff A meets every xB (AB^-1 = G).
 
@@ -291,13 +269,12 @@ def _closed_families(
     return families
 
 
-def enumerate_invariant_mls(
-    g: FiniteGroup, *, allow_large: bool = False
-) -> list[InvariantLinkedSystem]:
-    """All maximal invariant linked systems via maximal cliques.
+def enumerate_invariant_mls(g: FiniteGroup, *, allow_large: bool = False) -> list[SetFamily]:
+    """All maximal invariant linked systems via maximal cliques, sorted by minimal sets.
 
     Vertices are the self-linked subsets, edges join shift-compatible
     pairs, and maximal cliques are enumerated by pivoting backtracking.
+    Each family is certified shift- and superset-closed on the way out.
     """
     cap = MAX_INVARIANT_ORDER_LARGE if allow_large else MAX_INVARIANT_ORDER
     if g.order > cap:
@@ -305,14 +282,12 @@ def enumerate_invariant_mls(
     shifts = shift_table(g)
     vertices = self_linked_subsets(g)
     cliques = _maximal_cliques(_compatibility_graph(shifts, vertices))
-    systems = [InvariantLinkedSystem(f, g) for f in _closed_families(g, shifts, vertices, cliques)]
-    systems.sort(key=lambda s: s.family.minimal_sets)
-    return systems
+    return sorted(_closed_families(g, shifts, vertices, cliques), key=lambda f: f.minimal_sets)
 
 
 def up_majority_count(
     g: FiniteGroup,
-    systems: list[InvariantLinkedSystem] | None = None,
+    systems: list[SetFamily] | None = None,
     classes: SimClasses | None = None,
 ) -> int:
     """How many invariant systems contain every majority set; equals 2^s.
@@ -327,7 +302,7 @@ def up_majority_count(
     if classes is None:
         classes = sim_classes(g)
     majority = majority_family(g).bitmap
-    count = sum(1 for sys_ in systems if sys_.family.bitmap & majority == majority)
+    count = sum(1 for f in systems if f.bitmap & majority == majority)
     if count != 2**classes.s:
         raise ConsistencyError("invariant-system count above the majority family is not 2^s")
     return count
@@ -376,7 +351,7 @@ def odd_equivalence_report(g: FiniteGroup, *, lam_table=None) -> OddEquivalenceR
     from .semigroups import right_zeros  # local import to avoid a cycle
 
     systems = enumerate_invariant_mls(g)
-    flags = [s.family.is_maximal_linked() for s in systems]
+    flags = [f.is_maximal_linked() for f in systems]
     some_ml = any(flags)
     all_ml = bool(flags) and all(flags)
     holds, _ = partition_condition(g)

@@ -143,28 +143,24 @@ def principal_indices(g: FiniteGroup, systems: list[MaximalLinkedSystem]) -> lis
 def shift_orbits(
     g: FiniteGroup, systems: list[MaximalLinkedSystem]
 ) -> tuple[list[int], list[list[int]]]:
-    """Orbits of the left-translation action on the given systems.
+    """Orbits of the left-translation action on the given systems: (orbit_of, orbits).
 
-    Returns (orbit_of, orbits); orbits are sorted by least element and
-    each orbit lists its member indices ascending.
+    sigma[x, i] is the index of x * systems[i], looked up from the
+    ``shift_table`` images of its minimal sets.  The orbit of i is column
+    i of sigma and its least member is its key, so orbits are sorted by
+    least element and each orbit lists its member indices ascending.
     """
     index = {s.minimal_sets: i for i, s in enumerate(systems)}
-    orbit_of = [-1] * len(systems)
-    orbits: list[list[int]] = []
-    for i, system in enumerate(systems):
-        if orbit_of[i] >= 0:
-            continue
-        members = set()
-        for x in g.elements():
-            shifted = system.family.shift(g, x)
-            j = index.get(shifted.minimal_sets)
-            if j is None:
-                raise ConsistencyError("translation left the system list")
-            members.add(j)
-        oid = len(orbits)
-        orbits.append(sorted(members))
-        for j in members:
-            orbit_of[j] = oid
+    sigma = np.empty((g.order, len(systems)), dtype=np.intp)
+    for x, row in enumerate(shift_table(g).tolist()):
+        sigma[x] = [index.get(tuple(sorted(row[a] for a in s.minimal_sets)), -1) for s in systems]
+    if (sigma < 0).any():
+        raise ConsistencyError("translation left the system list")
+    keys, orbit_of = np.unique(sigma.min(axis=0), return_inverse=True)
+    orbit_of = orbit_of.tolist()
+    orbits: list[list[int]] = [[] for _ in keys]
+    for i, o in enumerate(orbit_of):
+        orbits[o].append(i)
     return orbit_of, orbits
 
 
@@ -265,9 +261,8 @@ def transversal_subsemigroup_search(
 
     if search(0):
         picks = sorted(chosen.values())
-        members = set(picks)
-        if any(int(p[a, b]) not in members for a in picks for b in picks):
-            raise ConsistencyError("transversal search returned a non-closed set")
+        if not is_transversal_subsemigroup(g, table, picks):
+            raise ConsistencyError("transversal search returned no transversal subsemigroup")
         return picks
     return None
 

@@ -173,3 +173,25 @@ def oracle_left_zeros(product):
 def oracle_central_elements(product):
     n = len(product)
     return [c for c in range(n) if all(product[c][x] == product[x][c] for x in range(n))]
+
+
+def oracle_coset_space_sl(mul, h_mask):
+    """Smallest set S of left cosets of H meeting every translate xS.
+
+    The cosets xH are built element by element from the multiplication
+    table, and every subset of them is tried in order of size.
+    """
+    n = len(mul)
+    h = bits_of(h_mask)
+    cosets = []
+    for x in range(n):
+        coset = frozenset(mul[x][y] for y in h)
+        if coset not in cosets:
+            cosets.append(coset)
+    for k in range(1, len(cosets) + 1):
+        for picked in combinations(cosets, k):
+            chosen = set(picked)
+            translates = [{frozenset(mul[x][c] for c in coset) for coset in picked} for x in range(n)]
+            if all(chosen & moved for moved in translates):
+                return k
+    raise AssertionError("the whole coset space is always self-linked")

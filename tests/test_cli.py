@@ -289,6 +289,13 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: group order 17 exceeds the cap of 16\n"
+    # a limit below 1 is a usage error, not an empty table
+    for command, flag in (("sl-table", "--max-order"), ("explore-sl", "--max-n")):
+        for value in ("0", "-1"):
+            assert main([command, f"{flag}={value}"]) == EXIT_USAGE, (command, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument {flag}: must be at least 1, got {value}" in captured.err
 
 
 # Cheap arguments for every command the parser registers, one run per list.

@@ -13,6 +13,7 @@ from superx.invariants import (
     _closed_families,
     _compatibility_graph,
     check_slbound_composite,
+    coset_space_sl,
     enumerate_half_self_linked,
     enumerate_invariant_mls,
     is_self_linked,
@@ -25,6 +26,7 @@ from superx.invariants import (
     up_majority_count,
 )
 from oracles import (
+    oracle_coset_space_sl,
     oracle_element_order,
     oracle_self_linked,
     oracle_shift_closed_maximal_linked_families,
@@ -305,7 +307,7 @@ def test_invariant_counts_match_reference():
 def test_invariant_systems_match_bruteforce_oracle():
     for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5"):
         g = build_group(name)
-        got = sorted(s.family.minimal_sets for s in enumerate_invariant_mls(g))
+        got = sorted(s.minimal_sets for s in enumerate_invariant_mls(g))
         assert got == oracle_shift_closed_maximal_linked_families(g)
 
 
@@ -324,17 +326,17 @@ def test_c7_invariant_structure():
     assert len(with_t) == 1 and len(with_t_inv) == 1
     assert with_t[0] is not with_t_inv[0]
     majority = majority_family(g)
-    pure = [s for s in systems if s.family == majority]
+    pure = [s for s in systems if s == majority]
     assert len(pure) == 1
-    assert all(s.family.is_maximal_linked() for s in systems)
+    assert all(s.is_maximal_linked() for s in systems)
 
 
 def test_invariant_systems_are_shift_closed_and_self_linked():
     for name in CATALOG_LE8:
         g = build_group(name)
         for s in enumerate_invariant_mls(g):
-            assert s.is_shift_closed()
-            for m in s.family.minimal_sets:
+            assert all(s.shift(g, x) == s for x in g.elements())
+            for m in s.minimal_sets:
                 assert is_self_linked(g, m)
 
 
@@ -415,7 +417,7 @@ def test_odd_equivalence_d6_all_false():
     assert not report.odd_group
     systems = enumerate_invariant_mls(g)
     assert len(systems) == 1
-    assert not systems[0].family.is_maximal_linked()
+    assert not systems[0].is_maximal_linked()
 
 
 def test_self_linked_subsets_sorted():
@@ -453,8 +455,7 @@ def test_closure_certificates_reject_open_cliques():
         shifts = shift_table(g)
         vertices = self_linked_subsets(g)
         index = {v: i for i, v in enumerate(vertices)}
-        for system in enumerate_invariant_mls(g):
-            family = system.family
+        for family in enumerate_invariant_mls(g):
             clique = _clique_of(vertices, family)
             assert _closed_families(g, shifts, vertices, [clique]) == [family]
             # a minimal set with another translate: dropping it keeps the
@@ -468,11 +469,18 @@ def test_closure_certificates_reject_open_cliques():
                 _closed_families(g, shifts, vertices, [clique & ~(1 << index[g.full_mask])])
 
 
+def test_coset_space_sl_matches_oracle():
+    for name in CATALOG_LE10:
+        g = build_group(name)
+        for h_mask in enumerate_subgroups(g):
+            assert coset_space_sl(g, h_mask) == oracle_coset_space_sl(g.mul, h_mask), (name, h_mask)
+
+
 def test_is_maximal_linked_matches_transversal_on_invariant_systems():
     flags = {}
     for name in CATALOG_LE8:
         for s in enumerate_invariant_mls(build_group(name)):
-            assert s.family.is_maximal_linked() == (s.family.transversal() == s.family)
-            flags.setdefault(name, []).append(s.family.is_maximal_linked())
+            assert s.is_maximal_linked() == (s.transversal() == s)
+            flags.setdefault(name, []).append(s.is_maximal_linked())
     assert flags["D6"] == [False]
     assert flags["C7"] == [True] * 3

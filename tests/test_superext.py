@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_circ_rectangular_on_invariant_systems():
         systems = enumerate_invariant_mls(g)
         for a in systems:
             for b in systems:
-                assert circ(g, a.family, b.family) == b.family
+                assert circ(g, a, b) == b
 
 
 def test_lambda_table_matches_scalar_circ_exhaustively():
@@ -199,6 +200,35 @@ def test_shift_orbit_counts():
     g = build_group("C2xC2")
     _, orbits = shift_orbits(g, lambda_elements(g))
     assert len(orbits) == 3
+
+
+# sha256 of json.dumps(shift_orbits(g, lambda_elements(g))): orbit ids,
+# orbit order and members, recorded before shift_orbits read shift_table.
+SHIFT_ORBIT_DIGESTS = {
+    "C1": "7e81841ae664f806f63d61098329e4dc1befc4469544c156365c22b53521df5c",
+    "C2": "edea1acdaa0795a9d91e426f03d6366452c0e0cae25fedc3a9299e955689cb5f",
+    "C3": "d7d65c39d6f0e89d091323719197fe8179fa207748933041e8dd6b2d5375b34c",
+    "C4": "51595ce2d3bb37a18e3f4adf7220440acd73f04f49d13afd0c6754edae87159f",
+    "C2xC2": "51595ce2d3bb37a18e3f4adf7220440acd73f04f49d13afd0c6754edae87159f",
+    "C5": "bc6d99253a3620d40d050bdfb2c3c7620a9fe3849ee7333ca234a26970530b7c",
+    "C6": "08d9094d70736539cd0937ce685e731517a1a91c22f5c753907a1ffee3aae6a4",
+    "D6": "29e3cc292b33faeb47576dd8032f3b95caed4b46ec3a985ebe01a014ea35f7fc",
+}
+
+
+def test_shift_orbits_pinned():
+    for name, want in SHIFT_ORBIT_DIGESTS.items():
+        g = build_group(name)
+        got = json.dumps(shift_orbits(g, lambda_elements(g)))
+        assert hashlib.sha256(got.encode()).hexdigest() == want, name
+
+
+def test_shift_orbits_rejects_a_list_not_closed_under_translation():
+    g = build_group("C4")
+    systems = lambda_elements(g)
+    moved = next(i for i, s in enumerate(systems) if not is_invariant_mls(g, s))
+    with pytest.raises(ConsistencyError, match="translation left the system list"):
+        shift_orbits(g, systems[:moved] + systems[moved + 1 :])
 
 
 def test_orbit_quotient_c5():
