@@ -6,14 +6,12 @@ Cayley tables, and analyze self-linked sets and invariant systems.
 
 from .errors import CapacityError, ConsistencyError, GroupParseError, SuperxError
 from .families import (
-    MaximalLinkedSystem,
     SetFamily,
     enumerate_mls,
     extend_to_mls,
     generate_family,
     majority_family,
     principal_ultrafilter,
-    shift_mls,
 )
 from .groups import (
     FiniteGroup,
@@ -34,7 +32,6 @@ __all__ = [
     "ConsistencyError",
     "FiniteGroup",
     "GroupParseError",
-    "MaximalLinkedSystem",
     "SemigroupTable",
     "SetFamily",
     "SuperxError",
@@ -51,7 +48,6 @@ __all__ = [
     "majority_family",
     "orbit_quotient",
     "principal_ultrafilter",
-    "shift_mls",
     "shift_orbits",
     "translate_set",
     "__version__",

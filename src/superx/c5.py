@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .bitsets import mask_of, subsets_of_size
 from .errors import ConsistencyError
-from .families import MaximalLinkedSystem, SetFamily, generate_family
+from .families import SetFamily, generate_family
 
 
 def _sets(*point_lists) -> tuple[int, ...]:
@@ -52,7 +52,7 @@ T17_NAMES = (
 )
 
 
-def affine_image(system: MaximalLinkedSystem, a: int, b: int) -> MaximalLinkedSystem:
+def affine_image(system: SetFamily, a: int, b: int) -> SetFamily:
     """Image under x -> a*x + b mod 5; a bijection, so again a system."""
     if a % 5 == 0:
         raise ConsistencyError("multiplier must be invertible mod 5")
@@ -63,11 +63,14 @@ def affine_image(system: MaximalLinkedSystem, a: int, b: int) -> MaximalLinkedSy
             if s >> x & 1:
                 img |= 1 << ((a * x + b) % 5)
         sets.append(img)
-    return MaximalLinkedSystem(SetFamily(5, tuple(sorted(sets))))
+    return SetFamily(5, tuple(sorted(sets)))
 
 
-def _base_system(name: str) -> MaximalLinkedSystem:
-    return MaximalLinkedSystem.from_family(generate_family(5, _BASE_GENERATORS[name]))
+def _base_system(name: str) -> SetFamily:
+    family = generate_family(5, _BASE_GENERATORS[name])
+    if not family.is_maximal_linked():
+        raise ConsistencyError("family is not equal to its transversal")
+    return family
 
 
 def render_name(base: str, a: int = 1, b: int = 0) -> str:
@@ -81,14 +84,14 @@ def render_name(base: str, a: int = 1, b: int = 0) -> str:
     return f"{name}-{5 - b}"
 
 
-def c5_named_catalog() -> dict[str, MaximalLinkedSystem]:
+def c5_named_catalog() -> dict[str, SetFamily]:
     """Every named system: the nine base names plus all affine images.
 
     Different names can denote the same system (the images of Λ4 under
     any multiplier coincide, Λ = -Λ and Θ = -Θ); each valid name maps to
     its system, so lookups follow the written grammar.
     """
-    catalog: dict[str, MaximalLinkedSystem] = {}
+    catalog: dict[str, SetFamily] = {}
     for base in _BASE_GENERATORS:
         root = _base_system(base)
         for a in (1, 2, 3, 4):

@@ -5,8 +5,9 @@ Each command returns one Report: --format=json prints its record, and the
 text and CSV formats are views of the same Report (see reports.Report).
 explore-sl --max-n above 16, the group order cap, exits 3 like any other
 over-cap input; --max-n and sl-table --max-order below 1 are usage errors.
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 capacity exceeded, 4 internal invariant failed.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error
+(an unusable --cache-dir included), 3 capacity exceeded, 4 internal
+invariant failed.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.run(args)
-    except GroupParseError as exc:
+    except (GroupParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

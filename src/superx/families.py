@@ -1,10 +1,14 @@
 """Monotone set families on a small ground set, and maximal linked systems.
 
-A monotone family of non-empty subsets is stored by its antichain of
-inclusion-minimal members, sorted ascending by mask value.  A maximal
-linked system is a family that equals its own transversal (the family
-of all sets meeting every member); equivalently a monotone family that
-contains exactly one of A and its complement for every subset A.
+There is one family type, :class:`SetFamily`: a monotone family of
+non-empty subsets stored by its antichain of inclusion-minimal members,
+sorted ascending by mask value.  A maximal linked system is a
+``SetFamily`` for which :meth:`SetFamily.is_maximal_linked` holds: it
+equals its own transversal (the family of all sets meeting every
+member), equivalently it contains exactly one of A and its complement
+for every subset A.  The enumerator and the constructors below return
+such families without re-checking; callers that take a family from
+elsewhere test the predicate.
 """
 
 from __future__ import annotations
@@ -105,43 +109,17 @@ class SetFamily:
             raise ConsistencyError("ground size does not match the group order")
         return SetFamily(self.ground_size, tuple(sorted(shift_table(g)[x, list(self.minimal_sets)].tolist())))
 
-    def __str__(self) -> str:
-        parts = ("{" + ",".join(str(b) for b in iter_bits(s)) + "}" for s in self.minimal_sets)
-        return "<" + " ".join(parts) + ">"
-
-
-@dataclass(frozen=True)
-class MaximalLinkedSystem:
-    """A set family equal to its own transversal.
-
-    Constructed either by the enumerator (which guarantees the defining
-    property) or through :meth:`from_family`, which verifies it.
-    """
-
-    family: SetFamily
-
-    @classmethod
-    def from_family(cls, family: SetFamily) -> "MaximalLinkedSystem":
-        if not family.is_maximal_linked():
-            raise ConsistencyError("family is not equal to its transversal")
-        return cls(family)
-
-    @property
-    def ground_size(self) -> int:
-        return self.family.ground_size
-
-    @property
-    def minimal_sets(self) -> tuple[int, ...]:
-        return self.family.minimal_sets
-
-    def contains(self, mask: int) -> bool:
-        return self.family.contains(mask)
-
     def serialize(self) -> str:
+        """The minimal sets as comma-separated mask values.
+
+        The cache digest hashes these strings, so any change to the format
+        turns every stored cache entry into a miss.
+        """
         return ",".join(str(s) for s in self.minimal_sets)
 
     def __str__(self) -> str:
-        return str(self.family)
+        parts = ("{" + ",".join(str(b) for b in iter_bits(s)) + "}" for s in self.minimal_sets)
+        return "<" + " ".join(parts) + ">"
 
 
 def generate_family(ground_size: int, sets) -> SetFamily:
@@ -162,9 +140,9 @@ def family_from_bitmap(ground_size: int, bitmap: int) -> SetFamily:
     return SetFamily(ground_size, tuple(minimal_members(bitmap, ground_size)))
 
 
-def principal_ultrafilter(g: FiniteGroup, x: int) -> MaximalLinkedSystem:
+def principal_ultrafilter(g: FiniteGroup, x: int) -> SetFamily:
     """The system of all sets containing the point x."""
-    return MaximalLinkedSystem(SetFamily(g.order, (1 << x,)))
+    return SetFamily(g.order, (1 << x,))
 
 
 def majority_family(g: FiniteGroup) -> SetFamily:
@@ -173,16 +151,11 @@ def majority_family(g: FiniteGroup) -> SetFamily:
     return SetFamily(g.order, tuple(subsets_of_size(g.order, k)))
 
 
-def shift_mls(g: FiniteGroup, x: int, system: MaximalLinkedSystem) -> MaximalLinkedSystem:
-    """Left translation of a maximal linked system; again maximal linked."""
-    return MaximalLinkedSystem(system.family.shift(g, x))
+def is_invariant_mls(g: FiniteGroup, system: SetFamily) -> bool:
+    return all(system.shift(g, x) == system for x in g.elements())
 
 
-def is_invariant_mls(g: FiniteGroup, system: MaximalLinkedSystem) -> bool:
-    return all(system.family.shift(g, x) == system.family for x in g.elements())
-
-
-def enumerate_mls(ground_size: int, *, allow_large: bool = False) -> list[MaximalLinkedSystem]:
+def enumerate_mls(ground_size: int, *, allow_large: bool = False) -> list[SetFamily]:
     """All maximal linked systems on {0..n-1} in canonical order.
 
     Backtracks over complementary subset pairs: a maximal linked system
@@ -224,10 +197,10 @@ def enumerate_mls(ground_size: int, *, allow_large: bool = False) -> list[Maxima
     walk(0, sup[full], 1)
     families = [family_from_bitmap(n, bm) for bm in bitmaps]
     families.sort(key=lambda f: f.minimal_sets)
-    return [MaximalLinkedSystem(f) for f in families]
+    return families
 
 
-def extend_to_mls(family: SetFamily) -> MaximalLinkedSystem:
+def extend_to_mls(family: SetFamily) -> SetFamily:
     """Greedy completion of a linked family to a maximal linked system.
 
     Scans subsets in ascending mask order and adds every set that meets
@@ -246,4 +219,4 @@ def extend_to_mls(family: SetFamily) -> MaximalLinkedSystem:
         if all(cand & m for m in members):
             bitmap |= 1 << cand
             members.append(cand)
-    return MaximalLinkedSystem(family_from_bitmap(n, bitmap))
+    return family_from_bitmap(n, bitmap)

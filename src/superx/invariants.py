@@ -35,6 +35,7 @@ from .groups import (
     shift_table,
     subgroup_as_group,
 )
+from .semigroups import right_zeros
 
 MAX_INVARIANT_ORDER = 8
 MAX_INVARIANT_ORDER_LARGE = 10
@@ -348,8 +349,6 @@ class OddEquivalenceReport:
 
 def odd_equivalence_report(g: FiniteGroup, *, lam_table=None) -> OddEquivalenceReport:
     """Evaluate the equivalent conditions and fail hard on disagreement."""
-    from .semigroups import right_zeros  # local import to avoid a cycle
-
     systems = enumerate_invariant_mls(g)
     flags = [f.is_maximal_linked() for f in systems]
     some_ml = any(flags)

@@ -238,12 +238,8 @@ def adjoin_identity(t: SemigroupTable) -> SemigroupTable:
 
 def direct_product(t1: SemigroupTable, t2: SemigroupTable) -> SemigroupTable:
     n1, n2 = t1.order, t2.order
-    prod = np.zeros((n1 * n2, n1 * n2), dtype=np.int32)
-    for a in range(n1):
-        for b in range(n2):
-            for c in range(n1):
-                for d in range(n2):
-                    prod[a * n2 + b, c * n2 + d] = t1.product[a, c] * n2 + t2.product[b, d]
+    # prod[a * n2 + b, c * n2 + d] = p1[a, c] * n2 + p2[b, d]
+    prod = (t1.product[:, None, :, None] * n2 + t2.product[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     labels = [f"({t1.label(a)},{t2.label(b)})" for a in range(n1) for b in range(n2)]
     return SemigroupTable(prod, elements=labels, labels=labels, name=f"{t1.name}x{t2.name}")
 

@@ -22,12 +22,7 @@ import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import (
-    MaximalLinkedSystem,
-    SetFamily,
-    enumerate_mls,
-    family_from_bitmap,
-)
+from .families import SetFamily, enumerate_mls, family_from_bitmap
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
@@ -57,12 +52,12 @@ def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
     return family_from_bitmap(n, members)
 
 
-def lambda_elements(g: FiniteGroup, *, allow_large: bool = False) -> list[MaximalLinkedSystem]:
+def lambda_elements(g: FiniteGroup, *, allow_large: bool = False) -> list[SetFamily]:
     """The canonical element list of the system space over g."""
     return enumerate_mls(g.order, allow_large=allow_large)
 
 
-def lambda_table(g: FiniteGroup, systems: list[MaximalLinkedSystem], product) -> SemigroupTable:
+def lambda_table(g: FiniteGroup, systems: list[SetFamily], product) -> SemigroupTable:
     """The lambda(g) table over the given systems, whether built or loaded.
 
     Elements are labelled by their canonical names over C5 and by
@@ -92,7 +87,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
     systems = lambda_elements(g)
     size = 1 << n
-    bitmaps = [s.family.bitmap for s in systems]
+    bitmaps = [s.bitmap for s in systems]
     m = len(systems)
     b = np.array(bitmaps, dtype=np.uint64)
     tabs = shift_table(g)[list(g.inv)].tolist()  # tabs[x][c] = x^-1 c
@@ -134,14 +129,14 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     return lambda_table(g, systems, product)
 
 
-def principal_indices(g: FiniteGroup, systems: list[MaximalLinkedSystem]) -> list[int]:
+def principal_indices(g: FiniteGroup, systems: list[SetFamily]) -> list[int]:
     """Indices of the one-point systems, in group-element order."""
     index = {s.minimal_sets: i for i, s in enumerate(systems)}
     return [index[(1 << x,)] for x in g.elements()]
 
 
 def shift_orbits(
-    g: FiniteGroup, systems: list[MaximalLinkedSystem]
+    g: FiniteGroup, systems: list[SetFamily]
 ) -> tuple[list[int], list[list[int]]]:
     """Orbits of the left-translation action on the given systems: (orbit_of, orbits).
 

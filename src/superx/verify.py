@@ -267,8 +267,8 @@ def boolean_cube_noncommutativity_witness() -> bool:
     bc_a = xa(b_el ^ c_el)
     if b_a & bc_a:
         return False
-    prod12 = circ(g, ext1.family, ext2.family)
-    prod21 = circ(g, ext2.family, ext1.family)
+    prod12 = circ(g, ext1, ext2)
+    prod21 = circ(g, ext2, ext1)
     return prod12.contains(bc_a) and prod21.contains(b_a) and prod12 != prod21
 
 
@@ -294,10 +294,10 @@ def check_embedding() -> list[dict]:
         g = build_group(name)
         ok = True
         for x in g.elements():
-            fx = principal_ultrafilter(g, x).family
+            fx = principal_ultrafilter(g, x)
             for y in g.elements():
-                fy = principal_ultrafilter(g, y).family
-                if circ(g, fx, fy) != principal_ultrafilter(g, g.product(x, y)).family:
+                fy = principal_ultrafilter(g, y)
+                if circ(g, fx, fy) != principal_ultrafilter(g, g.product(x, y)):
                     ok = False
         rows.append(_row(f"embedding {name}", True, ok))
     return rows

@@ -175,6 +175,18 @@ def oracle_central_elements(product):
     return [c for c in range(n) if all(product[c][x] == product[x][c] for x in range(n))]
 
 
+def oracle_direct_product(p1, p2):
+    """Product table of the pairs (a, b), indexed a * |p2| + b, cell by cell."""
+    n1, n2 = len(p1), len(p2)
+    out = [[0] * (n1 * n2) for _ in range(n1 * n2)]
+    for a in range(n1):
+        for b in range(n2):
+            for c in range(n1):
+                for d in range(n2):
+                    out[a * n2 + b][c * n2 + d] = p1[a][c] * n2 + p2[b][d]
+    return out
+
+
 def oracle_coset_space_sl(mul, h_mask):
     """Smallest set S of left cosets of H meeting every translate xS.
 

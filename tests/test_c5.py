@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from superx import c5
 from superx.bitsets import mask_of
 from superx.c5 import (
     T17_NAMES,
@@ -12,6 +13,7 @@ from superx.c5 import (
     canonical_names,
     render_name,
 )
+from superx.errors import ConsistencyError
 from superx.families import (
     enumerate_mls,
     majority_family,
@@ -28,13 +30,20 @@ def test_base_systems_are_the_documented_generators():
     )
     g = build_group("C5")
     assert cat["U"] == principal_ultrafilter(g, 0)
-    assert cat["Z"].family == majority_family(g)
+    assert cat["Z"] == majority_family(g)
+
+
+def test_catalog_rejects_a_base_that_is_not_maximal_linked(monkeypatch):
+    # linked, but holds neither {0,2} nor its complement {1,3,4}
+    monkeypatch.setattr(c5, "_BASE_GENERATORS", {"X": (mask_of([0, 1]),)})
+    with pytest.raises(ConsistencyError, match="not equal to its transversal"):
+        c5_named_catalog()
 
 
 def test_catalog_members_are_self_dual():
     cat = c5_named_catalog()
     for name in T17_NAMES:
-        fam = cat[name].family
+        fam = cat[name]
         assert fam.transversal() == fam
 
 

@@ -296,6 +296,14 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"argument {flag}: must be at least 1, got {value}" in captured.err
+    # an unusable cache directory is a usage error, not a mismatch
+    (tmp_path / "file").write_text("")
+    (tmp_path / "taken" / "C3-table-v2.npy").mkdir(parents=True)
+    for cache_dir in (tmp_path / "file" / "sub", tmp_path / "taken"):
+        assert main(["lambda", "C3", "--what=table", f"--cache-dir={cache_dir}"]) == EXIT_USAGE, cache_dir
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno "), captured.err
 
 
 # Cheap arguments for every command the parser registers, one run per list.

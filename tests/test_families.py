@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from superx.bitsets import mask_of, subsets_of_size
 from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
-    MaximalLinkedSystem,
     SetFamily,
     enumerate_mls,
     extend_to_mls,
@@ -16,7 +16,6 @@ from superx.families import (
     is_invariant_mls,
     majority_family,
     principal_ultrafilter,
-    shift_mls,
 )
 from superx.groups import build_group
 from oracles import oracle_all_mls, oracle_hitting_family
@@ -151,7 +150,25 @@ def test_enumerate_mls_canonical_order_and_validity():
         keys = [s.minimal_sets for s in systems]
         assert keys == sorted(keys)
         for s in systems:
-            assert s.family.is_maximal_linked()
+            assert s.is_maximal_linked()
+
+
+# sha256 of the newline-joined serialize() list, the system part of the
+# cache digest; a change here turns every stored cache entry into a miss
+SERIALIZED_MLS_SHA256 = {
+    1: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    2: "b598b3a62a3f7cedb17e66d1cb31d53dffeebaf5c07e2c60d5e31971936fd35e",
+    3: "ac23e60b271c356020fb37c5fab2bc61a82726a30c7f48b2de6cea81f7144cc2",
+    4: "551f012bbeae35d362caff5c2bcdc5f4b70412580b6cd912f85de72e5d6afa14",
+    5: "d2f0c7262646343a2238d58f957dae4764abe030f06e7aba01031c5de90c822e",
+    6: "505a36d7243b78fe8196a21a548b06b8a41a497fe43ad202ece6408790eecad3",
+}
+
+
+def test_serialized_mls_digest_pinned():
+    for n, want in SERIALIZED_MLS_SHA256.items():
+        text = "\n".join(s.serialize() for s in enumerate_mls(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_enumerate_mls_capacity():
@@ -167,14 +184,13 @@ def test_mls_exactly_one_of_each_complementary_pair():
     for n in range(1, 7):
         full = (1 << n) - 1
         for s in enumerate_mls(n):
-            bitmap = s.family.bitmap
+            bitmap = s.bitmap
             for a in range(1 << n):
                 assert (bitmap >> a & 1) != (bitmap >> (full ^ a) & 1)
 
 
 def test_from_family_rejects_non_self_dual():
-    with pytest.raises(ConsistencyError):
-        MaximalLinkedSystem.from_family(majority_family(build_group("C4")))
+    assert not majority_family(build_group("C4")).is_maximal_linked()
 
 
 def test_principal_ultrafilter():
@@ -197,16 +213,16 @@ def test_shift_identity_and_inverse():
     g = build_group("C5")
     systems = enumerate_mls(5)
     for s in systems[:20]:
-        assert shift_mls(g, 0, s) == s
+        assert s.shift(g, 0) == s
         for x in g.elements():
-            assert shift_mls(g, g.inv[x], shift_mls(g, x, s)) == s
+            assert s.shift(g, x).shift(g, g.inv[x]) == s
 
 
 def test_shift_example_on_c5():
     g = build_group("C5")
-    delta = MaximalLinkedSystem.from_family(_family(5, [0, 2], [0, 3], [2, 3]))
-    shifted = shift_mls(g, 1, delta)
-    assert shifted.family == _family(5, [1, 3], [1, 4], [3, 4])
+    delta = _family(5, [0, 2], [0, 3], [2, 3])
+    assert delta.is_maximal_linked()
+    assert delta.shift(g, 1) == _family(5, [1, 3], [1, 4], [3, 4])
 
 
 def test_shift_is_bijection():
@@ -215,13 +231,13 @@ def test_shift_is_bijection():
         systems = enumerate_mls(g.order)
         keys = {s.minimal_sets for s in systems}
         for x in g.elements():
-            images = {shift_mls(g, x, s).minimal_sets for s in systems}
+            images = {s.shift(g, x).minimal_sets for s in systems}
             assert images == keys
 
 
 def test_is_invariant_mls():
     c3 = build_group("C3")
-    assert is_invariant_mls(c3, MaximalLinkedSystem.from_family(majority_family(c3)))
+    assert is_invariant_mls(c3, majority_family(c3))
     assert not is_invariant_mls(c3, principal_ultrafilter(c3, 0))
 
 
@@ -229,7 +245,7 @@ def test_extend_to_mls():
     g = build_group("C4")
     fam = _family(4, [0, 1])
     ext = extend_to_mls(fam)
-    assert ext.family.is_maximal_linked()
+    assert ext.is_maximal_linked()
     assert all(ext.contains(m) for m in fam.minimal_sets)
     with pytest.raises(ConsistencyError):
         extend_to_mls(_family(4, [0], [1]))

@@ -29,6 +29,7 @@ from superx.semigroups import (
 )
 from oracles import (
     oracle_central_elements,
+    oracle_direct_product,
     oracle_left_zeros,
     oracle_minimal_ideal,
     oracle_right_zeros,
@@ -151,6 +152,19 @@ def test_zeros_and_centre_match_loops(lam_table):
         assert right_zeros(t) == oracle_right_zeros(p), t.name
         assert left_zeros(t) == oracle_left_zeros(p), t.name
         assert central_elements(t) == oracle_central_elements(p), t.name
+
+
+def test_direct_product_matches_loops(lam_table):
+    tables = [
+        lam_table("C3"),
+        from_group(build_group("D6")),
+        adjoin_identity(from_group(build_group("C2"))),
+        SemigroupTable(np.array([[0, 1], [0, 1]], dtype=np.int32)),
+    ]
+    for t1 in tables:
+        for t2 in tables:
+            prod = direct_product(t1, t2)
+            assert prod.product.tolist() == oracle_direct_product(t1.product.tolist(), t2.product.tolist())
 
 
 def test_minimal_ideal(lam_table):

@@ -13,7 +13,6 @@ from superx.c5 import c5_named_catalog, canonical_names
 from superx.cache import load_table, save_table
 from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
-    MaximalLinkedSystem,
     enumerate_mls,
     generate_family,
     is_invariant_mls,
@@ -42,10 +41,10 @@ def test_circ_on_principals_is_the_group_operation():
     for name in SMALL + ("C6", "D6"):
         g = build_group(name)
         for x in g.elements():
-            fx = principal_ultrafilter(g, x).family
+            fx = principal_ultrafilter(g, x)
             for y in g.elements():
-                fy = principal_ultrafilter(g, y).family
-                want = principal_ultrafilter(g, g.mul[x][y]).family
+                fy = principal_ultrafilter(g, y)
+                want = principal_ultrafilter(g, g.mul[x][y])
                 assert circ(g, fx, fy) == want
 
 
@@ -58,27 +57,27 @@ def test_circ_ground_mismatch():
 def test_circ_capacity():
     g = build_group("C11")
     with pytest.raises(CapacityError):
-        circ(g, majority_family(g), principal_ultrafilter(g, 0).family)
+        circ(g, majority_family(g), principal_ultrafilter(g, 0))
 
 
 def test_circ_named_c5_products():
     g = build_group("C5")
     cat = c5_named_catalog()
-    lam = cat["Λ"].family
-    delta = cat["Δ"].family
+    lam = cat["Λ"]
+    delta = cat["Δ"]
     assert circ(g, delta, delta) == lam
     assert circ(g, delta, circ(g, delta, delta)) == lam
-    lam3 = cat["Λ3"].family
+    lam3 = cat["Λ3"]
     assert circ(g, lam3, lam3) == lam
-    z = cat["Z"].family
-    theta, gamma = cat["Θ"].family, cat["Γ"].family
+    z = cat["Z"]
+    theta, gamma = cat["Θ"], cat["Γ"]
     systems = enumerate_mls(5)
     principal_keys = {principal_ultrafilter(g, x).minimal_sets for x in g.elements()}
     non_principal = [s for s in systems if s.minimal_sets not in principal_keys]
     assert len(non_principal) == 76
     for s in non_principal:
-        assert circ(g, s.family, theta) == z
-        assert circ(g, s.family, gamma) == z
+        assert circ(g, s, theta) == z
+        assert circ(g, s, gamma) == z
 
 
 def test_circ_rectangular_on_invariant_systems():
@@ -98,7 +97,7 @@ def test_lambda_table_matches_scalar_circ_exhaustively():
         index = {s.minimal_sets: i for i, s in enumerate(systems)}
         for i, a in enumerate(systems):
             for j, b in enumerate(systems):
-                want = circ(g, a.family, b.family)
+                want = circ(g, a, b)
                 assert int(table.product[i, j]) == index[want.minimal_sets]
 
 
@@ -126,7 +125,7 @@ def test_order6_tables_pinned_and_match_scalar_circ(lam_table):
         rng = random.Random(6)
         for _ in range(300):
             i, j = rng.randrange(table.order), rng.randrange(table.order)
-            want = circ(g, systems[i].family, systems[j].family)
+            want = circ(g, systems[i], systems[j])
             assert int(table.product[i, j]) == index[want.minimal_sets], (name, i, j)
 
 
@@ -138,8 +137,8 @@ def test_lambda_table_closure_and_mls_products():
     for _ in range(50):
         a = table.elements[rng.randrange(table.order)]
         b = table.elements[rng.randrange(table.order)]
-        prod = circ(g, a.family, b.family)
-        assert MaximalLinkedSystem.from_family(prod)
+        prod = circ(g, a, b)
+        assert prod.is_maximal_linked()
 
 
 def test_lambda_table_capacity():
@@ -291,7 +290,7 @@ def test_orbit_quotient_noncentral_group_has_no_product(lam_table):
     seen: set[tuple] = set()
     count = 0
     for s in systems:
-        key = tuple(sorted(s.family.shift(g, x).minimal_sets for x in g.elements()))
+        key = tuple(sorted(s.shift(g, x).minimal_sets for x in g.elements()))
         if key not in seen:
             seen.add(key)
             count += 1
@@ -312,7 +311,7 @@ def test_right_zero_systems_against_table(lam_table):
     for name in SMALL:
         g = build_group(name)
         table = lam_table(name)
-        fams = [s.family for s in table.elements]
+        fams = [s for s in table.elements]
         direct = [
             j for j, z in enumerate(fams) if all(circ(g, x, z) == z for x in fams)
         ]
