@@ -99,6 +99,7 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
         status = "fail" if mismatched else "pass"
     elif what == "table":
         directory = resolve_cache_dir(cache_dir)
+        directory.mkdir(parents=True, exist_ok=True)  # an unusable directory fails before the build
         table = load_table(directory, g)
         hit = table is not None
         if table is None:

@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError
+from .errors import ConsistencyError
 from .groups import FiniteGroup
 
 ASSOC_EXHAUSTIVE_LIMIT = 100
 ASSOC_SAMPLES = 10_000
-ISO_ORDER_LIMIT = 16
 
 
 @dataclass(eq=False)
@@ -244,84 +243,9 @@ def direct_product(t1: SemigroupTable, t2: SemigroupTable) -> SemigroupTable:
     return SemigroupTable(prod, elements=labels, labels=labels, name=f"{t1.name}x{t2.name}")
 
 
-def _refine_colors(t: SemigroupTable) -> list[int]:
-    """Iterated invariant refinement; isomorphic elements share colors."""
-    p = t.product
-    n = t.order
-    colors = [1 if p[x, x] == x else 0 for x in range(n)]
-    for _ in range(n):
-        sigs = []
-        for x in range(n):
-            row = sorted((colors[y], colors[int(p[x, y])], colors[int(p[y, x])]) for y in range(n))
-            sigs.append((colors[x], tuple(row)))
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def find_isomorphism(t1: SemigroupTable, t2: SemigroupTable) -> list[int] | None:
-    """A product-preserving bijection t1 -> t2, or None if none exists.
-
-    Backtracking over elements grouped by refined invariant colors; the
-    final candidate map is verified on the full tables.
-    """
-    n = t1.order
-    if n != t2.order:
-        return None
-    if n > ISO_ORDER_LIMIT:
-        raise CapacityError(f"isomorphism search is limited to order {ISO_ORDER_LIMIT}")
-    if n == 0:
-        return []
-    c1 = _refine_colors(t1)
-    c2 = _refine_colors(t2)
-    if sorted(c1) != sorted(c2):
-        return None
-    by_color: dict[int, list[int]] = {}
-    for y, c in enumerate(c2):
-        by_color.setdefault(c, []).append(y)
-    order = sorted(range(n), key=lambda x: (len(by_color[c1[x]]), c1[x], x))
-    p1, p2 = t1.product, t2.product
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(x: int, y: int) -> bool:
-        for a in range(n):
-            fa = mapping[a]
-            if fa < 0:
-                continue
-            img = mapping[int(p1[a, x])]
-            if img >= 0 and p2[fa, y] != img:
-                return False
-            img = mapping[int(p1[x, a])]
-            if img >= 0 and p2[y, fa] != img:
-                return False
-        img = mapping[int(p1[x, x])]
-        if img >= 0 and p2[y, y] != img:
-            return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == n:
-            return all(
-                p2[mapping[a], mapping[b]] == mapping[int(p1[a, b])]
-                for a in range(n)
-                for b in range(n)
-            )
-        x = order[i]
-        for y in by_color[c1[x]]:
-            if used[y] or not consistent(x, y):
-                continue
-            mapping[x] = y
-            used[y] = True
-            if search(i + 1):
-                return True
-            mapping[x] = -1
-            used[y] = False
+def is_isomorphism(t1: SemigroupTable, t2: SemigroupTable, phi) -> bool:
+    """True iff phi (phi[i] is the t2 image of t1's element i) is a product-preserving bijection."""
+    phi = np.asarray(phi, dtype=np.int64)
+    if not t1.order == t2.order == len(phi) or not np.array_equal(np.sort(phi), np.arange(len(phi))):
         return False
-
-    if search(0):
-        return list(mapping)
-    return None
+    return bool(np.array_equal(t2.product[np.ix_(phi, phi)], phi[t1.product]))

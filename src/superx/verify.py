@@ -20,7 +20,7 @@ from .families import (
     generate_family,
     principal_ultrafilter,
 )
-from .groups import build_group
+from .groups import FiniteGroup, build_group
 from .invariants import (
     enumerate_invariant_mls,
     odd_equivalence_report,
@@ -34,10 +34,10 @@ from .semigroups import (
     adjoin_zero,
     central_elements,
     direct_product,
-    find_isomorphism,
     from_group,
     idempotents,
     is_commutative,
+    is_isomorphism,
     left_zeros,
     maximal_subgroup_at,
     minimal_ideal,
@@ -51,6 +51,7 @@ from .superext import (
     circ,
     lambda_elements,
     orbit_quotient,
+    principal_indices,
     shift_orbits,
     transversal_subsemigroup_search,
 )
@@ -212,17 +213,49 @@ def check_t17_table() -> list[dict]:
     return rows
 
 
-def check_isomorphisms() -> list[dict]:
-    rows = []
-    lam3 = _lambda_table("C3")
-    model3 = adjoin_zero(from_group(build_group("C3")))
-    rows.append(_row("lambda(C3) ~ C3+zero", True, find_isomorphism(lam3, model3) is not None))
+def _unit_times_group_map(g: FiniteGroup, lam: SemigroupTable) -> list[int] | None:
+    """The map (C2+unit) x G -> lambda(G), (a, b) -> b o t_a, or None without a transversal.
+
+    t = (f, h, u) lists a transversal subsemigroup T in the index order of
+    ``adjoin_identity(C2)``: u is the one-point system at the identity (the
+    one-point member x of T has x o x = x, so it is u), f the idempotent of
+    T - {u} and h the other element.  The one-point systems are central
+    when G is abelian, so b o t_a is a left translate.
+    """
+    principal = principal_indices(g, lam.elements)
+    u = principal[g.identity]
+    picks = transversal_subsemigroup_search(g, lam)
+    if picks is None or len(picks) != 3 or u not in picks:
+        return None
+    # an idempotent first; is_isomorphism rejects the map if T - {u} has another shape
+    f, h = sorted(set(picks) - {u}, key=lambda x: lam.product[x, x] != x)
+    t = (f, h, u)
+    return [int(lam.product[x, t[a]]) for a in range(3) for x in principal]
+
+
+def isomorphism_maps() -> list[tuple[str, SemigroupTable, SemigroupTable, list[int] | None]]:
+    """(row name, model, lambda(G), map model -> lambda(G)) for each stated isomorphism.
+
+    Each map keeps the model's index order, so lambda(C3) ~ C3+zero maps
+    the group elements to their one-point systems and the zero to the zero.
+    """
+    g3, lam3 = build_group("C3"), _lambda_table("C3")
+    z = zero(lam3)
+    phi3 = None if z is None else principal_indices(g3, lam3.elements) + [z]
+    maps = [("lambda(C3) ~ C3+zero", adjoin_zero(from_group(g3)), lam3, phi3)]
     c2_unit = adjoin_identity(from_group(build_group("C2")))
     for name in ("C4", "C2xC2"):
-        lam = _lambda_table(name)
-        model = direct_product(c2_unit, from_group(build_group(name)))
-        rows.append(_row(f"lambda({name}) ~ (C2+unit)x{name}", True, find_isomorphism(lam, model) is not None))
-    return rows
+        g, lam = build_group(name), _lambda_table(name)
+        model = direct_product(c2_unit, from_group(g))
+        maps.append((f"lambda({name}) ~ (C2+unit)x{name}", model, lam, _unit_times_group_map(g, lam)))
+    return maps
+
+
+def check_isomorphisms() -> list[dict]:
+    return [
+        _row(name, True, phi is not None and is_isomorphism(model, lam, phi))
+        for name, model, lam, phi in isomorphism_maps()
+    ]
 
 
 def check_zero_existence(tabled: tuple[str, ...]) -> list[dict]:

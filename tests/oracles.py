@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from superx.errors import CapacityError
+
+ISO_ORDER_LIMIT = 16
+
 
 def bits_of(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
@@ -207,3 +211,86 @@ def oracle_coset_space_sl(mul, h_mask):
             if all(chosen & moved for moved in translates):
                 return k
     raise AssertionError("the whole coset space is always self-linked")
+
+
+def _refine_colors(t) -> list[int]:
+    """Iterated invariant refinement; isomorphic elements share colors."""
+    p = t.product
+    n = t.order
+    colors = [1 if p[x, x] == x else 0 for x in range(n)]
+    for _ in range(n):
+        sigs = []
+        for x in range(n):
+            row = sorted((colors[y], colors[int(p[x, y])], colors[int(p[y, x])]) for y in range(n))
+            sigs.append((colors[x], tuple(row)))
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [palette[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def find_isomorphism(t1, t2) -> list[int] | None:
+    """A product-preserving bijection t1 -> t2, or None if none exists.
+
+    Backtracking over elements grouped by refined invariant colors; the
+    final candidate map is verified on the full tables.
+    """
+    n = t1.order
+    if n != t2.order:
+        return None
+    if n > ISO_ORDER_LIMIT:
+        raise CapacityError(f"isomorphism search is limited to order {ISO_ORDER_LIMIT}")
+    if n == 0:
+        return []
+    c1 = _refine_colors(t1)
+    c2 = _refine_colors(t2)
+    if sorted(c1) != sorted(c2):
+        return None
+    by_color: dict[int, list[int]] = {}
+    for y, c in enumerate(c2):
+        by_color.setdefault(c, []).append(y)
+    order = sorted(range(n), key=lambda x: (len(by_color[c1[x]]), c1[x], x))
+    p1, p2 = t1.product, t2.product
+    mapping = [-1] * n
+    used = [False] * n
+
+    def consistent(x: int, y: int) -> bool:
+        for a in range(n):
+            fa = mapping[a]
+            if fa < 0:
+                continue
+            img = mapping[int(p1[a, x])]
+            if img >= 0 and p2[fa, y] != img:
+                return False
+            img = mapping[int(p1[x, a])]
+            if img >= 0 and p2[y, fa] != img:
+                return False
+        img = mapping[int(p1[x, x])]
+        if img >= 0 and p2[y, y] != img:
+            return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == n:
+            return all(
+                p2[mapping[a], mapping[b]] == mapping[int(p1[a, b])]
+                for a in range(n)
+                for b in range(n)
+            )
+        x = order[i]
+        for y in by_color[c1[x]]:
+            if used[y] or not consistent(x, y):
+                continue
+            mapping[x] = y
+            used[y] = True
+            if search(i + 1):
+                return True
+            mapping[x] = -1
+            used[y] = False
+        return False
+
+    if search(0):
+        return list(mapping)
+    return None

@@ -45,7 +45,6 @@ from superx.semigroups import (
     adjoin_zero,
     central_elements,
     direct_product,
-    find_isomorphism,
     from_group,
     idempotents,
     is_commutative,
@@ -64,6 +63,7 @@ from superx.superext import (
 )
 from superx.verify import boolean_cube_noncommutativity_witness, run_verification
 from oracles import (
+    find_isomorphism,
     oracle_all_mls,
     oracle_shift_closed_maximal_linked_families,
     oracle_smallest_self_linked,

@@ -306,6 +306,25 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         assert captured.err.startswith("error: [Errno "), captured.err
 
 
+def test_unusable_cache_dir_fails_before_the_build(tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "build_lambda_table", lambda g: pytest.fail(f"lambda({g.name}) built"))
+    assert main(["lambda", "C3", "--what=table", f"--cache-dir={tmp_path / 'file' / 'sub'}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno "), captured.err
+
+
+def test_isomorphism_rows_fail_without_a_transversal(monkeypatch):
+    """A missing or misshapen transversal subsemigroup makes the row False; nothing raises."""
+    c3_row = verify.check_isomorphisms()[0]
+    for picks in (None, [0, 1], [0, 1, 2, 3]):
+        monkeypatch.setattr(verify, "transversal_subsemigroup_search", lambda g, lam: picks)
+        rows = verify.check_isomorphisms()
+        assert rows[0] == c3_row
+        assert [(r["computed"], r["match"]) for r in rows[1:]] == [(False, False)] * 2, picks
+
+
 # Cheap arguments for every command the parser registers, one run per list.
 DISPATCH_ARGS = {
     "sl-table": [["--max-order=10"]],

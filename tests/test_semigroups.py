@@ -14,10 +14,10 @@ from superx.semigroups import (
     adjoin_zero,
     central_elements,
     direct_product,
-    find_isomorphism,
     from_group,
     idempotents,
     is_commutative,
+    is_isomorphism,
     left_zeros,
     maximal_subgroup_at,
     minimal_ideal,
@@ -27,7 +27,9 @@ from superx.semigroups import (
     subtable,
     zero,
 )
+from superx.verify import isomorphism_maps
 from oracles import (
+    find_isomorphism,
     oracle_central_elements,
     oracle_direct_product,
     oracle_left_zeros,
@@ -288,6 +290,26 @@ def test_find_isomorphism_negative():
     klein = from_group(build_group("C2xC2"))
     assert find_isomorphism(c4, klein) is None
     assert find_isomorphism(c4, from_group(build_group("C3"))) is None
+
+
+def test_is_isomorphism_on_the_verify_maps():
+    maps = {name: (model, lam, phi) for name, model, lam, phi in isomorphism_maps()}
+    assert len(maps) == 3
+    for name, (model, lam, phi) in maps.items():
+        assert is_isomorphism(model, lam, phi), name
+    model, lam, phi = maps["lambda(C4) ~ (C2+unit)xC4"]
+    swapped = list(phi)
+    swapped[0], swapped[1] = phi[1], phi[0]
+    assert not is_isomorphism(model, lam, swapped)
+    # phi[0] is the idempotent f, so the constant map is a homomorphism that is no bijection
+    constant = [phi[0]] * len(phi)
+    assert (lam.product[np.ix_(constant, constant)] == np.array(constant)[model.product]).all()
+    assert not is_isomorphism(model, lam, constant)
+    assert not is_isomorphism(model, lam, phi[:-1])
+    assert not is_isomorphism(model, lam, phi + [phi[0]])
+    # a bijection between tables of equal order that are not isomorphic
+    klein_model = maps["lambda(C2xC2) ~ (C2+unit)xC2xC2"][0]
+    assert not is_isomorphism(klein_model, lam, phi)
 
 
 def test_subtable_rejects_non_closed(lam_table):
