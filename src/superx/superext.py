@@ -10,8 +10,10 @@ system is a membership bitmap over all 2^n subsets, and the witness sets
 {x : x^-1 C in B} are assembled for all systems at once.  Since A o B is
 the union over W in A of the fibre {C : witness_B(C) = W}, each row of
 product bitmaps is one matrix product of A's 0/1 membership row with the
-fibre matrix.  Products are resolved back to element indices by binary
-search.
+fibre matrix.  Left translation by a group element commutes with the
+product, (xA) o B = x(A o B), so only one row per translation orbit is
+computed and resolved back to element indices by binary search; every
+other row is a translated copy of its orbit representative's row.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
 MAX_TABLE_GROUND = 6
-_ROW_CHUNK = 256
+_ROW_CHUNK = 64
 _BITMAP_GROUND_LIMIT = 10
 
 
@@ -74,18 +76,33 @@ def lambda_table(g: FiniteGroup, systems: list[SetFamily], product) -> Semigroup
 def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     """Cayley table of the extended product over all systems on g.
 
-    The product bitmaps of a block of rows are the rows' membership
-    matrix ("W in A", rows x 2^n) times the fibre matrix whose cell
-    (W, B) is the mask of candidates C >= 1 with witness W in B, one
+    Only the left-translation orbit representatives (the column minima of
+    sigma, see ``shift_orbits``) get computed rows.  Every other row
+    follows from left translation, because for every group element x
+
+        C in (xA) o B  <=>  {y : y^-1 C in B} in xA
+                       <=>  {z : z^-1 (x^-1 C) in B} in A
+                       <=>  x^-1 C in A o B
+                       <=>  C in x(A o B),
+
+    the middle step substituting y = xz.  That is (xA) o B = x(A o B),
+    from the definition alone, so row sigma[x, r] is sigma[x] applied to
+    row r.
+
+    The product bitmaps of a block of representative rows are the rows'
+    membership matrix ("W in A", rows x 2^n) times the fibre matrix whose
+    cell (W, B) is the mask of candidates C >= 1 with witness W in B, one
     float32 GEMM per exact 16-bit limb of the mask.  Supported up to |G| =
     MAX_TABLE_GROUND; larger groups are refused before anything is
-    enumerated.  Every product is checked to land back in the enumerated
-    element set.
+    enumerated.  Every computed product is checked to land back in the
+    enumerated element set; translated ones do because sigma does.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
     systems = lambda_elements(g)
+    sigma = _translation_indices(g, systems)
+    reps = np.unique(sigma.min(axis=0))
     size = 1 << n
     bitmaps = [s.bitmap for s in systems]
     m = len(systems)
@@ -113,19 +130,29 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
         fibre[c >> 4, witness[c], cols] += np.float32(1 << (c & 15))
     subsets = np.arange(size, dtype=np.uint64)
 
+    # The representative rows come first and the table is filled after,
+    # both in small blocks: no temporary larger than a block is alive
+    # beside the full table, so the build's peak memory is the table's.
     sort_idx = np.argsort(b)
     sorted_b = b[sort_idx]
-    product = np.empty((m, m), dtype=np.int32)
-    for start in range(0, m, _ROW_CHUNK):
-        stop = min(start + _ROW_CHUNK, m)
-        member = ((b[start:stop, None] >> subsets) & one).astype(np.float32)
-        result = np.zeros((stop - start, m), dtype=np.uint64)
+    rep_rows = np.empty((len(reps), m), dtype=np.int32)
+    for start in range(0, len(reps), _ROW_CHUNK):
+        block = slice(start, start + _ROW_CHUNK)
+        rows = b[reps[block]]
+        member = ((rows[:, None] >> subsets) & one).astype(np.float32)
+        result = np.zeros((len(rows), m), dtype=np.uint64)
         for limb in range(limbs):
             result |= (member @ fibre[limb]).astype(np.uint64) << np.uint64(16 * limb)
         pos = np.searchsorted(sorted_b, result)
         if pos.max() >= m or not np.array_equal(sorted_b[pos], result):
             raise ConsistencyError("a product left the enumerated system space")
-        product[start:stop] = sort_idx[pos]
+        rep_rows[block] = sort_idx[pos]
+
+    product = np.empty((m, m), dtype=np.int32)
+    for start in range(0, len(reps), _ROW_CHUNK):
+        block = slice(start, start + _ROW_CHUNK)
+        for shift in sigma:
+            product[shift[reps[block]]] = shift[rep_rows[block]]
     return lambda_table(g, systems, product)
 
 
@@ -135,23 +162,32 @@ def principal_indices(g: FiniteGroup, systems: list[SetFamily]) -> list[int]:
     return [index[(1 << x,)] for x in g.elements()]
 
 
+def _translation_indices(g: FiniteGroup, systems: list[SetFamily]) -> np.ndarray:
+    """sigma[x, i], the index of x * systems[i] in the list.
+
+    Looked up from the ``shift_table`` images of each system's minimal
+    sets; a translate missing from the list raises ConsistencyError.
+    """
+    index = {s.minimal_sets: i for i, s in enumerate(systems)}
+    sigma = np.empty((g.order, len(systems)), dtype=np.int32)
+    for x, row in enumerate(shift_table(g).tolist()):
+        sigma[x] = [index.get(tuple(sorted(row[a] for a in s.minimal_sets)), -1) for s in systems]
+    if (sigma < 0).any():
+        raise ConsistencyError("translation left the system list")
+    return sigma
+
+
 def shift_orbits(
     g: FiniteGroup, systems: list[SetFamily]
 ) -> tuple[list[int], list[list[int]]]:
     """Orbits of the left-translation action on the given systems: (orbit_of, orbits).
 
-    sigma[x, i] is the index of x * systems[i], looked up from the
-    ``shift_table`` images of its minimal sets.  The orbit of i is column
-    i of sigma and its least member is its key, so orbits are sorted by
-    least element and each orbit lists its member indices ascending.
+    The orbit of i is column i of sigma (``_translation_indices``, the
+    same index map ``build_lambda_table`` translates its rows with) and
+    its least member is its key, so orbits are sorted by least element
+    and each orbit lists its member indices ascending.
     """
-    index = {s.minimal_sets: i for i, s in enumerate(systems)}
-    sigma = np.empty((g.order, len(systems)), dtype=np.intp)
-    for x, row in enumerate(shift_table(g).tolist()):
-        sigma[x] = [index.get(tuple(sorted(row[a] for a in s.minimal_sets)), -1) for s in systems]
-    if (sigma < 0).any():
-        raise ConsistencyError("translation left the system list")
-    keys, orbit_of = np.unique(sigma.min(axis=0), return_inverse=True)
+    keys, orbit_of = np.unique(_translation_indices(g, systems).min(axis=0), return_inverse=True)
     orbit_of = orbit_of.tolist()
     orbits: list[list[int]] = [[] for _ in keys]
     for i, o in enumerate(orbit_of):

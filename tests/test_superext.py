@@ -8,12 +8,14 @@ import random
 import numpy as np
 import pytest
 
+from superx import superext
 from superx.bitsets import mask_of
 from superx.c5 import c5_named_catalog, canonical_names
 from superx.cache import load_table, save_table
 from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
     enumerate_mls,
+    extend_to_mls,
     generate_family,
     is_invariant_mls,
     majority_family,
@@ -90,6 +92,29 @@ def test_circ_rectangular_on_invariant_systems():
                 assert circ(g, a, b) == b
 
 
+def _random_mls(g, rng):
+    """A maximal linked system grown from a few random pairwise-meeting sets."""
+    chosen = []
+    for _ in range(4):
+        s = rng.randrange(1, 1 << g.order)
+        if all(s & t for t in chosen):
+            chosen.append(s)
+    return extend_to_mls(generate_family(g.order, chosen))
+
+
+def test_left_translation_commutes_with_the_product():
+    """(xA) o B = x(A o B), the identity build_lambda_table fills its rows with."""
+    rng = random.Random(12)
+    for name in ("C7", "Q8", "D8"):
+        g = build_group(name)
+        for _ in range(3):
+            a, b = _random_mls(g, rng), _random_mls(g, rng)
+            assert a.is_maximal_linked() and b.is_maximal_linked()
+            ab = circ(g, a, b)
+            for x in g.elements():
+                assert circ(g, a.shift(g, x), b) == ab.shift(g, x), (name, x)
+
+
 def test_lambda_table_matches_scalar_circ_exhaustively():
     for name in SMALL:
         g = build_group(name)
@@ -140,6 +165,19 @@ def test_lambda_table_closure_and_mls_products():
         b = table.elements[rng.randrange(table.order)]
         prod = circ(g, a, b)
         assert prod.is_maximal_linked()
+
+
+def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
+    """A representative row whose product is missing from the list still raises."""
+    g = build_group("C4")
+    full = lambda_elements(g)
+    orbit_of, _ = shift_orbits(g, full)
+    kept = [s for i, s in enumerate(full) if orbit_of[i] != orbit_of[3]]
+    assert len(kept) == len(full) - 4
+    shift_orbits(g, kept)  # still closed under translation
+    monkeypatch.setattr(superext, "lambda_elements", lambda _g: kept)
+    with pytest.raises(ConsistencyError, match="a product left the enumerated system space"):
+        build_lambda_table(g)
 
 
 def test_lambda_table_capacity():
