@@ -64,7 +64,7 @@ def save_table(cache_dir: Path, g: FiniteGroup, table: SemigroupTable) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w+b") as fh:
+        with os.fdopen(fd, "w+b", buffering=0) as fh:  # a FileIO, so write_array uses tofile
             placeholder = _header(g.name, "0" * 64)
             fh.write(placeholder)
             np.lib.format.write_array(fh, table.product, allow_pickle=False)

@@ -133,7 +133,7 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
             "subgroup_orders": {labels[e]: maximal_subgroup_at(table, e).order for e in idem},
         }
         if g.order <= 5:
-            tr = transversal_subsemigroup_search(g, table)
+            tr = transversal_subsemigroup_search(table)
             payload["transversal"] = [labels[i] for i in tr] if tr is not None else None
     else:
         raise GroupParseError(f"unknown --what value {what!r}")

@@ -169,34 +169,22 @@ class SimClasses:
 
 
 def sim_classes(g: FiniteGroup) -> SimClasses:
+    """The ~ classes of the half-size self-linked sets, found by key.
+
+    Translation commutes with complement, x(G - A) = G - xA, so the class
+    of A is {xA} together with {x(G - A)}, and its least mask is a key.
+    """
     sets = enumerate_half_self_linked(g)
-    index = {m: i for i, m in enumerate(sets)}
-    parent = list(range(len(sets)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    full = g.full_mask
+    masks = np.array(sets, dtype=np.uint16)
+    comps = g.full_mask ^ masks
+    if not np.isin(comps, masks).all():
+        raise ConsistencyError("complement of a half-size self-linked set must be one too")
     shifts = shift_table(g)
-    for m in sets:
-        comp = full ^ m
-        if comp not in index:
-            raise ConsistencyError("complement of a half-size self-linked set must be one too")
-        for t in shifts[:, [m, comp]].ravel().tolist():
-            union(index[m], index[t])
+    keys = np.minimum(shifts[:, masks].min(axis=0), shifts[:, comps].min(axis=0)).tolist()
     groups: dict[int, list[int]] = {}
-    for i, m in enumerate(sets):
-        groups.setdefault(find(i), []).append(m)
-    classes = tuple(sorted(tuple(sorted(v)) for v in groups.values()))
-    return SimClasses(classes)
+    for key, m in zip(keys, sets):
+        groups.setdefault(key, []).append(m)
+    return SimClasses(tuple(sorted(tuple(v) for v in groups.values())))
 
 
 def _compatibility_graph(shifts: np.ndarray, vertices: list[int]) -> list[int]:

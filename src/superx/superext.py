@@ -14,6 +14,10 @@ fibre matrix.  Left translation by a group element commutes with the
 product, (xA) o B = x(A o B), so only one row per translation orbit is
 computed and resolved back to element indices by binary search; every
 other row is a translated copy of its orbit representative's row.
+
+The one-point systems delta_x are a copy of the group in the table and
+delta_x o A = xA, so the build's translation map sigma is the table's
+one-point rows; the table analyses read it there and take no group.
 """
 
 from __future__ import annotations
@@ -156,10 +160,10 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     return lambda_table(g, systems, product)
 
 
-def principal_indices(g: FiniteGroup, systems: list[SetFamily]) -> list[int]:
+def principal_indices(systems: list[SetFamily]) -> list[int]:
     """Indices of the one-point systems, in group-element order."""
     index = {s.minimal_sets: i for i, s in enumerate(systems)}
-    return [index[(1 << x,)] for x in g.elements()]
+    return [index[(1 << x,)] for x in range(systems[0].ground_size)]
 
 
 def _translation_indices(g: FiniteGroup, systems: list[SetFamily]) -> np.ndarray:
@@ -177,17 +181,14 @@ def _translation_indices(g: FiniteGroup, systems: list[SetFamily]) -> np.ndarray
     return sigma
 
 
-def shift_orbits(
-    g: FiniteGroup, systems: list[SetFamily]
-) -> tuple[list[int], list[list[int]]]:
-    """Orbits of the left-translation action on the given systems: (orbit_of, orbits).
+def _orbits(sigma: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """(orbit_of, orbits) of sigma, sigma[x, i] the index of x times element i.
 
-    The orbit of i is column i of sigma (``_translation_indices``, the
-    same index map ``build_lambda_table`` translates its rows with) and
-    its least member is its key, so orbits are sorted by least element
-    and each orbit lists its member indices ascending.
+    The orbit of i is column i of sigma and its least member is its key,
+    so orbits are sorted by least element and each orbit lists its member
+    indices ascending.
     """
-    keys, orbit_of = np.unique(_translation_indices(g, systems).min(axis=0), return_inverse=True)
+    keys, orbit_of = np.unique(sigma.min(axis=0), return_inverse=True)
     orbit_of = orbit_of.tolist()
     orbits: list[list[int]] = [[] for _ in keys]
     for i, o in enumerate(orbit_of):
@@ -195,38 +196,49 @@ def shift_orbits(
     return orbit_of, orbits
 
 
+def _table_orbits(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
+    """The orbits of a lambda table: delta_x o A = xA, so sigma is its one-point rows."""
+    return _orbits(table.product[principal_indices(table.elements)])
+
+
+def shift_orbits(g: FiniteGroup, systems: list[SetFamily]) -> tuple[list[int], list[list[int]]]:
+    """Left-translation orbits of a system list that has no table yet.
+
+    sigma comes from ``_translation_indices``, as in ``build_lambda_table``,
+    which writes it into the one-point rows the table analyses read.
+    """
+    return _orbits(_translation_indices(g, systems))
+
+
 @dataclass
 class OrbitQuotient:
-    """Orbit decomposition of a lambda table under the group action."""
+    """Orbit decomposition of a lambda table under left translation.
+
+    ``product`` is the quotient product on orbit ids, or None when the
+    one-point systems are not central and it is undefined.
+    """
 
     orbit_of: list[int]
     orbits: list[list[int]]
-    group_is_central: bool
     product: np.ndarray | None
 
     @property
     def orbit_count(self) -> int:
         return len(self.orbits)
 
-    @property
-    def orbit_reps(self) -> list[int]:
-        return [members[0] for members in self.orbits]
 
-
-def orbit_quotient(g: FiniteGroup, table: SemigroupTable) -> OrbitQuotient:
+def orbit_quotient(table: SemigroupTable) -> OrbitQuotient:
     """Quotient of a lambda table by the translation action.
 
     The quotient product is only defined when the one-point systems are
     central; it is then validated over all representative pairs.
     """
-    systems = table.elements
-    orbit_of, orbits = shift_orbits(g, systems)
     p = table.product
-    central = all(
-        np.array_equal(p[i, :], p[:, i]) for i in principal_indices(g, systems)
-    )
+    principal = principal_indices(table.elements)
+    sigma = p[principal]
+    orbit_of, orbits = _orbits(sigma)
     quotient = None
-    if central:
+    if np.array_equal(sigma, p[:, principal].T):
         oa = np.array(orbit_of, dtype=np.int32)
         reps = [members[0] for members in orbits]
         quotient = oa[p[np.ix_(reps, reps)]]
@@ -235,18 +247,17 @@ def orbit_quotient(g: FiniteGroup, table: SemigroupTable) -> OrbitQuotient:
             rows = slice(start, start + _ROW_CHUNK)
             if not np.array_equal(oa[p[rows]], quotient[oa[rows, None], oa]):
                 raise ConsistencyError("orbit product is not well-defined")
-    return OrbitQuotient(orbit_of, orbits, central, quotient)
+    return OrbitQuotient(orbit_of, orbits, quotient)
 
 
 def quotient_table(q: OrbitQuotient) -> SemigroupTable:
     if q.product is None:
         raise ConsistencyError("quotient product is not defined (group not central)")
-    return SemigroupTable(q.product, elements=q.orbit_reps, name="orbit-quotient")
+    reps = [members[0] for members in q.orbits]
+    return SemigroupTable(q.product, elements=reps, name="orbit-quotient")
 
 
-def transversal_subsemigroup_search(
-    g: FiniteGroup, table: SemigroupTable
-) -> list[int] | None:
+def transversal_subsemigroup_search(table: SemigroupTable) -> list[int] | None:
     """A subsemigroup meeting every orbit exactly once, or None.
 
     Depth-first over orbits in size order; each selection propagates
@@ -254,8 +265,7 @@ def transversal_subsemigroup_search(
     prune the branch.  Candidates are tried in ascending element order,
     so a found transversal is deterministic.
     """
-    systems = table.elements
-    orbit_of, orbits = shift_orbits(g, systems)
+    orbit_of, orbits = _table_orbits(table)
     p = table.product
     order = sorted(range(len(orbits)), key=lambda o: (len(orbits[o]), orbits[o][0]))
     chosen: dict[int, int] = {}
@@ -292,17 +302,15 @@ def transversal_subsemigroup_search(
 
     if search(0):
         picks = sorted(chosen.values())
-        if not is_transversal_subsemigroup(g, table, picks):
+        if not is_transversal_subsemigroup(table, picks):
             raise ConsistencyError("transversal search returned no transversal subsemigroup")
         return picks
     return None
 
 
-def is_transversal_subsemigroup(
-    g: FiniteGroup, table: SemigroupTable, picks: list[int]
-) -> bool:
+def is_transversal_subsemigroup(table: SemigroupTable, picks: list[int]) -> bool:
     """Check a candidate: closed under products, one element per orbit."""
-    orbit_of, orbits = shift_orbits(g, table.elements)
+    orbit_of, orbits = _table_orbits(table)
     if sorted(orbit_of[i] for i in picks) != list(range(len(orbits))):
         return False
     members = set(picks)

@@ -20,7 +20,7 @@ from .families import (
     generate_family,
     principal_ultrafilter,
 )
-from .groups import FiniteGroup, build_group
+from .groups import build_group
 from .invariants import (
     enumerate_invariant_mls,
     odd_equivalence_report,
@@ -130,7 +130,6 @@ def check_two_power_s() -> list[dict]:
 
 
 def check_c5_structure() -> list[dict]:
-    g = build_group("C5")
     table = _lambda_table("C5")
     labels = table.labels
     rows = [
@@ -157,7 +156,7 @@ def check_c5_structure() -> list[dict]:
             sorted({maximal_subgroup_at(table, e).order for e in idempotents(table)}),
         ),
         _row("lambda(C5) commutative", False, is_commutative(table)[0]),
-        _row("lambda(C5) transversal", None, transversal_subsemigroup_search(g, table)),
+        _row("lambda(C5) transversal", None, transversal_subsemigroup_search(table)),
     ]
     return rows
 
@@ -213,18 +212,18 @@ def check_t17_table() -> list[dict]:
     return rows
 
 
-def _unit_times_group_map(g: FiniteGroup, lam: SemigroupTable) -> list[int] | None:
+def _unit_times_group_map(lam: SemigroupTable) -> list[int] | None:
     """The map (C2+unit) x G -> lambda(G), (a, b) -> b o t_a, or None without a transversal.
 
     t = (f, h, u) lists a transversal subsemigroup T in the index order of
-    ``adjoin_identity(C2)``: u is the one-point system at the identity (the
+    ``adjoin_identity(C2)``: u is the one-point system at the identity 0 (the
     one-point member x of T has x o x = x, so it is u), f the idempotent of
     T - {u} and h the other element.  The one-point systems are central
     when G is abelian, so b o t_a is a left translate.
     """
-    principal = principal_indices(g, lam.elements)
-    u = principal[g.identity]
-    picks = transversal_subsemigroup_search(g, lam)
+    principal = principal_indices(lam.elements)
+    u = principal[0]
+    picks = transversal_subsemigroup_search(lam)
     if picks is None or len(picks) != 3 or u not in picks:
         return None
     # an idempotent first; is_isomorphism rejects the map if T - {u} has another shape
@@ -241,13 +240,13 @@ def isomorphism_maps() -> list[tuple[str, SemigroupTable, SemigroupTable, list[i
     """
     g3, lam3 = build_group("C3"), _lambda_table("C3")
     z = zero(lam3)
-    phi3 = None if z is None else principal_indices(g3, lam3.elements) + [z]
+    phi3 = None if z is None else principal_indices(lam3.elements) + [z]
     maps = [("lambda(C3) ~ C3+zero", adjoin_zero(from_group(g3)), lam3, phi3)]
     c2_unit = adjoin_identity(from_group(build_group("C2")))
     for name in ("C4", "C2xC2"):
-        g, lam = build_group(name), _lambda_table(name)
-        model = direct_product(c2_unit, from_group(g))
-        maps.append((f"lambda({name}) ~ (C2+unit)x{name}", model, lam, _unit_times_group_map(g, lam)))
+        lam = _lambda_table(name)
+        model = direct_product(c2_unit, from_group(build_group(name)))
+        maps.append((f"lambda({name}) ~ (C2+unit)x{name}", model, lam, _unit_times_group_map(lam)))
     return maps
 
 
@@ -355,12 +354,11 @@ def check_property_samples() -> list[dict]:
 def check_order6_tables() -> list[dict]:
     """The expensive block: Cayley tables on six-point grounds."""
     rows = []
-    g6 = build_group("C6")
     t6 = _lambda_table("C6")
     rows.append(_row("lambda(C6) table order", ref.LAMBDA_COUNTS[6], t6.order))
     rows.append(_row("lambda(C6) right zeros", [], right_zeros(t6)))
     rows.append(_row("lambda(C6) left zeros", [], left_zeros(t6)))
-    q = orbit_quotient(g6, t6)
+    q = orbit_quotient(t6)
     rows.append(_row("lambda(C6) orbit count", ref.LAMBDA_ORBIT_COUNTS[6], q.orbit_count))
     rows.append(_row("lambda(C6) quotient defined", True, q.product is not None))
     rows.append(_row("assoc samples lambda(C6)", True, sampled_associative(t6.product, random.Random(664))))

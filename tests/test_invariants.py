@@ -275,7 +275,7 @@ def test_c8_three_documented_class_representatives():
 
 
 def test_sim_relation_is_an_equivalence():
-    for name in ("C6", "C8", "C2xC4", "D8", "Q8"):
+    for name in ("C6", "C8", "C2xC4", "D8", "Q8", "C10", "D10"):
         g = build_group(name)
         sets = enumerate_half_self_linked(g)
         full = g.full_mask

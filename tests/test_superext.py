@@ -223,7 +223,7 @@ def test_principal_indices_embed_group():
     for name in SMALL:
         g = build_group(name)
         table = build_lambda_table(g)
-        idx = principal_indices(g, table.elements)
+        idx = principal_indices(table.elements)
         for x in g.elements():
             for y in g.elements():
                 assert int(table.product[idx[x], idx[y]]) == idx[g.mul[x][y]]
@@ -261,6 +261,21 @@ def test_shift_orbits_pinned():
         assert hashlib.sha256(got.encode()).hexdigest() == want, name
 
 
+def test_one_point_rows_are_the_translations(lam_table, tmp_path):
+    """The one-point rows of a built or loaded table are sigma, so its orbits are the pinned ones."""
+    tables = [(build_group(name), lam_table(name)) for name in SHIFT_ORBIT_DIGESTS]
+    g5 = build_group("C5")
+    save_table(tmp_path, g5, lam_table("C5"))
+    loaded = load_table(tmp_path, g5)
+    assert loaded is not None
+    tables.append((g5, loaded))
+    for g, table in tables:
+        sigma = superext._translation_indices(g, table.elements)
+        assert np.array_equal(table.product[principal_indices(table.elements)], sigma), g.name
+        q = orbit_quotient(table)
+        assert (q.orbit_of, q.orbits) == shift_orbits(g, table.elements), g.name
+
+
 def test_shift_orbits_rejects_a_list_not_closed_under_translation():
     g = build_group("C4")
     systems = lambda_elements(g)
@@ -272,9 +287,10 @@ def test_shift_orbits_rejects_a_list_not_closed_under_translation():
 def test_orbit_quotient_c5():
     g = build_group("C5")
     table = build_lambda_table(g)
-    q = orbit_quotient(g, table)
+    q = orbit_quotient(table)
     assert q.orbit_count == 17
-    assert q.group_is_central
+    p = table.product
+    assert all(np.array_equal(p[i], p[:, i]) for i in principal_indices(table.elements))
     assert q.product is not None
     qt = quotient_table(q)  # construction re-checks associativity
     assert qt.order == 17
@@ -288,20 +304,20 @@ def test_orbit_quotient_rejects_a_cell_crossing_orbits(lam_table):
     table = copy.copy(lam_table("C5"))
     table.product = table.product.copy()
     orbit_of, orbits = shift_orbits(g, table.elements)
-    principals = set(principal_indices(g, table.elements))
+    principals = set(principal_indices(table.elements))
     # a non-representative cell between two free orbits without one-point systems
     free = [o for o in orbits if len(o) == 5 and not principals & set(o)]
     a, b = free[0][1], free[1][2]
     moved = next(i for i in range(table.order) if orbit_of[i] != orbit_of[int(table.product[a, b])])
     table.product[a, b] = moved
     with pytest.raises(ConsistencyError):
-        orbit_quotient(g, table)
+        orbit_quotient(table)
 
 
 def test_orbit_quotient_c6_matches_per_pair(lam_table):
     g = build_group("C6")
     table = lam_table("C6")
-    q = orbit_quotient(g, table)
+    q = orbit_quotient(table)
     assert q.orbit_count == 447
     p = table.product
     rng = random.Random(447)
@@ -312,8 +328,7 @@ def test_orbit_quotient_c6_matches_per_pair(lam_table):
 
 
 def test_orbit_quotient_c1():
-    g = build_group("C1")
-    q = orbit_quotient(g, build_lambda_table(g))
+    q = orbit_quotient(build_lambda_table(build_group("C1")))
     assert q.orbit_count == 1
 
 
@@ -321,8 +336,10 @@ def test_orbit_quotient_noncentral_group_has_no_product(lam_table):
     # one-point systems over a nonabelian group are not central, so the
     # quotient product must be marked absent while orbits still count
     g = build_group("D6")
-    q = orbit_quotient(g, lam_table("D6"))
-    assert not q.group_is_central
+    table = lam_table("D6")
+    q = orbit_quotient(table)
+    p = table.product
+    assert not all(np.array_equal(p[i], p[:, i]) for i in principal_indices(table.elements))
     assert q.product is None
     # independent orbit count: group systems by their full shift orbits
     systems = lam_table("D6").elements
@@ -360,9 +377,9 @@ def test_right_zero_systems_against_table(lam_table):
 def test_transversal_search_c4():
     g = build_group("C4")
     table = build_lambda_table(g)
-    found = transversal_subsemigroup_search(g, table)
+    found = transversal_subsemigroup_search(table)
     assert found is not None
-    assert is_transversal_subsemigroup(g, table, found)
+    assert is_transversal_subsemigroup(table, found)
     # the documented transversal {1, triangle, square} is itself valid
     index = {s.minimal_sets: i for i, s in enumerate(table.elements)}
     one = index[(1,)]
@@ -373,15 +390,13 @@ def test_transversal_search_c4():
             [mask_of([0, 1]), mask_of([0, 3]), mask_of([0, 2]), mask_of([1, 2, 3])],
         ).minimal_sets
     ]
-    assert is_transversal_subsemigroup(g, table, [one, triangle, square])
+    assert is_transversal_subsemigroup(table, [one, triangle, square])
 
 
 def test_transversal_search_c5_absent():
-    g = build_group("C5")
-    assert transversal_subsemigroup_search(g, build_lambda_table(g)) is None
+    assert transversal_subsemigroup_search(build_lambda_table(build_group("C5"))) is None
 
 
 def test_transversal_search_c1_whole():
-    g = build_group("C1")
-    table = build_lambda_table(g)
-    assert transversal_subsemigroup_search(g, table) == [0]
+    table = build_lambda_table(build_group("C1"))
+    assert transversal_subsemigroup_search(table) == [0]
