@@ -14,7 +14,10 @@ elsewhere test the predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
+
+import numpy as np
 
 from .bitsets import (
     iter_bits,
@@ -27,6 +30,8 @@ from .errors import CapacityError, ConsistencyError
 from .groups import FiniteGroup, shift_table
 
 MAX_ENUM_GROUND = 7
+MAX_TABLE_GROUND = 6
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,14 @@ class SetFamily:
         for i in range(1, len(sets)):
             if sets[i] <= sets[i - 1]:
                 raise ConsistencyError("minimal sets must be strictly ascending")
-        for i, a in enumerate(sets):
-            for b in sets[i + 1 :]:
-                if a & b == a or a & b == b:
-                    raise ConsistencyError("minimal sets must form an antichain")
+        # Ascending order leaves a subset a of b before b, so the antichain
+        # fails iff some set has a strict superset among the sets.
+        sup = superset_closures(n)
+        packed = 0
+        for s in sets:
+            packed |= 1 << s
+        if any((sup[s] ^ (1 << s)) & packed for s in sets):
+            raise ConsistencyError("minimal sets must form an antichain")
 
     def contains(self, mask: int) -> bool:
         """True iff mask is a member, i.e. contains some minimal set."""
@@ -158,17 +167,43 @@ def is_invariant_mls(g: FiniteGroup, system: SetFamily) -> bool:
 def enumerate_mls(ground_size: int, *, allow_large: bool = False) -> list[SetFamily]:
     """All maximal linked systems on {0..n-1} in canonical order.
 
-    Backtracks over complementary subset pairs: a maximal linked system
-    contains exactly one of A and its complement, and membership must be
-    upward closed.  Deciding a pair propagates both closures, so dead
-    branches are cut early.  Results are sorted lexicographically by
-    their minimal-set tuples, independent of search order.
+    Results are sorted lexicographically by their minimal-set tuples,
+    independent of search order.  The systems of a ground size up to
+    MAX_TABLE_GROUND are enumerated once per process and shared: each
+    call returns a fresh list over the same immutable values.  Ground
+    size 7 (1.4 M systems) is enumerated afresh on every call and never
+    kept.
     """
     n = ground_size
     if not 1 <= n <= MAX_ENUM_GROUND:
         raise CapacityError(f"enumeration supports ground sizes 1..{MAX_ENUM_GROUND}")
     if n == 7 and not allow_large:
         raise CapacityError("ground size 7 is gated behind allow_large")
+    if n <= MAX_TABLE_GROUND:
+        return list(_shared_systems(n))
+    return _systems(n)
+
+
+@lru_cache(maxsize=None)
+def _shared_systems(n: int) -> tuple[SetFamily, ...]:
+    return tuple(_systems(n))
+
+
+def _systems(n: int) -> list[SetFamily]:
+    """The walk's systems, their minimal sets read off the bitmaps in one pass, sorted."""
+    families = [SetFamily(n, sets) for sets in _minimal_sets(_words_of(_walk(n), n), n)]
+    families.sort(key=lambda f: f.minimal_sets)
+    return families
+
+
+def _walk(n: int) -> list[int]:
+    """The membership bitmaps of every maximal linked system on n points.
+
+    Backtracks over complementary subset pairs: a maximal linked system
+    contains exactly one of A and its complement, and membership must be
+    upward closed.  Deciding a pair propagates both closures, so dead
+    branches are cut early.
+    """
     size = 1 << n
     full = size - 1
     sup = superset_closures(n)
@@ -195,9 +230,57 @@ def enumerate_mls(ground_size: int, *, allow_large: bool = False) -> list[SetFam
             walk(i + 1, in_c, out_c)
 
     walk(0, sup[full], 1)
-    families = [family_from_bitmap(n, bm) for bm in bitmaps]
-    families.sort(key=lambda f: f.minimal_sets)
-    return families
+    return bitmaps
+
+
+def _words_of(bitmaps, n: int) -> np.ndarray:
+    """Python-int family bitmaps over n points in the layout of ``system_words``."""
+    width = max(1, (1 << n) >> 6)
+    packed = b"".join(bm.to_bytes(8 * width, "little") for bm in bitmaps)
+    return np.frombuffer(packed, dtype="<u8").reshape(-1, width).astype(np.uint64)
+
+
+def system_words(systems: list[SetFamily]) -> np.ndarray:
+    """The membership bitmaps of a system list, in its order, as an (m, W) uint64 array.
+
+    Word w holds subsets 64w..64w+63; W is 1 up to n = 6 and 2 for n = 7.
+    A bitmap is the union of its minimal sets' superset closures, taken
+    _BLOCK_ROWS systems at a time.
+    """
+    n = systems[0].ground_size
+    closures = _words_of(superset_closures(n), n)
+    words = np.empty((len(systems), closures.shape[1]), dtype=np.uint64)
+    for start in range(0, len(systems), _BLOCK_ROWS):
+        block = systems[start : start + _BLOCK_ROWS]
+        sizes = [len(s.minimal_sets) for s in block]
+        sets = np.fromiter(chain.from_iterable(s.minimal_sets for s in block), dtype=np.intp, count=sum(sizes))
+        words[start : start + len(block)] = np.bitwise_or.reduceat(closures[sets], np.cumsum([0] + sizes[:-1]), axis=0)
+    return words
+
+
+def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """The minimal sets of each monotone family in a word array, ascending.
+
+    A member s is minimal iff s minus any one of its points is not a
+    member; for point b that set sits 2^b bits below s, in the same word
+    for b < 6 and one word lower for b = 6.  The bits are unpacked
+    _BLOCK_ROWS rows at a time, so n = 7 never holds an (m, 128) matrix.
+    """
+    below = np.zeros_like(words)
+    for b in range(min(n, 6)):
+        holds_b = np.uint64(sum(1 << s for s in range(64) if s >> b & 1))
+        below |= (words << np.uint64(1 << b)) & holds_b
+    if n == 7:
+        below[:, 1] |= words[:, 0]
+    minimal = words & ~below
+    out: list[tuple[int, ...]] = []
+    for start in range(0, len(minimal), _BLOCK_ROWS):
+        block = np.ascontiguousarray(minimal[start : start + _BLOCK_ROWS], dtype="<u8")
+        rows, cols = np.nonzero(np.unpackbits(block.view(np.uint8), axis=1, bitorder="little"))
+        ends = np.cumsum(np.bincount(rows, minlength=len(block))).tolist()
+        cols = cols.tolist()
+        out.extend(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    return out
 
 
 def extend_to_mls(family: SetFamily) -> SetFamily:

@@ -67,13 +67,14 @@ class SemigroupTable:
 
 
 def sampled_associative(p: np.ndarray, rng: random.Random) -> bool:
-    """(ab)c == a(bc) on ASSOC_SAMPLES triples drawn from rng, stopping at a failure."""
-    n = p.shape[0]
-    for _ in range(ASSOC_SAMPLES):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if p[p[a, b], c] != p[a, p[b, c]]:
-            return False
-    return True
+    """(ab)c == a(bc) on ASSOC_SAMPLES triples drawn from rng, checked in one gather.
+
+    Each index is one 64-bit draw reduced mod the order, uniform up to a
+    bias below order / 2^64.
+    """
+    draws = np.frombuffer(rng.randbytes(24 * ASSOC_SAMPLES), dtype="<u8") % np.uint64(p.shape[0])
+    a, b, c = draws.astype(np.intp).reshape(3, ASSOC_SAMPLES)
+    return bool(np.array_equal(p[p[a, b], c], p[a, p[b, c]]))
 
 
 def from_group(g: FiniteGroup) -> SemigroupTable:
@@ -189,22 +190,32 @@ def subtable(t: SemigroupTable, indices) -> SemigroupTable:
     )
 
 
-def local_monoid(t: SemigroupTable, e: int) -> list[int]:
-    """The set e*S*e, which is a monoid with identity e."""
-    p = t.product
-    return sorted(int(v) for v in np.unique(p[p[e, :], e]))
-
-
 def maximal_subgroup_at(t: SemigroupTable, e: int) -> SemigroupTable:
-    """The group of invertible elements of the local monoid at idempotent e."""
+    """The maximal subgroup H_e: the invertible elements of the local monoid eSe.
+
+    u is in H_e iff eu = u = ue and u^w = e, where u^w is the one
+    idempotent power of u.  If so, u is in eSe and u^k = e for some k, so
+    u^(k-1) (e when k = 1) is an inverse of u in eSe.  Conversely the powers
+    of a unit u stay in the group H_e, whose only idempotent is e.
+
+    u^(2^L) with 2^L >= |S| lies past the index of u, in the cyclic group
+    of its eventual powers; multiplying it by itself reaches that group's
+    identity, which is u^w.
+    """
     p = t.product
     if p[e, e] != e:
         raise ConsistencyError(f"element {e} is not idempotent")
-    monoid = np.array(local_monoid(t, e), dtype=np.int32)
-    block = p[np.ix_(monoid, monoid)]
-    invertible = (block == e) & (block.T == e)
-    units = [int(monoid[i]) for i in np.flatnonzero(invertible.any(axis=1))]
-    return subtable(t, units)
+    ids = np.arange(t.order)
+    power = ids
+    for _ in range((t.order - 1).bit_length()):
+        power = p[power, power]
+    omega = power.copy()
+    pending = np.flatnonzero(p[omega, omega] != omega)
+    while pending.size:
+        omega[pending] = p[omega[pending], power[pending]]
+        pending = pending[p[omega[pending], omega[pending]] != omega[pending]]
+    units = (p[e] == ids) & (p[:, e] == ids) & (omega == e)
+    return subtable(t, np.flatnonzero(units).tolist())
 
 
 def adjoin_zero(t: SemigroupTable) -> SemigroupTable:

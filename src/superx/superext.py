@@ -12,8 +12,10 @@ the union over W in A of the fibre {C : witness_B(C) = W}, each row of
 product bitmaps is one matrix product of A's 0/1 membership row with the
 fibre matrix.  Left translation by a group element commutes with the
 product, (xA) o B = x(A o B), so only one row per translation orbit is
-computed and resolved back to element indices by binary search; every
-other row is a translated copy of its orbit representative's row.
+computed; every other row is a translated copy of its orbit
+representative's row.  Product bitmaps and translated bitmaps are
+resolved back to element indices through one hash table over the system
+bitmaps, built once per system list.
 
 The one-point systems delta_x are a copy of the group in the table and
 delta_x o A = xA, so the build's translation map sigma is the table's
@@ -28,13 +30,13 @@ import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import SetFamily, enumerate_mls, family_from_bitmap
+from .families import MAX_TABLE_GROUND, SetFamily, enumerate_mls, family_from_bitmap, system_words
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
-MAX_TABLE_GROUND = 6
 _ROW_CHUNK = 64
 _BITMAP_GROUND_LIMIT = 10
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 over the golden ratio
 
 
 def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
@@ -98,19 +100,21 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     cell (W, B) is the mask of candidates C >= 1 with witness W in B, one
     float32 GEMM per exact 16-bit limb of the mask.  Supported up to |G| =
     MAX_TABLE_GROUND; larger groups are refused before anything is
-    enumerated.  Every computed product is checked to land back in the
-    enumerated element set; translated ones do because sigma does.
+    enumerated.  Product bitmaps are resolved to element indices by the
+    ``_BitmapIndex`` hash table, which also resolves sigma; every computed
+    product is checked to land back in the enumerated element set, and
+    translated ones do because sigma does.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
     systems = lambda_elements(g)
-    sigma = _translation_indices(g, systems)
+    index = _BitmapIndex(system_words(systems))
+    sigma = _translation_indices(g, index)
     reps = np.unique(sigma.min(axis=0))
     size = 1 << n
-    bitmaps = [s.bitmap for s in systems]
     m = len(systems)
-    b = np.array(bitmaps, dtype=np.uint64)
+    b = index.words[:, 0]
     tabs = shift_table(g)[list(g.inv)].tolist()  # tabs[x][c] = x^-1 c
     one = np.uint64(1)
 
@@ -137,8 +141,6 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     # The representative rows come first and the table is filled after,
     # both in small blocks: no temporary larger than a block is alive
     # beside the full table, so the build's peak memory is the table's.
-    sort_idx = np.argsort(b)
-    sorted_b = b[sort_idx]
     rep_rows = np.empty((len(reps), m), dtype=np.int32)
     for start in range(0, len(reps), _ROW_CHUNK):
         block = slice(start, start + _ROW_CHUNK)
@@ -147,11 +149,12 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
         result = np.zeros((len(rows), m), dtype=np.uint64)
         for limb in range(limbs):
             result |= (member @ fibre[limb]).astype(np.uint64) << np.uint64(16 * limb)
-        pos = np.searchsorted(sorted_b, result)
-        if pos.max() >= m or not np.array_equal(sorted_b[pos], result):
+        found = index.find(result.reshape(-1, 1))
+        if (found < 0).any():
             raise ConsistencyError("a product left the enumerated system space")
-        rep_rows[block] = sort_idx[pos]
+        rep_rows[block] = found.reshape(len(rows), m)
 
+    del witness, fibre  # only the representative rows live on beside the table
     product = np.empty((m, m), dtype=np.int32)
     for start in range(0, len(reps), _ROW_CHUNK):
         block = slice(start, start + _ROW_CHUNK)
@@ -160,22 +163,86 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     return lambda_table(g, systems, product)
 
 
+class _BitmapIndex:
+    """Open-addressing hash table from system bitmaps to their list indices.
+
+    ``words`` is the (m, W) uint64 bitmap array of a system list.  The
+    table has 2^k int32 slots, 2^k >= 8m, with -1 for an empty slot, and
+    probes linearly from a multiply-shift hash (the words folded by
+    xor-then-multiply).  Inserts and queries run in vectorised rounds of
+    one probe step; a query takes at most as many rounds as the longest
+    insert, and an index is returned only for equal words, so a bitmap
+    that is not in the list, the empty family 0 included, gets -1.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+        self.bits = (8 * len(words) - 1).bit_length()
+        self.slots = np.full(1 << self.bits, -1, dtype=np.int32)
+        self.rounds = 0
+        keys = np.arange(len(words), dtype=np.int32)
+        slot = self._hash(words)
+        while keys.size:
+            self.rounds += 1
+            free = np.flatnonzero(self.slots[slot] < 0)
+            # the first pending key aimed at each free slot takes it
+            taken, first = np.unique(slot[free], return_index=True)
+            self.slots[taken] = keys[free[first]]
+            left = np.ones(keys.size, dtype=bool)
+            left[free[first]] = False
+            keys, slot = keys[left], (slot[left] + 1) & (len(self.slots) - 1)
+
+    def _hash(self, words: np.ndarray) -> np.ndarray:
+        h = words[:, 0] * _HASH_MULTIPLIER
+        for w in range(1, words.shape[1]):
+            h ^= words[:, w]
+            h *= _HASH_MULTIPLIER
+        h >>= np.uint64(64 - self.bits)
+        return h.view(np.int64)
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """The list index of each (q, W) query bitmap, -1 where it is absent.
+
+        A probe reads one slot: an empty slot (-1) ends it, a slot holding
+        other words sends the query on to the next slot.
+        """
+        slot = self._hash(queries)
+        found = self.slots[slot]
+        todo = np.flatnonzero(self._elsewhere(found, queries))
+        slot = slot[todo]
+        for _ in range(self.rounds - 1):
+            slot = (slot + 1) & (len(self.slots) - 1)
+            found[todo] = idx = self.slots[slot]
+            moving = self._elsewhere(idx, queries[todo])
+            todo, slot = todo[moving], slot[moving]
+        found[todo] = -1  # probed past the longest insert: absent
+        return found
+
+    def _elsewhere(self, idx: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """True where slot index idx holds a system whose words differ from the query."""
+        return (idx >= 0) & (self.words[idx] != queries).any(axis=1)  # idx -1 reads the last row; masked
+
+
 def principal_indices(systems: list[SetFamily]) -> list[int]:
     """Indices of the one-point systems, in group-element order."""
     index = {s.minimal_sets: i for i, s in enumerate(systems)}
     return [index[(1 << x,)] for x in range(systems[0].ground_size)]
 
 
-def _translation_indices(g: FiniteGroup, systems: list[SetFamily]) -> np.ndarray:
-    """sigma[x, i], the index of x * systems[i] in the list.
+def _translation_indices(g: FiniteGroup, index: _BitmapIndex) -> np.ndarray:
+    """sigma[x, i], the index of x * systems[i] in the indexed list.
 
-    Looked up from the ``shift_table`` images of each system's minimal
-    sets; a translate missing from the list raises ConsistencyError.
+    xA holds xC for every C in A, so its bitmap is A's with bit c moved
+    to bit ``shift_table(g)[x, c]``; a translate missing from the list
+    raises ConsistencyError.
     """
-    index = {s.minimal_sets: i for i, s in enumerate(systems)}
-    sigma = np.empty((g.order, len(systems)), dtype=np.int32)
-    for x, row in enumerate(shift_table(g).tolist()):
-        sigma[x] = [index.get(tuple(sorted(row[a] for a in s.minimal_sets)), -1) for s in systems]
+    words = index.words
+    sigma = np.empty((g.order, len(words)), dtype=np.int32)
+    for x, target in enumerate(shift_table(g).tolist()):
+        moved = np.zeros_like(words)
+        for c, d in enumerate(target):
+            moved[:, d >> 6] |= ((words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)) << np.uint64(d & 63)
+        sigma[x] = index.find(moved)
     if (sigma < 0).any():
         raise ConsistencyError("translation left the system list")
     return sigma
@@ -207,7 +274,7 @@ def shift_orbits(g: FiniteGroup, systems: list[SetFamily]) -> tuple[list[int], l
     sigma comes from ``_translation_indices``, as in ``build_lambda_table``,
     which writes it into the one-point rows the table analyses read.
     """
-    return _orbits(_translation_indices(g, systems))
+    return _orbits(_translation_indices(g, _BitmapIndex(system_words(systems))))
 
 
 @dataclass

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from superx.errors import CapacityError
 
 ISO_ORDER_LIMIT = 16
@@ -85,6 +87,24 @@ def oracle_element_order(mul, x):
 
 def oracle_translate(mul, x, mask):
     return sum(1 << mul[x][a] for a in bits_of(mask))
+
+
+def oracle_translation_indices(g, systems):
+    """sigma[x][i], the list index of x * systems[i], through a dict of minimal-set tuples."""
+    index = {s.minimal_sets: i for i, s in enumerate(systems)}
+    return [[index[s.shift(g, x).minimal_sets] for s in systems] for x in g.elements()]
+
+
+def oracle_maximal_subgroup(product, e):
+    """The units of the local monoid eSe, from the whole eSe block.
+
+    u is a unit iff uv = e = vu for some v in eSe.  product is a numpy
+    table; the block is gathered whole, which is cheap enough up to a few
+    thousand elements.
+    """
+    monoid = np.unique(product[product[e], e])
+    block = product[np.ix_(monoid, monoid)]
+    return [int(u) for i, u in enumerate(monoid) if ((block[i] == e) & (block[:, i] == e)).any()]
 
 
 def oracle_shift_closed_maximal_linked_families(g):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from superx.bitsets import mask_of, subsets_of_size
+from superx import families, verify
+from superx.bitsets import mask_of, subsets_of_size, superset_closures
 from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
     SetFamily,
@@ -16,6 +18,7 @@ from superx.families import (
     is_invariant_mls,
     majority_family,
     principal_ultrafilter,
+    system_words,
 )
 from superx.groups import build_group
 from oracles import oracle_all_mls, oracle_hitting_family
@@ -169,6 +172,49 @@ def test_serialized_mls_digest_pinned():
     for n, want in SERIALIZED_MLS_SHA256.items():
         text = "\n".join(s.serialize() for s in enumerate_mls(n))
         assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_enumerate_mls_returns_a_fresh_list_each_call():
+    first = enumerate_mls(4)
+    first.reverse()
+    first.pop()
+    assert [s.minimal_sets for s in enumerate_mls(4)] == oracle_all_mls(4)
+
+
+def test_enumerate_mls_walks_ground_seven_on_every_call(monkeypatch):
+    walked = []
+    one_point = [superset_closures(7)[1 << x] for x in range(7)]
+    monkeypatch.setattr(families, "_walk", lambda n: walked.append(n) or list(one_point))
+    for _ in range(2):
+        assert [s.minimal_sets for s in enumerate_mls(7, allow_large=True)] == [(1 << x,) for x in range(7)]
+    assert walked == [7, 7]
+
+
+def test_verify_all_walks_each_ground_size_once(monkeypatch):
+    walked = Counter()
+    walk = families._walk
+    monkeypatch.setattr(families, "_walk", lambda n: walked.update([n]) or walk(n))
+    families._shared_systems.cache_clear()
+    verify._lambda_table.cache_clear()
+    verify.run_verification("all")
+    assert walked == {n: 1 for n in range(1, 7)}
+
+
+def test_system_words_are_the_bitmaps():
+    """system_words packs each bitmap, and the enumerator's minimal-set pass reads the sets back."""
+    for n in range(1, 7):
+        systems = enumerate_mls(n)
+        assert [int(w) for w in system_words(systems)[:, 0]] == [s.bitmap for s in systems]
+    c7 = build_group("C7")
+    seven = [
+        generate_family(7, [0b1000001, 0b0111110]),
+        principal_ultrafilter(c7, 6),
+        majority_family(c7),
+        extend_to_mls(_family(7, [0, 1], [1, 6], [0, 6])),
+    ]
+    words = system_words(seven)
+    assert [int(lo) | int(hi) << 64 for lo, hi in words] == [s.bitmap for s in seven]
+    assert families._minimal_sets(words, 7) == [s.minimal_sets for s in seven]
 
 
 def test_enumerate_mls_capacity():

@@ -32,6 +32,7 @@ from oracles import (
     find_isomorphism,
     oracle_central_elements,
     oracle_direct_product,
+    oracle_maximal_subgroup,
     oracle_left_zeros,
     oracle_minimal_ideal,
     oracle_right_zeros,
@@ -59,11 +60,10 @@ def test_sampled_associativity_above_the_exhaustive_limit():
     with pytest.raises(ConsistencyError):
         SemigroupTable(skew)
     assert not sampled_associative(skew, random.Random(0))
-    # on success the check draws exactly three indices per sample, in order
+    # the check draws exactly one 64-bit word per index, three per sample
     rng, ref = random.Random(7), random.Random(7)
     assert sampled_associative(cyclic, rng)
-    for _ in range(3 * 10_000):
-        ref.randrange(n)
+    ref.randbytes(8 * 3 * 10_000)
     assert rng.random() == ref.random()
 
 
@@ -223,6 +223,15 @@ def test_maximal_subgroups(lam_table):
     assert find_isomorphism(grp, direct_product(from_group(build_group("C2")), from_group(build_group("C4")))) is not None
     with pytest.raises(ConsistencyError):
         maximal_subgroup_at(t5, [i for i in range(81) if i not in idempotents(t5)][0])
+
+
+def test_maximal_subgroups_match_the_block_oracle(lam_table):
+    """The idempotent-power test finds the same units as the whole eSe block, at every idempotent."""
+    for name in ("C4", "C2xC2", "C5", "C6", "D6"):
+        t = lam_table(name)
+        for e in idempotents(t):
+            want = [t.label(u) for u in oracle_maximal_subgroup(t.product, e)]
+            assert maximal_subgroup_at(t, e).labels == want, (name, e)
 
 
 def test_central_elements(lam_table):

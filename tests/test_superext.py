@@ -20,6 +20,7 @@ from superx.families import (
     is_invariant_mls,
     majority_family,
     principal_ultrafilter,
+    system_words,
 )
 from superx.groups import build_group
 from superx.invariants import enumerate_invariant_mls
@@ -35,7 +36,7 @@ from superx.superext import (
     shift_orbits,
     transversal_subsemigroup_search,
 )
-from oracles import find_isomorphism
+from oracles import find_isomorphism, oracle_translation_indices
 
 SMALL = ("C1", "C2", "C3", "C4", "C2xC2", "C5")
 
@@ -180,6 +181,40 @@ def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
         build_lambda_table(g)
 
 
+def _sigma(g, systems):
+    return superext._translation_indices(g, superext._BitmapIndex(system_words(systems)))
+
+
+def test_bitmap_index_returns_only_equal_keys():
+    """An absent bitmap, the empty family 0 included, finds -1 even where its slot is taken."""
+    inverse = pow(int(superext._HASH_MULTIPLIER), -1, 1 << 64)  # hashes to slot 0, like 0 does
+    words = np.array([[inverse], [5], [7]], dtype=np.uint64)
+    index = superext._BitmapIndex(words)
+    assert index.slots[0] == 0
+    assert index.find(words).tolist() == [0, 1, 2]
+    assert index.find(np.array([[0], [6]], dtype=np.uint64)).tolist() == [-1, -1]
+    systems = lambda_elements(build_group("C4"))
+    assert superext._BitmapIndex(system_words(systems[1:])).find(system_words(systems[:1])).tolist() == [-1]
+
+
+def test_translation_indices_match_the_shift_oracle(lam_table):
+    for name in SHIFT_ORBIT_DIGESTS:
+        g = build_group(name)
+        systems = lam_table(name).elements
+        assert _sigma(g, systems).tolist() == oracle_translation_indices(g, systems), name
+
+
+def test_translation_indices_on_seven_points():
+    """Two-word bitmaps: a translation-closed list of a few 7-point systems, not the full enumeration."""
+    g = build_group("C7")
+    triangles = ([0, 1], [0, 2], [1, 2]), ([0, 1], [1, 3], [0, 3])
+    seeds = [extend_to_mls(generate_family(7, [mask_of(p) for p in t])) for t in triangles]
+    seeds.append(majority_family(g))
+    systems = sorted({s.shift(g, x) for s in seeds for x in g.elements()}, key=lambda s: s.minimal_sets)
+    assert len(systems) == 15
+    assert _sigma(g, systems).tolist() == oracle_translation_indices(g, systems)
+
+
 def test_lambda_table_capacity():
     with pytest.raises(CapacityError):
         build_lambda_table(build_group("Q8"))
@@ -270,7 +305,7 @@ def test_one_point_rows_are_the_translations(lam_table, tmp_path):
     assert loaded is not None
     tables.append((g5, loaded))
     for g, table in tables:
-        sigma = superext._translation_indices(g, table.elements)
+        sigma = _sigma(g, table.elements)
         assert np.array_equal(table.product[principal_indices(table.elements)], sigma), g.name
         q = orbit_quotient(table)
         assert (q.orbit_of, q.orbits) == shift_orbits(g, table.elements), g.name
