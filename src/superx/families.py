@@ -263,15 +263,18 @@ def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
 
     A member s is minimal iff s minus any one of its points is not a
     member; for point b that set sits 2^b bits below s, in the same word
-    for b < 6 and one word lower for b = 6.  The bits are unpacked
-    _BLOCK_ROWS rows at a time, so n = 7 never holds an (m, 128) matrix.
+    for b < 6, and for b >= 6 in word j - 2^(b-6) for every word j with
+    bit b - 6 set.  The bits are unpacked _BLOCK_ROWS rows at a time, so
+    n = 7 never holds an (m, 128) matrix.
     """
     below = np.zeros_like(words)
     for b in range(min(n, 6)):
         holds_b = np.uint64(sum(1 << s for s in range(64) if s >> b & 1))
         below |= (words << np.uint64(1 << b)) & holds_b
-    if n == 7:
-        below[:, 1] |= words[:, 0]
+    for b in range(6, n):
+        step = 1 << (b - 6)
+        holds_b = np.flatnonzero(np.arange(words.shape[1]) & step)
+        below[:, holds_b] |= words[:, holds_b - step]
     minimal = words & ~below
     out: list[tuple[int, ...]] = []
     for start in range(0, len(minimal), _BLOCK_ROWS):

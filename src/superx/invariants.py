@@ -10,12 +10,17 @@ invariant linked systems.
 
 Everything here reads one translation table, ``shifts[x, A] = xA`` for
 every element x and subset mask A: the self-linked flags, the cosets of
-a subgroup and the compatibility graph all come from it.  Both closure
-facts are asserted on every enumerated clique in vertex-index space: the
-translates of the clique's vertices are looked up as vertex indices and
-must all be in the clique, and the OR of the clique's per-vertex
-superset bitmaps must not leave it.  The certified systems are returned
-as plain ``SetFamily`` values.
+a subgroup and the compatibility graph all come from it.  A maximal
+clique is a union of translation orbits of self-linked sets, so the
+clique search runs on the much smaller orbit graph, whose vertices are
+the orbits and whose edges join compatible orbits (the proof is in
+``enumerate_invariant_mls``); each orbit clique is expanded back to its
+vertex set.  Both closure facts are asserted on every enumerated clique
+in vertex-index space, all cliques at once: the translates and the
+one-point supersets of the clique's vertices are looked up as vertex
+indices and must all be in the clique.  The certified cliques are
+packed into one word array of membership bitmaps, and a single
+minimal-set pass reads every family off it as a plain ``SetFamily``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .bitsets import iter_bits
 from .errors import CapacityError, ConsistencyError
-from .families import SetFamily, family_from_bitmap, majority_family
+from .families import SetFamily, _minimal_sets, majority_family
 from .groups import (
     FiniteGroup,
     difference_set,
@@ -50,6 +55,13 @@ def _self_linked_flags(shifts: np.ndarray) -> np.ndarray:
 def _packed(row: np.ndarray) -> int:
     """A boolean row as a Python int with bit j set iff row[j]."""
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def _bit_matrix(masks: list[int], count: int) -> np.ndarray:
+    """The (len(masks), count) boolean matrix whose row r holds the bits of masks[r]."""
+    width = (count + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=count, bitorder="little").view(bool)
 
 
 def is_self_linked(g: FiniteGroup, mask: int) -> bool:
@@ -223,54 +235,109 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
     return cliques
 
 
+def _vertex_index(order: int, vertices: list[int], masks: np.ndarray) -> np.ndarray:
+    """The vertex index of every mask in an array of subset masks.
+
+    Only translates and supersets of self-linked sets are looked up, and
+    those are self-linked, so a mask that is not a vertex raises
+    ConsistencyError.
+    """
+    index = np.full(1 << order, -1, dtype=np.intp)
+    index[vertices] = np.arange(len(vertices))
+    found = index[masks]
+    if (found < 0).any():
+        raise ConsistencyError("a translate or superset of a self-linked set is not self-linked")
+    return found
+
+
+def _orbit_graph(adj: list[int], sigma: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """(orbit_adj, orbit_of): the compatibility graph on translation orbits of vertices.
+
+    sigma[x, i] is the vertex index of x * vertices[i]; the orbit of i is
+    column i of sigma and its least index is its key, so orbits are
+    numbered by key and orbit_of[i] is the orbit of vertex i.
+    orbit_adj[o] has bit o' set iff o != o' and the key of o is
+    compatible with every member of o'.
+    """
+    keys, orbit_of = np.unique(sigma.min(axis=0), return_inverse=True)
+    members = [_packed(orbit_of == o) for o in range(len(keys))]
+    orbit_adj = [
+        sum(1 << o for o, mask in enumerate(members) if o != r and adj[key] & mask == mask)
+        for r, key in enumerate(keys.tolist())
+    ]
+    return orbit_adj, orbit_of
+
+
+def _invariant_cliques(adj: list[int], sigma: np.ndarray) -> list[int]:
+    """Every maximal clique of the vertex graph adj as a vertex mask, found on the orbit graph."""
+    orbit_adj, orbit_of = _orbit_graph(adj, sigma)
+    in_orbits = _bit_matrix(_maximal_cliques(orbit_adj), len(orbit_adj))
+    return [_packed(row) for row in in_orbits[:, orbit_of]]
+
+
 def _closed_families(
     g: FiniteGroup, shifts: np.ndarray, vertices: list[int], cliques: list[int]
 ) -> list[SetFamily]:
-    """Certify that every clique is shift- and superset-closed; return its family.
+    """Certify that every clique is shift- and superset-closed; return their families.
 
-    Both checks run on vertex indices.  sigma[x, i] is the index of the
-    translate x * vertices[i] (nv when it is not a vertex), and up[i] is
-    the packed row of the vertices containing vertices[i].  A
-    superset-closed clique is its own upward closure, so its family is
-    read straight off its vertex masks.
+    Both checks run on one (cliques, vertices) membership matrix.  A
+    clique is shift-closed iff it holds sigma[x, i], the index of the
+    translate x * vertices[i], for each of its vertices i and every x.
+    It is superset-closed iff it holds the index of vertices[i] with any
+    one point added, since every superset is reached one point at a time.
+    A superset-closed clique is its own upward closure, so the families
+    are read off the in-family bitmaps, packed into one (cliques, W)
+    word array, in a single minimal-set pass.
     """
+    n = g.order
     nv = len(vertices)
     verts = np.array(vertices, dtype=np.intp)
-    index = np.full(1 << g.order, nv, dtype=np.intp)
-    index[verts] = np.arange(nv)
-    sigma = index[shifts[:, verts]]
-    up = np.array([np.packbits((verts & v) == v, bitorder="little") for v in vertices])
-    width = up.shape[1]
-    member = np.zeros(nv + 1, dtype=bool)  # member[nv] stays False
-    in_family = np.zeros(1 << g.order, dtype=bool)
-    families = []
-    for clique in cliques:
-        packed = np.frombuffer(clique.to_bytes(width, "little"), dtype=np.uint8)
-        member[:nv] = np.unpackbits(packed, count=nv, bitorder="little")
-        idx = np.flatnonzero(member[:nv])
-        if not member[sigma[:, idx]].all():
-            raise ConsistencyError("maximal clique is not shift-closed")
-        if (np.bitwise_or.reduce(up[idx], axis=0) & ~packed).any():
-            raise ConsistencyError("maximal clique is not superset-closed")
-        in_family[:] = False
-        in_family[verts[idx]] = True
-        families.append(family_from_bitmap(g.order, _packed(in_family)))
-    return families
+    sigma = _vertex_index(n, vertices, shifts[:, verts])
+    plus = _vertex_index(n, vertices, verts | (1 << np.arange(n))[:, None])
+    member = _bit_matrix(cliques, nv)
+    by_vertex = np.ascontiguousarray(member.T)  # by_vertex[i, c]: vertex i is in clique c
+    if any((by_vertex & ~by_vertex[image]).any() for image in sigma):
+        raise ConsistencyError("maximal clique is not shift-closed")
+    if any((by_vertex & ~by_vertex[image]).any() for image in plus):
+        raise ConsistencyError("maximal clique is not superset-closed")
+    in_family = np.zeros((len(cliques), max(1 << n, 64)), dtype=bool)
+    in_family[:, verts] = member
+    words = np.packbits(in_family, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    return [SetFamily(n, sets) for sets in _minimal_sets(words, n)]
 
 
 def enumerate_invariant_mls(g: FiniteGroup, *, allow_large: bool = False) -> list[SetFamily]:
     """All maximal invariant linked systems via maximal cliques, sorted by minimal sets.
 
-    Vertices are the self-linked subsets, edges join shift-compatible
-    pairs, and maximal cliques are enumerated by pivoting backtracking.
-    Each family is certified shift- and superset-closed on the way out.
+    Vertices are the self-linked subsets and edges join compatible
+    pairs.  The maximal cliques are searched on the orbit graph instead,
+    whose vertices are the translation orbits of self-linked subsets:
+
+    - compatibility is a relation between orbits: A ~ B says A meets
+      every yB, so A ~ xB for every x, and by symmetry xA ~ yB;
+    - a self-linked A is compatible with its own translates, since A
+      meets every yxA;
+    - so the orbits that meet a clique are pairwise compatible, and
+      their union is again a clique.  A maximal clique is therefore the
+      union of the orbits it meets, and those orbits form a maximal
+      clique of the orbit graph: an orbit compatible with all of them
+      would extend the vertex clique.  Conversely the union of a
+      maximal orbit clique is a maximal vertex clique, since a vertex
+      compatible with all of it lies in an orbit compatible with all
+      of its orbits.  Distinct orbit sets have distinct unions, so the
+      correspondence is one to one.
+
+    The orbit cliques are found by pivoting backtracking and expanded
+    to vertex masks.  Each family is certified shift- and superset-closed
+    on the way out.
     """
     cap = MAX_INVARIANT_ORDER_LARGE if allow_large else MAX_INVARIANT_ORDER
     if g.order > cap:
         raise CapacityError(f"invariant enumeration supports |G| <= {cap}")
     shifts = shift_table(g)
     vertices = self_linked_subsets(g)
-    cliques = _maximal_cliques(_compatibility_graph(shifts, vertices))
+    sigma = _vertex_index(g.order, vertices, shifts[:, vertices])
+    cliques = _invariant_cliques(_compatibility_graph(shifts, vertices), sigma)
     return sorted(_closed_families(g, shifts, vertices, cliques), key=lambda f: f.minimal_sets)
 
 

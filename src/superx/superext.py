@@ -30,7 +30,7 @@ import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import MAX_TABLE_GROUND, SetFamily, enumerate_mls, family_from_bitmap, system_words
+from .families import _BLOCK_ROWS, MAX_TABLE_GROUND, SetFamily, enumerate_mls, family_from_bitmap, system_words
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
@@ -233,15 +233,28 @@ def _translation_indices(g: FiniteGroup, index: _BitmapIndex) -> np.ndarray:
     """sigma[x, i], the index of x * systems[i] in the indexed list.
 
     xA holds xC for every C in A, so its bitmap is A's with bit c moved
-    to bit ``shift_table(g)[x, c]``; a translate missing from the list
-    raises ConsistencyError.
+    to bit ``shift_table(g)[x, c]``.  The moved bitmap is the OR of the
+    moved bytes: moves[p, v] is the moved bitmap of byte value v at byte
+    position p, so each element takes one 256-entry gather per byte of
+    the bitmaps, _BLOCK_ROWS bitmaps at a time.  A translate missing
+    from the list raises ConsistencyError.
     """
     words = index.words
-    sigma = np.empty((g.order, len(words)), dtype=np.int32)
-    for x, target in enumerate(shift_table(g).tolist()):
+    m, width = words.shape
+    size = 1 << g.order
+    data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)[:, : (size + 7) // 8]
+    sigma = np.empty((g.order, m), dtype=np.int32)
+    for x, target in enumerate(shift_table(g)):
+        one = np.zeros((64 * width, width), dtype=np.uint64)  # one[c]: bit c moved; none past 2^n
+        one[np.arange(size), target >> 6] = np.uint64(1) << (target & 63).astype(np.uint64)
+        moves = np.zeros((8 * width, 256, width), dtype=np.uint64)
+        for k in range(8):
+            moves[:, 1 << k : 2 << k] = moves[:, : 1 << k] | one[k::8, None]
         moved = np.zeros_like(words)
-        for c, d in enumerate(target):
-            moved[:, d >> 6] |= ((words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)) << np.uint64(d & 63)
+        for start in range(0, m, _BLOCK_ROWS):
+            rows, block = data[start : start + _BLOCK_ROWS], moved[start : start + _BLOCK_ROWS]
+            for p in range(rows.shape[1]):
+                block |= np.take(moves[p], rows[:, p], axis=0)
         sigma[x] = index.find(moved)
     if (sigma < 0).any():
         raise ConsistencyError("translation left the system list")

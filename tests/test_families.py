@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from superx import families, verify
-from superx.bitsets import mask_of, subsets_of_size, superset_closures
+from superx.bitsets import mask_of, minimal_members, subsets_of_size, superset_closures
 from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
     SetFamily,
@@ -215,6 +215,28 @@ def test_system_words_are_the_bitmaps():
     words = system_words(seven)
     assert [int(lo) | int(hi) << 64 for lo, hi in words] == [s.bitmap for s in seven]
     assert families._minimal_sets(words, 7) == [s.minimal_sets for s in seven]
+
+
+def test_minimal_sets_across_words():
+    """On 4, 8 and 16 words the minimal-set pass agrees with minimal_members.
+
+    For n >= 7 a point b >= 6 moves a set into another word, so every
+    family below has minimal sets that hold such a point.
+    """
+    rng = random.Random(20261018)
+    for n in (8, 9, 10):
+        sup = superset_closures(n)
+        top = 1 << n
+        bitmaps = [(1 << top) - 2, sup[mask_of([1, 7, n - 1])]]  # all non-empty sets; a principal filter
+        for _ in range(20):
+            generators = rng.sample(range(1, top), rng.randint(1, 12))
+            bitmap = 0
+            for s in generators:
+                bitmap |= sup[s]
+            bitmaps.append(bitmap)
+        words = families._words_of(bitmaps, n)
+        assert words.shape == (len(bitmaps), top >> 6)
+        assert families._minimal_sets(words, n) == [tuple(minimal_members(b, n)) for b in bitmaps], n
 
 
 def test_enumerate_mls_capacity():

@@ -12,6 +12,10 @@ from superx.groups import build_group, difference_set, enumerate_subgroups, shif
 from superx.invariants import (
     _closed_families,
     _compatibility_graph,
+    _invariant_cliques,
+    _maximal_cliques,
+    _orbit_graph,
+    _vertex_index,
     check_slbound_composite,
     coset_space_sl,
     enumerate_half_self_linked,
@@ -467,6 +471,38 @@ def test_closure_certificates_reject_open_cliques():
             # clique shift-closed but loses one superset
             with pytest.raises(ConsistencyError, match="not superset-closed"):
                 _closed_families(g, shifts, vertices, [clique & ~(1 << index[g.full_mask])])
+
+
+def test_orbit_graph_cliques_are_the_vertex_cliques():
+    """The orbit graph is symmetric, and its maximal cliques expand to the vertex graph's."""
+    for name in CATALOG_LE10:
+        g = build_group(name)
+        shifts = shift_table(g)
+        vertices = self_linked_subsets(g)
+        adj = _compatibility_graph(shifts, vertices)
+        sigma = _vertex_index(g.order, vertices, shifts[:, vertices])
+        orbit_adj, _ = _orbit_graph(adj, sigma)
+        size = len(orbit_adj)
+        assert all(orbit_adj[a] >> b & 1 == orbit_adj[b] >> a & 1 for a in range(size) for b in range(size)), name
+        assert sorted(_invariant_cliques(adj, sigma)) == sorted(_maximal_cliques(adj)), name
+
+
+def test_batched_certificates_reject_one_open_clique():
+    """One opened clique among all 70 of C9 fails the batch, whichever it is."""
+    g = build_group("C9")
+    shifts = shift_table(g)
+    vertices = self_linked_subsets(g)
+    index = {v: i for i, v in enumerate(vertices)}
+    systems = enumerate_invariant_mls(g, allow_large=True)
+    cliques = [_clique_of(vertices, family) for family in systems]
+    assert len(cliques) == 70
+    assert _closed_families(g, shifts, vertices, cliques) == systems
+    for k, family in enumerate(systems):
+        m = next(m for m in family.minimal_sets if any(translate_set(g, x, m) != m for x in g.elements()))
+        for dropped, match in ((m, "not shift-closed"), (g.full_mask, "not superset-closed")):
+            opened = cliques[:k] + [cliques[k] & ~(1 << index[dropped])] + cliques[k + 1 :]
+            with pytest.raises(ConsistencyError, match=match):
+                _closed_families(g, shifts, vertices, opened)
 
 
 def test_coset_space_sl_matches_oracle():
