@@ -80,20 +80,21 @@ class SetFamily:
     def members(self) -> list[int]:
         return list(iter_bits(self.bitmap))
 
+    def _hitting_bitmap(self) -> int:
+        """Bitmap of the sets meeting every member: {B : complement of B not in self}.
+
+        B misses a member iff some member lies in the complement of B, iff
+        (self being monotone) that complement is a member.  Bit s of the
+        bitmap's mirror image (bit s moved to bit full ^ s) says whether the
+        complement of s is a member, so this is NOT the mirror image.
+        """
+        size = 1 << self.ground_size
+        mirror = int(format(self.bitmap, f"0{size}b")[::-1], 2)
+        return mirror ^ ((1 << size) - 1)
+
     def transversal(self) -> "SetFamily":
         """The family of minimal sets meeting every member of self."""
-        n = self.ground_size
-        sets = self.minimal_sets
-        hitting = []
-        for cand in range(1, 1 << n):
-            if all(cand & s for s in sets):
-                hitting.append(cand)
-        minimal = []
-        for cand in hitting:
-            # Hitting is monotone, so minimality = every one-bit removal fails.
-            if all(any((cand ^ (1 << b)) & s == 0 for s in sets) for b in iter_bits(cand)):
-                minimal.append(cand)
-        return SetFamily(n, tuple(minimal))
+        return family_from_bitmap(self.ground_size, self._hitting_bitmap())
 
     def is_linked(self) -> bool:
         """True iff every two members intersect."""
@@ -101,16 +102,8 @@ class SetFamily:
         return all(a & b for i, a in enumerate(sets) for b in sets[i:])
 
     def is_maximal_linked(self) -> bool:
-        """True iff self equals its transversal.
-
-        The transversal of a monotone family F is {B : complement of B not
-        in F}, so F is maximal linked iff it holds exactly one set of every
-        complementary pair: the bitmap XOR its mirror image (bit s moved to
-        bit full ^ s) sets all 2^n bits.
-        """
-        size = 1 << self.ground_size
-        mirror = int(format(self.bitmap, f"0{size}b")[::-1], 2)
-        return self.bitmap ^ mirror == (1 << size) - 1
+        """True iff self equals its transversal: it holds exactly one set of every complementary pair."""
+        return self.bitmap == self._hitting_bitmap()
 
     def shift(self, g: FiniteGroup, x: int) -> "SetFamily":
         """The image family {xA : A in self} under left translation."""

@@ -10,10 +10,10 @@ invariant linked systems.
 
 Everything here reads one translation table, ``shifts[x, A] = xA`` for
 every element x and subset mask A: the self-linked flags, the cosets of
-a subgroup and the compatibility graph all come from it.  A maximal
-clique is a union of translation orbits of self-linked sets, so the
-clique search runs on the much smaller orbit graph, whose vertices are
-the orbits and whose edges join compatible orbits (the proof is in
+a subgroup and the orbit graph all come from it.  A maximal clique is a
+union of translation orbits of self-linked sets, and two orbits are
+compatible exactly when their least members, the keys, are, so the
+clique search runs on the graph of the keys alone (the proofs are in
 ``enumerate_invariant_mls``); each orbit clique is expanded back to its
 vertex set.  Both closure facts are asserted on every enumerated clique
 in vertex-index space, all cliques at once: the translates and the
@@ -199,22 +199,6 @@ def sim_classes(g: FiniteGroup) -> SimClasses:
     return SimClasses(tuple(sorted(tuple(v) for v in groups.values())))
 
 
-def _compatibility_graph(shifts: np.ndarray, vertices: list[int]) -> list[int]:
-    """Adjacency rows over vertex indices: A ~ B iff A meets every xB (AB^-1 = G).
-
-    The relation is symmetric, since BA^-1 is the inverse set of AB^-1;
-    row i is a Python int with bit j set iff i != j and the pair is
-    compatible.
-    """
-    moved = shifts[:, vertices]  # moved[x, j] = x * vertices[j]
-    adj = []
-    for i, a in enumerate(vertices):
-        row = (moved & a).all(axis=0)
-        row[i] = False
-        adj.append(_packed(row))
-    return adj
-
-
 def _maximal_cliques(adj: list[int]) -> list[int]:
     """Every maximal clique as a vertex bitmask (Bron-Kerbosch with pivoting)."""
     cliques: list[int] = []
@@ -223,8 +207,7 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
         if not p and not x:
             cliques.append(r)
             return
-        pivot_pool = p | x
-        pivot = max(iter_bits(pivot_pool), key=lambda u: (p & adj[u]).bit_count())
+        pivot = max(iter_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
         for v in iter_bits(p & ~adj[pivot]):
             bit = 1 << v
             expand(r | bit, p & adj[v], x & adj[v])
@@ -250,28 +233,18 @@ def _vertex_index(order: int, vertices: list[int], masks: np.ndarray) -> np.ndar
     return found
 
 
-def _orbit_graph(adj: list[int], sigma: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """(orbit_adj, orbit_of): the compatibility graph on translation orbits of vertices.
+def _invariant_cliques(shifts: np.ndarray, vertices: list[int]) -> list[int]:
+    """Every maximal clique of the compatibility graph as a vertex mask, found on the orbit graph.
 
-    sigma[x, i] is the vertex index of x * vertices[i]; the orbit of i is
-    column i of sigma and its least index is its key, so orbits are
-    numbered by key and orbit_of[i] is the orbit of vertex i.
-    orbit_adj[o] has bit o' set iff o != o' and the key of o is
-    compatible with every member of o'.
+    The least mask of an orbit is its key and orbit_of[i] is the orbit of
+    vertex i.  Orbits o != o' are adjacent iff key o meets every translate
+    of key o', which is the whole relation between the two orbits (the
+    lemma in ``enumerate_invariant_mls``).
     """
-    keys, orbit_of = np.unique(sigma.min(axis=0), return_inverse=True)
-    members = [_packed(orbit_of == o) for o in range(len(keys))]
-    orbit_adj = [
-        sum(1 << o for o, mask in enumerate(members) if o != r and adj[key] & mask == mask)
-        for r, key in enumerate(keys.tolist())
-    ]
-    return orbit_adj, orbit_of
-
-
-def _invariant_cliques(adj: list[int], sigma: np.ndarray) -> list[int]:
-    """Every maximal clique of the vertex graph adj as a vertex mask, found on the orbit graph."""
-    orbit_adj, orbit_of = _orbit_graph(adj, sigma)
-    in_orbits = _bit_matrix(_maximal_cliques(orbit_adj), len(orbit_adj))
+    keys, orbit_of = np.unique(shifts[:, vertices].min(axis=0), return_inverse=True)
+    adj = (shifts[:, keys] & keys[:, None, None]).all(axis=1)
+    np.fill_diagonal(adj, False)
+    in_orbits = _bit_matrix(_maximal_cliques([_packed(row) for row in adj]), len(keys))
     return [_packed(row) for row in in_orbits[:, orbit_of]]
 
 
@@ -290,11 +263,10 @@ def _closed_families(
     word array, in a single minimal-set pass.
     """
     n = g.order
-    nv = len(vertices)
     verts = np.array(vertices, dtype=np.intp)
     sigma = _vertex_index(n, vertices, shifts[:, verts])
     plus = _vertex_index(n, vertices, verts | (1 << np.arange(n))[:, None])
-    member = _bit_matrix(cliques, nv)
+    member = _bit_matrix(cliques, len(vertices))
     by_vertex = np.ascontiguousarray(member.T)  # by_vertex[i, c]: vertex i is in clique c
     if any((by_vertex & ~by_vertex[image]).any() for image in sigma):
         raise ConsistencyError("maximal clique is not shift-closed")
@@ -314,7 +286,10 @@ def enumerate_invariant_mls(g: FiniteGroup, *, allow_large: bool = False) -> lis
     whose vertices are the translation orbits of self-linked subsets:
 
     - compatibility is a relation between orbits: A ~ B says A meets
-      every yB, so A ~ xB for every x, and by symmetry xA ~ yB;
+      every yB, and xB has the same translates as B, so A ~ xB for
+      every x.  The relation is symmetric, since BA^-1 is the inverse
+      set of AB^-1, so xA ~ yB for all x and y: two orbits are
+      compatible member by member exactly when their keys are;
     - a self-linked A is compatible with its own translates, since A
       meets every yxA;
     - so the orbits that meet a clique are pairwise compatible, and
@@ -327,17 +302,16 @@ def enumerate_invariant_mls(g: FiniteGroup, *, allow_large: bool = False) -> lis
       of its orbits.  Distinct orbit sets have distinct unions, so the
       correspondence is one to one.
 
-    The orbit cliques are found by pivoting backtracking and expanded
-    to vertex masks.  Each family is certified shift- and superset-closed
-    on the way out.
+    The orbit graph is read off the keys alone, and its maximal cliques
+    are found by pivoting backtracking and expanded to vertex masks.
+    Each family is certified shift- and superset-closed on the way out.
     """
     cap = MAX_INVARIANT_ORDER_LARGE if allow_large else MAX_INVARIANT_ORDER
     if g.order > cap:
         raise CapacityError(f"invariant enumeration supports |G| <= {cap}")
     shifts = shift_table(g)
     vertices = self_linked_subsets(g)
-    sigma = _vertex_index(g.order, vertices, shifts[:, vertices])
-    cliques = _invariant_cliques(_compatibility_graph(shifts, vertices), sigma)
+    cliques = _invariant_cliques(shifts, vertices)
     return sorted(_closed_families(g, shifts, vertices, cliques), key=lambda f: f.minimal_sets)
 
 

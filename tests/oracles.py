@@ -154,6 +154,24 @@ def oracle_self_linked(mul, mask):
     return True
 
 
+def oracle_compatible(mul):
+    """compatible[A, B] iff AB^-1 is the whole group, for every pair of subset masks.
+
+    z is in AB^-1 iff zb is in A for some b in B.  With I the 0/1
+    indicator matrix of the subsets (row A, column a), that is
+    (I[:, mul[z]] @ I.T)[A, B] > 0, so the relation is the AND of those
+    matrices over z: one matrix product per element, reading nothing but
+    the multiplication table.  The empty set is compatible with nothing.
+    """
+    mul = np.asarray(mul)
+    n = len(mul)
+    indicator = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.float32)
+    compatible = np.ones((1 << n, 1 << n), dtype=bool)
+    for row in mul:
+        compatible &= indicator[:, row] @ indicator.T > 0
+    return compatible
+
+
 def oracle_smallest_self_linked(mul):
     n = len(mul)
     for k in range(1, n + 1):

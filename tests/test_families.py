@@ -66,7 +66,28 @@ def test_transversal_of_whole_set_is_singletons():
     assert fam.transversal().minimal_sets == tuple(1 << i for i in range(n))
 
 
+# Dedekind numbers 3, 6, 20, 168 count the monotone families on n <= 4
+# points; less the empty family and the one holding the empty set
+UP_FAMILY_COUNTS = {1: 1, 2: 4, 3: 18, 4: 166}
+
+
+def _up_families(n):
+    """Every valid SetFamily on n points, found by scanning all family bitmaps."""
+    size = 1 << n
+    full = size - 1
+    families = []
+    for bitmap in range(1 << full, 1 << size, 2):  # holds the ground set, not the empty set
+        members = [s for s in range(1, size) if bitmap >> s & 1]
+        if all(bitmap >> (s | 1 << b) & 1 for s in members for b in range(n)):
+            families.append(family_from_bitmap(n, bitmap))
+    assert len(families) == UP_FAMILY_COUNTS[n]
+    return families
+
+
 def test_transversal_matches_oracle():
+    for n in UP_FAMILY_COUNTS:
+        for fam in _up_families(n):
+            assert fam.transversal().minimal_sets == oracle_hitting_family(fam.minimal_sets, n)
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 6)
@@ -119,20 +140,10 @@ def test_is_maximal_linked():
 
 
 def test_is_maximal_linked_matches_transversal_on_every_monotone_family():
-    # Dedekind numbers 3, 6, 20, 168 count the monotone families on n <= 4
-    # points; less the empty family and the one holding the empty set
-    family_counts = {1: 1, 2: 4, 3: 18, 4: 166}
-    for n, want in family_counts.items():
-        size = 1 << n
-        full = size - 1
-        families = []
-        for bitmap in range(1 << full, 1 << size, 2):  # holds the ground set, not the empty set
-            members = [s for s in range(1, size) if bitmap >> s & 1]
-            if all(bitmap >> (s | 1 << b) & 1 for s in members for b in range(n)):
-                families.append(family_from_bitmap(n, bitmap))
-        assert len(families) == want
+    for n in UP_FAMILY_COUNTS:
+        families = _up_families(n)
         flags = [f.is_maximal_linked() for f in families]
-        assert flags == [f.transversal() == f for f in families]
+        assert flags == [oracle_hitting_family(f.minimal_sets, n) == f.minimal_sets for f in families]
         assert sum(flags) == MLS_COUNTS[n]
 
 

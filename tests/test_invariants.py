@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from superx.bitsets import mask_of
@@ -11,11 +12,8 @@ from superx.families import majority_family
 from superx.groups import build_group, difference_set, enumerate_subgroups, shift_table, translate_set
 from superx.invariants import (
     _closed_families,
-    _compatibility_graph,
     _invariant_cliques,
     _maximal_cliques,
-    _orbit_graph,
-    _vertex_index,
     check_slbound_composite,
     coset_space_sl,
     enumerate_half_self_linked,
@@ -30,11 +28,13 @@ from superx.invariants import (
     up_majority_count,
 )
 from oracles import (
+    oracle_compatible,
     oracle_coset_space_sl,
     oracle_element_order,
     oracle_self_linked,
     oracle_shift_closed_maximal_linked_families,
     oracle_smallest_self_linked,
+    oracle_translate,
 )
 
 CATALOG_LE8 = ("C1",) + tuple(INVARIANT_COUNTS)
@@ -432,21 +432,35 @@ def test_self_linked_subsets_sorted():
 
 
 def test_compatibility_graph_matches_difference_sets():
-    """Vertices and adjacency rows equal their difference-set definitions."""
+    """The vertices are the self-linked sets, and compatibility is all or nothing between orbits.
+
+    The relation comes from the multiplication-table oracle, which is
+    checked against difference_set on every vertex pair up to order 6.
+    Orbits are found by translating through the multiplication table;
+    between two orbits every member pair or none is compatible, and
+    which one is decided by the least members, the keys.
+    """
     assert {"C9", "C3xC3", "D10", "C10"} <= set(CATALOG_LE10)
     for name in CATALOG_LE10:
         g = build_group(name)
         full = g.full_mask
         vertices = self_linked_subsets(g)
         assert vertices == [m for m in range(1, full + 1) if difference_set(g, m, m) == full]
-        adj = _compatibility_graph(shift_table(g), vertices)
-        want = [0] * len(vertices)
-        for i, a in enumerate(vertices):
-            for j in range(i + 1, len(vertices)):
-                if difference_set(g, a, vertices[j]) == full:
-                    want[i] |= 1 << j
-                    want[j] |= 1 << i
-        assert adj == want, name
+        compatible = oracle_compatible(g.mul)
+        assert np.flatnonzero(compatible.diagonal()).tolist() == vertices, name
+        relation = compatible[np.ix_(vertices, vertices)]
+        assert (relation == relation.T).all(), name
+        if g.order <= 6:
+            assert relation.tolist() == [[difference_set(g, a, b) == full for b in vertices] for a in vertices]
+        keys, orbit_of = np.unique(
+            [min(oracle_translate(g.mul, x, v) for x in g.elements()) for v in vertices], return_inverse=True
+        )
+        members = np.eye(len(keys), dtype=np.int64)[orbit_of]  # members[i, o]: vertex i lies in orbit o
+        sizes = members.sum(axis=0)
+        links = members.T @ relation.astype(np.int64) @ members  # compatible member pairs per orbit pair
+        assert ((links == 0) | (links == np.outer(sizes, sizes))).all(), name
+        assert (links.diagonal() == sizes**2).all(), name
+        assert ((links > 0) == compatible[np.ix_(keys, keys)]).all(), name
 
 
 def _clique_of(vertices, family):
@@ -474,17 +488,14 @@ def test_closure_certificates_reject_open_cliques():
 
 
 def test_orbit_graph_cliques_are_the_vertex_cliques():
-    """The orbit graph is symmetric, and its maximal cliques expand to the vertex graph's."""
+    """The cliques found on the orbit graph are the maximal cliques of the oracle's vertex graph."""
     for name in CATALOG_LE10:
         g = build_group(name)
-        shifts = shift_table(g)
         vertices = self_linked_subsets(g)
-        adj = _compatibility_graph(shifts, vertices)
-        sigma = _vertex_index(g.order, vertices, shifts[:, vertices])
-        orbit_adj, _ = _orbit_graph(adj, sigma)
-        size = len(orbit_adj)
-        assert all(orbit_adj[a] >> b & 1 == orbit_adj[b] >> a & 1 for a in range(size) for b in range(size)), name
-        assert sorted(_invariant_cliques(adj, sigma)) == sorted(_maximal_cliques(adj)), name
+        relation = oracle_compatible(g.mul)[np.ix_(vertices, vertices)]
+        np.fill_diagonal(relation, False)
+        adj = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in relation]
+        assert sorted(_invariant_cliques(shift_table(g), vertices)) == sorted(_maximal_cliques(adj)), name
 
 
 def test_batched_certificates_reject_one_open_clique():
