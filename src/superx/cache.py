@@ -3,7 +3,7 @@
 File layout: one header line ``superx-cache v2 <group> <sha256>`` followed
 by the product table in numpy's NPY format.  The sha256 covers the
 group's multiplication table, the serialized system list from
-``lambda_elements`` in order, and the NPY bytes.  A load recomputes it
+``enumerate_mls`` in order, and the NPY bytes.  A load recomputes it
 from the current group and enumerator, so a corrupt byte, a changed group
 layout and a changed enumerator all read as a miss, and the table is
 rebuilt and the entry overwritten.  The systems are not stored: the
@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConsistencyError
+from .families import enumerate_mls
 from .groups import FiniteGroup
 from .semigroups import SemigroupTable
-from .superext import lambda_elements, lambda_table
+from .superext import lambda_table
 
 FORMAT_VERSION = "v2"
 ENV_VAR = "SUPERX_CACHE_DIR"
@@ -88,7 +89,7 @@ def load_table(cache_dir: Path, g: FiniteGroup) -> SemigroupTable | None:
             if head[:3] != _header(g.name, "").split() or len(head) != 4:
                 return None
             start = fh.tell()
-            systems = lambda_elements(g)
+            systems = enumerate_mls(g.order)
             if _digest(g, systems, fh).encode() != head[3]:
                 return None
             fh.seek(start)

@@ -38,8 +38,7 @@ from .semigroups import (
 )
 from .superext import (
     build_lambda_table,
-    lambda_elements,
-    shift_orbits,
+    system_counts,
     transversal_subsemigroup_search,
 )
 from .verify import run_verification, sl_table_rows, t17_cells
@@ -84,9 +83,8 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
     g = build_group(group_name)
     status, tail = "pass", ""
     if what == "count":
-        systems = lambda_elements(g, allow_large=allow_large)
-        _, orbits = shift_orbits(g, systems)
-        payload = {"count": len(systems), "orbit_count": len(orbits)}
+        count, orbit_count = system_counts(g, allow_large=allow_large)
+        payload = {"count": count, "orbit_count": orbit_count}
         expected_count = ref.LAMBDA_COUNTS.get(g.order)
         if g.order == 7:
             expected_count = ref.LAMBDA_COUNT_7

@@ -29,9 +29,7 @@ from .bitsets import (
 from .errors import CapacityError, ConsistencyError
 from .groups import FiniteGroup, shift_table
 
-MAX_ENUM_GROUND = 7
 MAX_TABLE_GROUND = 6
-_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -157,36 +155,25 @@ def is_invariant_mls(g: FiniteGroup, system: SetFamily) -> bool:
     return all(system.shift(g, x) == system for x in g.elements())
 
 
-def enumerate_mls(ground_size: int, *, allow_large: bool = False) -> list[SetFamily]:
+def enumerate_mls(ground_size: int) -> list[SetFamily]:
     """All maximal linked systems on {0..n-1} in canonical order.
 
     Results are sorted lexicographically by their minimal-set tuples,
-    independent of search order.  The systems of a ground size up to
+    independent of search order.  The systems of each ground size up to
     MAX_TABLE_GROUND are enumerated once per process and shared: each
-    call returns a fresh list over the same immutable values.  Ground
-    size 7 (1.4 M systems) is enumerated afresh on every call and never
-    kept.
+    call returns a fresh list over the same immutable values.  Larger
+    ground sizes are refused; ``superext.system_counts`` counts ground 7
+    off the walk without listing it.
     """
-    n = ground_size
-    if not 1 <= n <= MAX_ENUM_GROUND:
-        raise CapacityError(f"enumeration supports ground sizes 1..{MAX_ENUM_GROUND}")
-    if n == 7 and not allow_large:
-        raise CapacityError("ground size 7 is gated behind allow_large")
-    if n <= MAX_TABLE_GROUND:
-        return list(_shared_systems(n))
-    return _systems(n)
+    if not 1 <= ground_size <= MAX_TABLE_GROUND:
+        raise CapacityError(f"enumeration supports ground sizes 1..{MAX_TABLE_GROUND}")
+    return list(_shared_systems(ground_size))
 
 
 @lru_cache(maxsize=None)
 def _shared_systems(n: int) -> tuple[SetFamily, ...]:
-    return tuple(_systems(n))
-
-
-def _systems(n: int) -> list[SetFamily]:
     """The walk's systems, their minimal sets read off the bitmaps in one pass, sorted."""
-    families = [SetFamily(n, sets) for sets in _minimal_sets(_words_of(_walk(n), n), n)]
-    families.sort(key=lambda f: f.minimal_sets)
-    return families
+    return tuple(SetFamily(n, sets) for sets in sorted(_minimal_sets(_words_of(_walk(n), n), n)))
 
 
 def _walk(n: int) -> list[int]:
@@ -236,19 +223,14 @@ def _words_of(bitmaps, n: int) -> np.ndarray:
 def system_words(systems: list[SetFamily]) -> np.ndarray:
     """The membership bitmaps of a system list, in its order, as an (m, W) uint64 array.
 
-    Word w holds subsets 64w..64w+63; W is 1 up to n = 6 and 2 for n = 7.
-    A bitmap is the union of its minimal sets' superset closures, taken
-    _BLOCK_ROWS systems at a time.
+    Word w holds subsets 64w..64w+63, so W is 1 up to n = 6 and 2^(n-6)
+    above.  A bitmap is the union of its minimal sets' superset closures.
     """
     n = systems[0].ground_size
     closures = _words_of(superset_closures(n), n)
-    words = np.empty((len(systems), closures.shape[1]), dtype=np.uint64)
-    for start in range(0, len(systems), _BLOCK_ROWS):
-        block = systems[start : start + _BLOCK_ROWS]
-        sizes = [len(s.minimal_sets) for s in block]
-        sets = np.fromiter(chain.from_iterable(s.minimal_sets for s in block), dtype=np.intp, count=sum(sizes))
-        words[start : start + len(block)] = np.bitwise_or.reduceat(closures[sets], np.cumsum([0] + sizes[:-1]), axis=0)
-    return words
+    sizes = [len(s.minimal_sets) for s in systems]
+    sets = np.fromiter(chain.from_iterable(s.minimal_sets for s in systems), dtype=np.intp, count=sum(sizes))
+    return np.bitwise_or.reduceat(closures[sets], np.cumsum([0] + sizes[:-1]), axis=0)
 
 
 def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
@@ -257,8 +239,7 @@ def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
     A member s is minimal iff s minus any one of its points is not a
     member; for point b that set sits 2^b bits below s, in the same word
     for b < 6, and for b >= 6 in word j - 2^(b-6) for every word j with
-    bit b - 6 set.  The bits are unpacked _BLOCK_ROWS rows at a time, so
-    n = 7 never holds an (m, 128) matrix.
+    bit b - 6 set.
     """
     below = np.zeros_like(words)
     for b in range(min(n, 6)):
@@ -268,15 +249,11 @@ def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
         step = 1 << (b - 6)
         holds_b = np.flatnonzero(np.arange(words.shape[1]) & step)
         below[:, holds_b] |= words[:, holds_b - step]
-    minimal = words & ~below
-    out: list[tuple[int, ...]] = []
-    for start in range(0, len(minimal), _BLOCK_ROWS):
-        block = np.ascontiguousarray(minimal[start : start + _BLOCK_ROWS], dtype="<u8")
-        rows, cols = np.nonzero(np.unpackbits(block.view(np.uint8), axis=1, bitorder="little"))
-        ends = np.cumsum(np.bincount(rows, minlength=len(block))).tolist()
-        cols = cols.tolist()
-        out.extend(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    return out
+    minimal = np.ascontiguousarray(words & ~below, dtype="<u8")
+    rows, cols = np.nonzero(np.unpackbits(minimal.view(np.uint8), axis=1, bitorder="little"))
+    ends = np.cumsum(np.bincount(rows, minlength=len(minimal))).tolist()
+    cols = cols.tolist()
+    return [tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def extend_to_mls(family: SetFamily) -> SetFamily:

@@ -100,14 +100,26 @@ def left_zeros(t: SemigroupTable) -> list[int]:
     return np.flatnonzero((t.product == np.arange(t.order)[:, None]).all(axis=1)).tolist()
 
 
+def _product_of_all(t: SemigroupTable) -> int:
+    """s_1 s_2 ... s_m, the product of every element in index order, folded from the left."""
+    p = t.product
+    x = 0
+    for s in range(1, t.order):
+        x = int(p[x, s])
+    return x
+
+
 def zero(t: SemigroupTable) -> int | None:
-    """The two-sided zero, if one exists (unique when present)."""
-    both = set(right_zeros(t)) & set(left_zeros(t))
-    if not both:
-        return None
-    if len(both) > 1:
-        raise ConsistencyError("more than one two-sided zero")
-    return both.pop()
+    """The two-sided zero, if one exists.
+
+    A zero z absorbs every factor, so the product of all elements is z:
+    the running product becomes z at the factor z (xz = z) and stays z
+    (zs = z).  Only that element needs its row and column checked.  A
+    zero is unique in any magma, since two zeros satisfy z1 = z1 z2 = z2.
+    """
+    z = _product_of_all(t)
+    p = t.product
+    return z if (p[z] == z).all() and (p[:, z] == z).all() else None
 
 
 def is_commutative(t: SemigroupTable) -> tuple[bool, tuple[int, int] | None]:
@@ -164,11 +176,7 @@ def minimal_ideal(t: SemigroupTable) -> frozenset[int]:
     a member generating a smaller ideal would mean the fold missed the
     kernel.
     """
-    p = t.product
-    x = 0
-    for s in range(1, t.order):
-        x = int(p[x, s])
-    kernel = principal_ideal(t, x)
+    kernel = principal_ideal(t, _product_of_all(t))
     if any(principal_ideal(t, k) != kernel for k in kernel):
         raise ConsistencyError("a kernel element generates a different ideal")
     return kernel

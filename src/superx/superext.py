@@ -30,7 +30,7 @@ import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import _BLOCK_ROWS, MAX_TABLE_GROUND, SetFamily, enumerate_mls, family_from_bitmap, system_words
+from .families import MAX_TABLE_GROUND, SetFamily, _walk, _words_of, enumerate_mls, family_from_bitmap, system_words
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
@@ -58,11 +58,6 @@ def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
     if not members:
         raise ConsistencyError("product family is empty")
     return family_from_bitmap(n, members)
-
-
-def lambda_elements(g: FiniteGroup, *, allow_large: bool = False) -> list[SetFamily]:
-    """The canonical element list of the system space over g."""
-    return enumerate_mls(g.order, allow_large=allow_large)
 
 
 def lambda_table(g: FiniteGroup, systems: list[SetFamily], product) -> SemigroupTable:
@@ -108,23 +103,22 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     n = g.order
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
-    systems = lambda_elements(g)
+    systems = enumerate_mls(n)
     index = _BitmapIndex(system_words(systems))
     sigma = _translation_indices(g, index)
     reps = np.unique(sigma.min(axis=0))
     size = 1 << n
     m = len(systems)
     b = index.words[:, 0]
-    tabs = shift_table(g)[list(g.inv)].tolist()  # tabs[x][c] = x^-1 c
     one = np.uint64(1)
+    subsets = np.arange(size, dtype=np.uint64)
 
-    # witness[c, j] = {x : x^-1 c in system j} for every candidate subset c
+    # witness[c, j] = {x : x^-1 c in system j} for every candidate subset c.
+    # x^-1 c is in B iff c is in xB, system sigma[x, j], so bit x of
+    # witness[c, j] is bit c of b[sigma[x, j]].
     witness = np.zeros((size, m), dtype=np.uint64)
-    for c in range(1, size):
-        acc = np.zeros(m, dtype=np.uint64)
-        for x in range(n):
-            acc |= ((b >> np.uint64(tabs[x][c])) & one) << np.uint64(x)
-        witness[c] = acc
+    for x in range(n):
+        witness |= ((b[sigma[x]] >> subsets[:, None]) & one) << np.uint64(x)
 
     # fibre[limb, w, j] holds one 16-bit limb of the mask of candidates
     # c >= 1 whose witness in system j is w.  For fixed j the fibres are
@@ -136,7 +130,6 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     fibre = np.zeros((limbs, size, m), dtype=np.float32)
     for c in range(1, size):
         fibre[c >> 4, witness[c], cols] += np.float32(1 << (c & 15))
-    subsets = np.arange(size, dtype=np.uint64)
 
     # The representative rows come first and the table is filled after,
     # both in small blocks: no temporary larger than a block is alive
@@ -236,8 +229,8 @@ def _translation_indices(g: FiniteGroup, index: _BitmapIndex) -> np.ndarray:
     to bit ``shift_table(g)[x, c]``.  The moved bitmap is the OR of the
     moved bytes: moves[p, v] is the moved bitmap of byte value v at byte
     position p, so each element takes one 256-entry gather per byte of
-    the bitmaps, _BLOCK_ROWS bitmaps at a time.  A translate missing
-    from the list raises ConsistencyError.
+    the bitmaps.  A translate missing from the list raises
+    ConsistencyError.
     """
     words = index.words
     m, width = words.shape
@@ -251,10 +244,8 @@ def _translation_indices(g: FiniteGroup, index: _BitmapIndex) -> np.ndarray:
         for k in range(8):
             moves[:, 1 << k : 2 << k] = moves[:, : 1 << k] | one[k::8, None]
         moved = np.zeros_like(words)
-        for start in range(0, m, _BLOCK_ROWS):
-            rows, block = data[start : start + _BLOCK_ROWS], moved[start : start + _BLOCK_ROWS]
-            for p in range(rows.shape[1]):
-                block |= np.take(moves[p], rows[:, p], axis=0)
+        for p in range(data.shape[1]):
+            moved |= np.take(moves[p], data[:, p], axis=0)
         sigma[x] = index.find(moved)
     if (sigma < 0).any():
         raise ConsistencyError("translation left the system list")
@@ -288,6 +279,24 @@ def shift_orbits(g: FiniteGroup, systems: list[SetFamily]) -> tuple[list[int], l
     which writes it into the one-point rows the table analyses read.
     """
     return _orbits(_translation_indices(g, _BitmapIndex(system_words(systems))))
+
+
+def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, int]:
+    """(|lambda(g)|, |lambda(g)/g|), counted off the walk's bitmaps without a system list.
+
+    The walk yields every system once, so the count is its length; sigma
+    on the walk order resolves translates through the hash index, and
+    each translation orbit has one least member, its column minimum.
+    Ground 7 (1.4 M systems) is gated behind allow_large and larger
+    grounds are refused, before the walk starts.
+    """
+    n = g.order
+    if n > 7:
+        raise CapacityError("enumeration supports ground sizes 1..7")
+    if n == 7 and not allow_large:
+        raise CapacityError("ground size 7 is gated behind allow_large")
+    sigma = _translation_indices(g, _BitmapIndex(_words_of(_walk(n), n)))
+    return sigma.shape[1], len(np.unique(sigma.min(axis=0)))
 
 
 @dataclass

@@ -49,7 +49,6 @@ from .semigroups import (
 from .superext import (
     build_lambda_table,
     circ,
-    lambda_elements,
     orbit_quotient,
     principal_indices,
     shift_orbits,
@@ -86,10 +85,10 @@ def check_orbit_counts() -> list[dict]:
     rows = []
     for n, want in ref.LAMBDA_ORBIT_COUNTS.items():
         g = build_group(f"C{n}")
-        _, orbits = shift_orbits(g, lambda_elements(g))
+        _, orbits = shift_orbits(g, enumerate_mls(n))
         rows.append(_row(f"|lambda(C{n})/C{n}|", want, len(orbits)))
     g = build_group("C2xC2")
-    _, orbits = shift_orbits(g, lambda_elements(g))
+    _, orbits = shift_orbits(g, enumerate_mls(4))
     rows.append(_row("|lambda(C2xC2)/G|", ref.LAMBDA_ORBIT_COUNTS[4], len(orbits)))
     return rows
 

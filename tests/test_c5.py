@@ -20,6 +20,7 @@ from superx.families import (
     principal_ultrafilter,
 )
 from superx.groups import build_group
+from superx.superext import system_counts
 
 
 def test_base_systems_are_the_documented_generators():
@@ -99,7 +100,7 @@ def test_t17_projects_one_per_orbit():
 
 @pytest.mark.skipif(
     not os.environ.get("SUPERX_SLOW_TESTS"),
-    reason="ground size 7 takes about a minute; set SUPERX_SLOW_TESTS=1",
+    reason="counting ground size 7 takes about 10 s; set SUPERX_SLOW_TESTS=1",
 )
 def test_ground_seven_count():
-    assert len(enumerate_mls(7, allow_large=True)) == 1_422_564
+    assert system_counts(build_group("C7"), allow_large=True) == (1_422_564, 203_226)

@@ -11,6 +11,7 @@ import pytest
 
 from superx.c5 import c5_named_catalog
 from superx.cache import cache_path, load_table, resolve_cache_dir, save_table
+import superx.cache as cache
 import superx.cli as cli
 import superx.superext as superext
 import superx.verify as verify
@@ -143,7 +144,8 @@ def test_cache_entry_for_another_group_layout_is_rebuilt(tmp_path, monkeypatch):
 def test_cache_entry_from_another_enumerator_is_rebuilt(tmp_path, monkeypatch):
     first = cmd_lambda("C4", "table", cache_dir=str(tmp_path)).payload
     reordered = list(reversed(enumerate_mls(4)))
-    monkeypatch.setattr(superext, "enumerate_mls", lambda n, allow_large=False: list(reordered))
+    for module in (superext, cache):  # the builder and the loader both read the enumerator
+        monkeypatch.setattr(module, "enumerate_mls", lambda n: list(reordered))
     report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
     assert not report.payload["cache_hit"]
     assert report.payload["elements"] == first["elements"][::-1]

@@ -192,15 +192,6 @@ def test_enumerate_mls_returns_a_fresh_list_each_call():
     assert [s.minimal_sets for s in enumerate_mls(4)] == oracle_all_mls(4)
 
 
-def test_enumerate_mls_walks_ground_seven_on_every_call(monkeypatch):
-    walked = []
-    one_point = [superset_closures(7)[1 << x] for x in range(7)]
-    monkeypatch.setattr(families, "_walk", lambda n: walked.append(n) or list(one_point))
-    for _ in range(2):
-        assert [s.minimal_sets for s in enumerate_mls(7, allow_large=True)] == [(1 << x,) for x in range(7)]
-    assert walked == [7, 7]
-
-
 def test_verify_all_walks_each_ground_size_once(monkeypatch):
     walked = Counter()
     walk = families._walk
@@ -256,7 +247,7 @@ def test_enumerate_mls_capacity():
     with pytest.raises(CapacityError):
         enumerate_mls(8)
     with pytest.raises(CapacityError):
-        enumerate_mls(7)  # gated behind allow_large
+        enumerate_mls(7)  # ground 7 is only counted, by superext.system_counts
 
 
 def test_mls_exactly_one_of_each_complementary_pair():

@@ -29,11 +29,11 @@ from superx.superext import (
     build_lambda_table,
     circ,
     is_transversal_subsemigroup,
-    lambda_elements,
     orbit_quotient,
     principal_indices,
     quotient_table,
     shift_orbits,
+    system_counts,
     transversal_subsemigroup_search,
 )
 from oracles import find_isomorphism, oracle_translation_indices
@@ -171,12 +171,12 @@ def test_lambda_table_closure_and_mls_products():
 def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
     """A representative row whose product is missing from the list still raises."""
     g = build_group("C4")
-    full = lambda_elements(g)
+    full = enumerate_mls(4)
     orbit_of, _ = shift_orbits(g, full)
     kept = [s for i, s in enumerate(full) if orbit_of[i] != orbit_of[3]]
     assert len(kept) == len(full) - 4
     shift_orbits(g, kept)  # still closed under translation
-    monkeypatch.setattr(superext, "lambda_elements", lambda _g: kept)
+    monkeypatch.setattr(superext, "enumerate_mls", lambda _n: kept)
     with pytest.raises(ConsistencyError, match="a product left the enumerated system space"):
         build_lambda_table(g)
 
@@ -193,7 +193,7 @@ def test_bitmap_index_returns_only_equal_keys():
     assert index.slots[0] == 0
     assert index.find(words).tolist() == [0, 1, 2]
     assert index.find(np.array([[0], [6]], dtype=np.uint64)).tolist() == [-1, -1]
-    systems = lambda_elements(build_group("C4"))
+    systems = enumerate_mls(4)
     assert superext._BitmapIndex(system_words(systems[1:])).find(system_words(systems[:1])).tolist() == [-1]
 
 
@@ -204,15 +204,48 @@ def test_translation_indices_match_the_shift_oracle(lam_table):
         assert _sigma(g, systems).tolist() == oracle_translation_indices(g, systems), name
 
 
-def test_translation_indices_on_seven_points():
-    """Two-word bitmaps: a translation-closed list of a few 7-point systems, not the full enumeration."""
-    g = build_group("C7")
+def _seven_point_systems(g):
+    """A translation-closed list of 15 systems on C7: two orbits of 7 and the invariant majority."""
     triangles = ([0, 1], [0, 2], [1, 2]), ([0, 1], [1, 3], [0, 3])
     seeds = [extend_to_mls(generate_family(7, [mask_of(p) for p in t])) for t in triangles]
     seeds.append(majority_family(g))
-    systems = sorted({s.shift(g, x) for s in seeds for x in g.elements()}, key=lambda s: s.minimal_sets)
+    return sorted({s.shift(g, x) for s in seeds for x in g.elements()}, key=lambda s: s.minimal_sets)
+
+
+def test_translation_indices_on_seven_points():
+    """Two-word bitmaps: a translation-closed list of a few 7-point systems, not the full enumeration."""
+    g = build_group("C7")
+    systems = _seven_point_systems(g)
     assert len(systems) == 15
     assert _sigma(g, systems).tolist() == oracle_translation_indices(g, systems)
+
+
+def test_system_counts_match_the_system_list():
+    for name in SHIFT_ORBIT_DIGESTS:
+        g = build_group(name)
+        systems = enumerate_mls(g.order)
+        assert system_counts(g) == (len(systems), len(shift_orbits(g, systems)[1])), name
+
+
+def test_system_counts_on_seven_points(monkeypatch):
+    """Ground 7 counted off a walk of the 15 systems above, given out of sorted order."""
+    g = build_group("C7")
+    systems = _seven_point_systems(g)
+    monkeypatch.setattr(superext, "_walk", lambda n: [s.bitmap for s in reversed(systems)])
+    orbit_count = len({min(column) for column in zip(*oracle_translation_indices(g, systems))})
+    assert orbit_count == 3
+    assert system_counts(g, allow_large=True) == (15, orbit_count)
+
+
+def test_system_counts_capacity(monkeypatch):
+    """Ground 7 without allow_large and ground 8 are refused before the walk; nothing lists ground 7."""
+    monkeypatch.setattr(superext, "_walk", lambda n: pytest.fail("walked a refused ground size"))
+    with pytest.raises(CapacityError):
+        system_counts(build_group("C7"))
+    with pytest.raises(CapacityError):
+        system_counts(build_group("C8"), allow_large=True)
+    with pytest.raises(CapacityError):
+        enumerate_mls(7)
 
 
 def test_lambda_table_capacity():
@@ -268,14 +301,14 @@ def test_shift_orbit_counts():
     want = {1: 1, 2: 1, 3: 2, 4: 3, 5: 17, 6: 447}
     for n, count in want.items():
         g = build_group(f"C{n}")
-        _, orbits = shift_orbits(g, lambda_elements(g))
+        _, orbits = shift_orbits(g, enumerate_mls(n))
         assert len(orbits) == count
     g = build_group("C2xC2")
-    _, orbits = shift_orbits(g, lambda_elements(g))
+    _, orbits = shift_orbits(g, enumerate_mls(4))
     assert len(orbits) == 3
 
 
-# sha256 of json.dumps(shift_orbits(g, lambda_elements(g))): orbit ids,
+# sha256 of json.dumps(shift_orbits(g, enumerate_mls(g.order))): orbit ids,
 # orbit order and members, recorded before shift_orbits read shift_table.
 SHIFT_ORBIT_DIGESTS = {
     "C1": "7e81841ae664f806f63d61098329e4dc1befc4469544c156365c22b53521df5c",
@@ -292,7 +325,7 @@ SHIFT_ORBIT_DIGESTS = {
 def test_shift_orbits_pinned():
     for name, want in SHIFT_ORBIT_DIGESTS.items():
         g = build_group(name)
-        got = json.dumps(shift_orbits(g, lambda_elements(g)))
+        got = json.dumps(shift_orbits(g, enumerate_mls(g.order)))
         assert hashlib.sha256(got.encode()).hexdigest() == want, name
 
 
@@ -313,7 +346,7 @@ def test_one_point_rows_are_the_translations(lam_table, tmp_path):
 
 def test_shift_orbits_rejects_a_list_not_closed_under_translation():
     g = build_group("C4")
-    systems = lambda_elements(g)
+    systems = enumerate_mls(4)
     moved = next(i for i, s in enumerate(systems) if not is_invariant_mls(g, s))
     with pytest.raises(ConsistencyError, match="translation left the system list"):
         shift_orbits(g, systems[:moved] + systems[moved + 1 :])
