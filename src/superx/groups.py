@@ -11,14 +11,16 @@ the alternating group A4 and the order-12 semidirect product C3:C4.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
 from .bitsets import iter_bits
 from .errors import CapacityError, ConsistencyError, GroupParseError
+from .semigroups import SemigroupTable, direct_product, from_group, subtable
 
 MAX_ORDER = 16
 
@@ -50,50 +52,42 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_abelian(self) -> bool:
-        mul = self.mul
-        n = self.order
-        return all(mul[a][b] == mul[b][a] for a in range(n) for b in range(n))
-
     def __str__(self) -> str:
         return self.name
 
 
-def _validate_table(name: str, mul: list[list[int]]) -> tuple[int, ...]:
-    """Check the group axioms exhaustively and return the inverse table."""
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise CapacityError(f"group order {order} exceeds the cap of {MAX_ORDER}")
+
+
+def _validate_table(name: str, mul) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check the group axioms exhaustively; return the product array and the inverse table.
+
+    SemigroupTable checks squareness, range and every associativity
+    triple: a group has at most MAX_ORDER <= ASSOC_EXHAUSTIVE_LIMIT
+    elements.  Element 0 must be a two-sided identity and every element
+    needs a two-sided inverse, which associativity makes unique: if
+    ab = ba = e = ac = ca then b = b(ac) = (ba)c = c.
+    """
     n = len(mul)
     if any(len(row) != n for row in mul):
         raise ConsistencyError(f"{name}: multiplication table is not square")
-    rng = range(n)
-    if any(mul[0][i] != i or mul[i][0] != i for i in rng):
+    p = SemigroupTable(mul, name=name).product
+    ids = np.arange(n)
+    if not (np.array_equal(p[0], ids) and np.array_equal(p[:, 0], ids)):
         raise ConsistencyError(f"{name}: element 0 is not an identity")
-    for a in rng:
-        for b in rng:
-            ab = mul[a][b]
-            if not 0 <= ab < n:
-                raise ConsistencyError(f"{name}: product out of range")
-            for c in rng:
-                if mul[ab][c] != mul[a][mul[b][c]]:
-                    raise ConsistencyError(f"{name}: not associative at ({a},{b},{c})")
-    inv = [-1] * n
-    for a in rng:
-        for b in rng:
-            if mul[a][b] == 0 and mul[b][a] == 0:
-                if inv[a] not in (-1, b):
-                    raise ConsistencyError(f"{name}: inverse of {a} is not unique")
-                inv[a] = b
-    if any(i < 0 for i in inv):
+    unit = (p == 0) & (p.T == 0)
+    if not unit.any(axis=1).all():
         raise ConsistencyError(f"{name}: missing inverses")
-    return tuple(inv)
+    return p, tuple(unit.argmax(axis=1).tolist())
 
 
-def _make_group(name: str, mul: list[list[int]], element_names=None) -> FiniteGroup:
-    if len(mul) > MAX_ORDER:
-        raise CapacityError(f"group order {len(mul)} exceeds the cap of {MAX_ORDER}")
-    inv = _validate_table(name, mul)
+def _make_group(name: str, mul, element_names=None) -> FiniteGroup:
+    p, inv = _validate_table(name, mul)
     if element_names is None:
-        element_names = tuple(str(i) for i in range(len(mul)))
-    return FiniteGroup(name, tuple(tuple(row) for row in mul), inv, tuple(element_names))
+        element_names = map(str, range(len(inv)))
+    return FiniteGroup(name, tuple(map(tuple, p.tolist())), inv, tuple(element_names))
 
 
 def _cyclic(n: int) -> FiniteGroup:
@@ -173,24 +167,15 @@ def _semidirect_c3_c4() -> FiniteGroup:
     return _make_group("C3:C4", mul, names)
 
 
-def _direct_product(g: FiniteGroup, h: FiniteGroup, name: str) -> FiniteGroup:
+def _direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     # Pair encoding: (i, j) -> i*|H| + j, so the identity stays at 0.
-    nh = h.order
-    order = g.order * nh
-    if order > MAX_ORDER:
-        raise CapacityError(f"direct product order {order} exceeds the cap of {MAX_ORDER}")
-    mul = [[0] * order for _ in range(order)]
-    for i in range(g.order):
-        for j in range(nh):
-            for k in range(g.order):
-                for l in range(nh):
-                    mul[i * nh + j][k * nh + l] = g.mul[i][k] * nh + h.mul[j][l]
-    names = [f"({g.element_names[i]},{h.element_names[j]})" for i in range(g.order) for j in range(nh)]
-    return _make_group(name, mul, names)
+    t = direct_product(from_group(g), from_group(h))
+    return _make_group(t.name, t.product, t.labels)
 
 
 _NAME_RE = re.compile(r"^C(\d+)$")
 _DIHEDRAL_RE = re.compile(r"^D(\d+)$")
+_NAMED = {"Q8": _quaternion, "A4": _alternating4, "C3:C4": _semidirect_c3_c4}
 
 
 def build_group(name: str) -> FiniteGroup:
@@ -198,48 +183,29 @@ def build_group(name: str) -> FiniteGroup:
 
     The grammar: ``C<n>``, products ``C<a>xC<b>[xC<c>...]``, ``D<2n>``
     (the dihedral group of order 2n), ``Q8``, ``A4`` and ``C3:C4``.
-    Total order must stay within 16.
+    Total order must stay within 16.  A name is parsed whole before its
+    order is checked, so each fault has one message.
     """
     name = name.strip()
-    if name == "Q8":
-        return _quaternion()
-    if name == "A4":
-        return _alternating4()
-    if name == "C3:C4":
-        return _semidirect_c3_c4()
+    if name in _NAMED:
+        return _NAMED[name]()
     m = _DIHEDRAL_RE.match(name)
     if m:
         order = int(m.group(1))
         if order % 2 or order < 6:
             raise GroupParseError(f"dihedral groups need an even order >= 6, got {name!r}")
-        if order > MAX_ORDER:
-            raise CapacityError(f"group order {order} exceeds the cap of {MAX_ORDER}")
+        _check_order(order)
         return _dihedral(order)
-    if "x" in name:
-        factors = []
-        for part in name.split("x"):
-            m = _NAME_RE.match(part)
-            if not m:
-                raise GroupParseError(f"unknown group name {name!r}")
-            factors.append(int(m.group(1)))
-        order = 1
-        for f in factors:
-            if f < 1:
-                raise GroupParseError(f"bad cyclic order in {name!r}")
-            order *= f
-        if order > MAX_ORDER:
-            raise CapacityError(f"group order {order} exceeds the cap of {MAX_ORDER}")
-        grp = reduce(lambda acc, f: _direct_product(acc, _cyclic(f), ""), factors[1:], _cyclic(factors[0]))
-        return FiniteGroup(name, grp.mul, grp.inv, grp.element_names)
-    m = _NAME_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise GroupParseError(f"bad cyclic order in {name!r}")
-        if n > MAX_ORDER:
-            raise CapacityError(f"group order {n} exceeds the cap of {MAX_ORDER}")
-        return _cyclic(n)
-    raise GroupParseError(f"unknown group name {name!r}")
+    parts = [_NAME_RE.match(part) for part in name.split("x")]
+    if not all(parts):
+        raise GroupParseError(f"unknown group name {name!r}")
+    factors = [int(m.group(1)) for m in parts]
+    if min(factors) < 1:
+        raise GroupParseError(f"bad cyclic order in {name!r}")
+    _check_order(prod(factors))
+    grp = reduce(_direct_product, map(_cyclic, factors))
+    # a one-factor name keeps the cyclic group's own name, so C01 is C1
+    return grp if len(factors) == 1 else replace(grp, name=name)
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
@@ -334,10 +300,7 @@ def _close_subgroup(g: FiniteGroup, mask: int) -> int:
 
 def subgroup_as_group(g: FiniteGroup, h_mask: int) -> FiniteGroup:
     """Reindex a subgroup mask as a standalone group (identity first)."""
-    elems = list(iter_bits(h_mask))
-    if elems[0] != 0:
+    if not h_mask & 1:
         raise ConsistencyError("subgroup mask does not contain the identity")
-    pos = {e: i for i, e in enumerate(elems)}
-    mul = [[pos[g.mul[a][b]] for b in elems] for a in elems]
-    names = tuple(g.element_names[e] for e in elems)
-    return _make_group(f"{g.name}|{h_mask:#x}", mul, names)
+    t = subtable(from_group(g), list(iter_bits(h_mask)))
+    return _make_group(f"{g.name}|{h_mask:#x}", t.product, t.labels)

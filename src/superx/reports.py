@@ -35,13 +35,10 @@ class Report:
 
 
 def render_rows_text(headers: list[str], rows: list[list]) -> str:
-    """Plain aligned table."""
+    """Plain aligned table, without trailing spaces."""
     cells = [[str(c) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h) for i, h in enumerate(headers)]
-    out = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in cells:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(out)
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in [headers, *cells])
 
 
 def render_rows_csv(headers: list[str], rows: list[list]) -> str:

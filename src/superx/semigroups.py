@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .groups import FiniteGroup
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 ASSOC_EXHAUSTIVE_LIMIT = 100
 ASSOC_SAMPLES = 10_000
@@ -45,9 +48,6 @@ class SemigroupTable:
     @property
     def order(self) -> int:
         return int(self.product.shape[0])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.product[a, b])
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -158,10 +158,11 @@ def principal_ideal(t: SemigroupTable, a: int) -> frozenset[int]:
     member[a] = True
     frontier = np.array([a], dtype=np.int32)
     while frontier.size:
-        reached = np.concatenate([p[:, frontier].ravel(), p[frontier, :].ravel()])
-        fresh = np.unique(reached[~member[reached]])
-        member[fresh] = True
-        frontier = fresh
+        reached = np.zeros(t.order, dtype=bool)
+        reached[p[:, frontier]] = True
+        reached[p[frontier, :]] = True
+        frontier = np.flatnonzero(reached & ~member)
+        member[frontier] = True
     return frozenset(int(i) for i in np.flatnonzero(member))
 
 

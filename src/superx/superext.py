@@ -106,9 +106,9 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     systems = enumerate_mls(n)
     index = _BitmapIndex(system_words(systems))
     sigma = _translation_indices(g, index)
-    reps = np.unique(sigma.min(axis=0))
-    size = 1 << n
     m = len(systems)
+    reps = np.flatnonzero(sigma.min(axis=0) == np.arange(m))  # each orbit's least member
+    size = 1 << n
     b = index.words[:, 0]
     one = np.uint64(1)
     subsets = np.arange(size, dtype=np.uint64)
@@ -296,7 +296,8 @@ def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, in
     if n == 7 and not allow_large:
         raise CapacityError("ground size 7 is gated behind allow_large")
     sigma = _translation_indices(g, _BitmapIndex(_words_of(_walk(n), n)))
-    return sigma.shape[1], len(np.unique(sigma.min(axis=0)))
+    m = sigma.shape[1]
+    return m, int(np.count_nonzero(sigma.min(axis=0) == np.arange(m)))
 
 
 @dataclass

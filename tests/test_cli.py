@@ -409,43 +409,43 @@ def test_main_formats(tmp_path, capsys):
 # empty working directory, so the relative --cache-dir is always a miss and
 # cache_file is stable.  A refactor must leave every one of them unchanged.
 UNPINNED_OUTPUT_DIGESTS = {
-    ("sl-table", "text"): "9077d12c31634711d5149e6d70ed86eeeb20dfd06b5a86ef0e7adda88095804a",
+    ("sl-table", "text"): "7acc9b94fefeb8120304d8dbe696d46ea2d711ef8af45dd5b76cdcbce7b31183",
     ("sl-table", "json"): "0a0750850874d6007a53d2b458110aa7ee1db8c7821680c9144c254f3a49fd0d",
     ("sl-table", "csv"): "4f9c997ddd52811e8010624a9a18a9ec87aec37b7b2566ec8d0702944a4c18d4",
-    ("c5-t17", "text"): "ba890ef10fe28aa53d7ac9510875f18b1dece707ed0eaa11cc9bae02939772dc",
+    ("c5-t17", "text"): "1217ada835748982df3540126f9745836d6b823815eff0dc3e3a35e959962444",
     ("c5-t17", "json"): "4a5cb42ffdb34818a97de3cd9b69dd72b02d4e505949e1f5cd6948ec10499741",
     ("c5-t17", "csv"): "5bb2acf915a7a2a4d1bd135937423ecf56fc60dc732abf78df3cdcabda1bd934",
-    ("explore-sl --max-n=8", "text"): "4037dc9770bda590415e13a9465cc84d8c631efe3eda2eafbebeab73cc7f25ca",
+    ("explore-sl --max-n=8", "text"): "dd10a2448030f7f176fafd644bea6ac6fea89827b62663d64e0874f78b4da03c",
     ("explore-sl --max-n=8", "json"): "39227375bb7c4404d70842015e2afc7314ae31fd5c7df6bb02a2765a457e56db",
     ("explore-sl --max-n=8", "csv"): "831ec36f5966918fbb3f9bdc6429c8e692306ad7e85a760730284806caceca16",
-    ("invariant C6", "text"): "685edb341ad129ac2cc83a2c0c2657b53723244c6a3b594b2e1b1775aaf2145e",
+    ("invariant C6", "text"): "b61fe7d6a0a8b69b778219d7e64f9c08b3e8946636c024cc824b92c582845b7a",
     ("invariant C6", "json"): "b052924f2f75ee1dc5c1f2b47b1059612f6787a1920b61310017ca4f4bb8ec18",
     ("invariant C6", "csv"): "0387aaa4980b9d0486c266bcc1d2b6e4e62f4567917cd780c0e7d071b7d256e3",
-    ("invariant C3xC3 --allow-large", "text"): "dc3992c9d505338da5ec6e6890a908c40b7930eecc5ffe05a13b7efb4cc6e117",
+    ("invariant C3xC3 --allow-large", "text"): "7140fb3dc496261c2ff3251737302fc542d08ef9521f2a0f5c786d52d425c623",
     ("invariant C3xC3 --allow-large", "json"): "c7825f01c767d095314f61d31c40cc4b16b51cfaec34514eabdf5cae05558bc9",
     ("invariant C3xC3 --allow-large", "csv"): "2fb2f0d73381a6e79875476656dee418d9c8541e004fe55873a3fe1b88454305",
-    ("invariant C9 --allow-large", "text"): "8c42ac7268af94ba3f0be70e0a75a61cdd7a4c4d51249d61f022a8cc4c50e934",
+    ("invariant C9 --allow-large", "text"): "5b8805b93641f155600147ce27aba2077da45941b002eb30c4f78d4870a9544f",
     ("invariant C9 --allow-large", "json"): "c11eba500103eabc30812f3c14b0fd9754051e7c2aa8463bd38297a98c844453",
     ("invariant C9 --allow-large", "csv"): "d906ab311a7edd181f08aae5d72c551ba17cfa3ae423fdee92dba6fa3f32b11a",
-    ("invariant D10 --allow-large", "text"): "5e737f4899d3575d668bc06fc18306e8dcc8b99955a60624dad20055ecab2c18",
+    ("invariant D10 --allow-large", "text"): "486a0373699eab5d864c0cf36f691e7acde9895f99942d2be611accd0e22ae4b",
     ("invariant D10 --allow-large", "json"): "c4b2eaf9965be60e11acf46e76df4aa8198cdb34306ad3364a91dabeb2d06ef1",
     ("invariant D10 --allow-large", "csv"): "d6b150ab030eee1f77ffaf2c0894e14189a94357e2af86c10cf72ff93ab96c34",
-    ("lambda C4 --what=structure", "text"): "aef973570e33fb28ef4d1cdb0881493c972556b3e62d5b0ee1c802ed97096b93",
+    ("lambda C4 --what=structure", "text"): "313ec15bbf4769ad730a2e6665bc57b2485c5855e943a69394062fbaa8ada634",
     ("lambda C4 --what=structure", "json"): "69d8686fa8579cec5062aa813c872ee61a9db0178261cf13616ea66090e2b031",
     ("lambda C4 --what=structure", "csv"): "9f4206fbc5b0b5107f1ecc58fcff04e7b10a6611455a446a2035bdb525801eb4",
-    ("lambda C5 --what=structure", "text"): "acd53b684f51d28a3f76784008694ee6926a3365f73897ea816c2ce8d4246503",
+    ("lambda C5 --what=structure", "text"): "2746abae23aca91a5af0ea3c065304f559be5d1077ecf9cc7cad9b54da48015a",
     ("lambda C5 --what=structure", "json"): "2719b36fbd1900f05cbcaa22b8b6d2ed0f384f63973f2657693fc9877341d2f2",
     ("lambda C5 --what=structure", "csv"): "8aac87e62f4f95df46766a7433172435828866a6f66cb738d9e5bf73b6e164aa",
-    ("lambda C6 --what=count", "text"): "86e8240a107e88fc1634fb14ee3613da9b843671921332bc51921aa86fe76c10",
+    ("lambda C6 --what=count", "text"): "c457d8a7a0d715c1e715aac84dc1973183beb7fe257b29b4b3259bc173fd18db",
     ("lambda C6 --what=count", "json"): "7d8136513cbc0598ad87f2a945e44ff4475a7f0a81d84ca09990eed3cdd9f5ac",
     ("lambda C6 --what=count", "csv"): "049f519ff56651266ae11a5d641276427cfb8cc826ede01370176801d89d1260",
-    ("lambda D6 --what=count", "text"): "813db3fdea282794cf4727ce6ffed11a2c72f05c4439ebad39323bf21ddda8a8",
+    ("lambda D6 --what=count", "text"): "f8a12ff9928a8948e7109bc8c12240bb3d0475b8e60da237cc545e3f9f8fe337",
     ("lambda D6 --what=count", "json"): "693706ab3aab6f19a19615afab4bf0037b876759fb50ed33a2c21f7be031ffa5",
     ("lambda D6 --what=count", "csv"): "33ebd0bcfdf3f0188db0163d3a217c916f96cb2293cf5a94f8473668cf95bba7",
-    ("verify-paper --scope=fast", "text"): "262bce402b182029e66055539b2bdd89384043cc1d7c1af1108396a150690410",
+    ("verify-paper --scope=fast", "text"): "c2eb5b3841e080e130bea0e0255b55de980c5d55bd697f9769616720f46b7105",
     ("verify-paper --scope=fast", "json"): "ab37afda7f836ed3d2ee617bd16ff76471241a394474f44c51e256f75348cac3",
     ("verify-paper --scope=fast", "csv"): "049720309ec2c1dbe1cc4ab5dd53b9d1666704837605ce276b7731968e29d2eb",
-    ("lambda C3 --what=table --cache-dir=cache", "text"): "14893a4ef0ee4982922aa85d13589cabb92d5227e808ae4f66c94194e5ecef3b",
+    ("lambda C3 --what=table --cache-dir=cache", "text"): "fffe18758b50016f08cf1489d7b6e5cb49240ce0c09f364e585e9e734df050dd",
     ("lambda C3 --what=table --cache-dir=cache", "json"): "8160166178b56942b84a23d26a6173e2eb7b7f3659768733848fba9eec4fabe7",
     ("lambda C3 --what=table --cache-dir=cache", "csv"): "4b11c62b365814fd530cdf8bb7f5f0dff580b18883b5325197acc0f5ab81b80f",
 }

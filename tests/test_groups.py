@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from superx.errors import CapacityError, GroupParseError
+from superx.errors import CapacityError, ConsistencyError, GroupParseError
+from superx.expected import SL_TABLE
 from superx.groups import (
+    _make_group,
     build_group,
     difference_set,
     element_order,
     enumerate_subgroups,
     is_odd_group,
     shift_table,
+    subgroup_as_group,
     translate_set,
 )
+from superx.semigroups import from_group, is_commutative
 from oracles import (
     oracle_element_order,
     oracle_subgroups,
@@ -42,7 +47,7 @@ def test_q8_has_one_involution():
 
 def test_c3_c4_is_nonabelian_with_normal_c3():
     g = build_group("C3:C4")
-    assert not g.is_abelian()
+    assert not is_commutative(from_group(g))[0]
     order3 = [h for h in enumerate_subgroups(g) if h.bit_count() == 3]
     assert len(order3) == 1
     h = order3[0]
@@ -55,15 +60,76 @@ def test_c3_c4_is_nonabelian_with_normal_c3():
         assert conj == h
 
 
+# Every group of the sl table, the largest orders and the odd spellings;
+# the digest covers each group and the standalone group of each subgroup.
+PINNED_NAMES = [
+    "C1", *SL_TABLE, "C14", "D14", "C15", "C3xC5", "C16", "C2xC8", "C4xC4",
+    "C2xC2xC4", "C2xC2xC2xC2", "D16", "C1xC7", " C5 ", "C01", "C2xC1",
+]
+CATALOG_DIGEST = "c471445110f30683f2ed88656160cfe7b7c15971d1ad9ff015ae3ec4f61197ad"
+
+
+def test_catalog_and_subgroups_pinned():
+    digest = hashlib.sha256()
+    for name in PINNED_NAMES:
+        g = build_group(name)
+        groups = [g] + [subgroup_as_group(g, h) for h in enumerate_subgroups(g)]
+        for x in groups:
+            digest.update(repr((x.name, x.mul, x.inv, x.element_names)).encode())
+    assert len(PINNED_NAMES) == 39
+    assert digest.hexdigest() == CATALOG_DIGEST
+
+
+# A name with two faults reports the parse fault before the order cap.
+BAD_NAMES = [
+    ("NOPE", GroupParseError, "unknown group name 'NOPE'"),
+    ("", GroupParseError, "unknown group name ''"),
+    ("C0", GroupParseError, "bad cyclic order in 'C0'"),
+    ("C0xZ", GroupParseError, "unknown group name 'C0xZ'"),
+    ("C0xC99", GroupParseError, "bad cyclic order in 'C0xC99'"),
+    ("C17", CapacityError, "group order 17 exceeds the cap of 16"),
+    ("C5xC4", CapacityError, "group order 20 exceeds the cap of 16"),
+    ("C2xC3xC3", CapacityError, "group order 18 exceeds the cap of 16"),
+    ("D7", GroupParseError, "dihedral groups need an even order >= 6, got 'D7'"),
+    ("D4", GroupParseError, "dihedral groups need an even order >= 6, got 'D4'"),
+    ("D18", CapacityError, "group order 18 exceeds the cap of 16"),
+    ("C2x", GroupParseError, "unknown group name 'C2x'"),
+    ("xC2", GroupParseError, "unknown group name 'xC2'"),
+    ("C2xD6", GroupParseError, "unknown group name 'C2xD6'"),
+    ("Q16", GroupParseError, "unknown group name 'Q16'"),
+    ("C-1", GroupParseError, "unknown group name 'C-1'"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(GroupParseError):
-        build_group("NOPE")
-    with pytest.raises(GroupParseError):
-        build_group("D7")
-    with pytest.raises(CapacityError):
-        build_group("C17")
-    with pytest.raises(CapacityError):
-        build_group("C5xC4")
+    for name, error, message in BAD_NAMES:
+        with pytest.raises(error) as info:
+            build_group(name)
+        assert type(info.value) is error and str(info.value) == message, name
+
+
+@pytest.mark.parametrize(
+    "mul",
+    [
+        [[0, 1, 2], [1, 2, 0], [2, 0]],  # ragged
+        [[1, 0], [0, 1]],  # C2 with its identity at 1
+        [[0, 1], [1, 2]],  # entry out of range
+        [[0, 1, 2], [1, 1, 0], [2, 0, 2]],  # not associative: (1*1)*2 = 0, 1*(1*2) = 1
+        [[0, 1], [1, 1]],  # a monoid: 1 has no inverse
+    ],
+)
+def test_make_group_rejects_non_groups(mul):
+    with pytest.raises(ConsistencyError):
+        _make_group("bad", mul)
+
+
+def test_subgroup_as_group_rejects_bad_masks():
+    g = build_group("C6")
+    assert subgroup_as_group(g, 0b001001).mul == ((0, 1), (1, 0))
+    with pytest.raises(ConsistencyError):
+        subgroup_as_group(g, 0b001010)  # no identity
+    with pytest.raises(ConsistencyError):
+        subgroup_as_group(g, 0b000011)  # {0, 1} is not closed
 
 
 def test_identity_is_zero_and_axioms_hold():
