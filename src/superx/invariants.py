@@ -129,7 +129,8 @@ def coset_space_sl(g: FiniteGroup, h_mask: int) -> int:
     the answer is the least |S| whose union is a self-linked subset of G.
     """
     shifts = shift_table(g)
-    cosets = np.unique(shifts[:, h_mask])  # the distinct left cosets xH
+    # the distinct left cosets xH; the plain np.unique call imports numpy.ma
+    cosets, _ = np.unique(shifts[:, h_mask], return_index=True)
     unions = np.zeros(1 << cosets.size, dtype=np.uint16)  # unions[S] = union of the cosets in S
     for i, coset in enumerate(cosets):
         unions[1 << i : 2 << i] = unions[: 1 << i] | coset

@@ -6,25 +6,28 @@ For families A, B on a group X the product is
 
 which restricted to one-point systems is the group operation itself.
 Cayley tables for the full system space are built with numpy: each
-system is a membership bitmap over all 2^n subsets, and the witness sets
-{x : x^-1 C in B} are assembled for all systems at once.  Since A o B is
-the union over W in A of the fibre {C : witness_B(C) = W}, each row of
-product bitmaps is one matrix product of A's 0/1 membership row with the
-fibre matrix.  Left translation by a group element commutes with the
-product, (xA) o B = x(A o B), so only one row per translation orbit is
-computed; every other row is a translated copy of its orbit
-representative's row.  Product bitmaps and translated bitmaps are
+system is a membership bitmap over all 2^n subsets.  Translation by a
+group element on either side commutes with the product,
+(xA) o (By) = x(A o B)y, so only the cells (A, B) with A a
+left-translation orbit representative and B a right-translation one are
+computed, 447 x 447 of the 2,646 x 2,646 cells on C6 and on D6; every
+other cell is a translated copy of one of them.  The witness sets
+{x : x^-1 C in B} are assembled for all those B at once, and since
+A o B is the union over W in A of the fibre {C : witness_B(C) = W},
+each row of product bitmaps is one matrix product of A's 0/1 membership
+row with the fibre matrix.  Product bitmaps and translated bitmaps are
 resolved back to element indices through one hash table over the system
 bitmaps, built once per system list.
 
-The one-point systems delta_x are a copy of the group in the table and
-delta_x o A = xA, so the build's translation map sigma is the table's
-one-point rows; the table analyses read it there and take no group.
+The one-point systems delta_x are a copy of the group in the table,
+delta_x o A = xA and A o delta_y = Ay, so the build's translation maps
+are the table's one-point rows (sigma) and columns (rho); the table
+analyses read them there and take no group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,28 +80,38 @@ def lambda_table(g: FiniteGroup, systems: list[SetFamily], product) -> Semigroup
 def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     """Cayley table of the extended product over all systems on g.
 
-    Only the left-translation orbit representatives (the column minima of
-    sigma, see ``shift_orbits``) get computed rows.  Every other row
-    follows from left translation, because for every group element x
+    Only the core cells (r, s), r a left-translation orbit representative
+    (a column minimum of sigma, see ``shift_orbits``) and s a
+    right-translation one (a column minimum of rho, rho[y, j] the index
+    of systems[j] y), are computed.  Every other cell follows from
+    translation on either side, because for every group element x
 
         C in (xA) o B  <=>  {y : y^-1 C in B} in xA
                        <=>  {z : z^-1 (x^-1 C) in B} in A
                        <=>  x^-1 C in A o B
                        <=>  C in x(A o B),
 
-    the middle step substituting y = xz.  That is (xA) o B = x(A o B),
-    from the definition alone, so row sigma[x, r] is sigma[x] applied to
-    row r.
+    the middle step substituting y = xz, and for every group element y
 
-    The product bitmaps of a block of representative rows are the rows'
-    membership matrix ("W in A", rows x 2^n) times the fibre matrix whose
-    cell (W, B) is the mask of candidates C >= 1 with witness W in B, one
-    float32 GEMM per exact 16-bit limb of the mask.  Supported up to |G| =
+        C in A o (By)  <=>  {z : z^-1 C in By} in A
+                       <=>  {z : z^-1 C y^-1 in B} in A
+                       <=>  C y^-1 in A o B
+                       <=>  C in (A o B)y.
+
+    Both from the definition alone, so (xA) o (By) = x(A o B)y: cell
+    (r, rho[y, s]) is rho[y] applied to cell (r, s), which fills the
+    representative rows, and row sigma[x, r] is sigma[x] applied to row r.
+
+    The product bitmaps of a block of core cells are the rows' membership
+    matrix ("W in A", rows x 2^n) times the fibre matrix whose cell (W, B)
+    is the mask of candidates C >= 1 with witness W in B, one float32 GEMM
+    per exact 16-bit limb of the mask.  Supported up to |G| =
     MAX_TABLE_GROUND; larger groups are refused before anything is
     enumerated.  Product bitmaps are resolved to element indices by the
-    ``_BitmapIndex`` hash table, which also resolves sigma; every computed
-    product is checked to land back in the enumerated element set, and
-    translated ones do because sigma does.
+    ``_BitmapIndex`` hash table, which also resolves sigma and rho; every
+    computed product is checked to land back in the enumerated element
+    set, and translated ones do because ``_translation_indices`` checks
+    sigma and rho ("translation left the system list").
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
@@ -106,53 +119,52 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     systems = enumerate_mls(n)
     index = _BitmapIndex(system_words(systems))
     sigma = _translation_indices(g, index)
+    rho = _translation_indices(replace(g, mul=tuple(zip(*g.mul))), index)  # x.y = yx: right shifts
     m = len(systems)
     reps = np.flatnonzero(sigma.min(axis=0) == np.arange(m))  # each orbit's least member
+    rreps = np.flatnonzero(rho.min(axis=0) == np.arange(m))  # and each right orbit's
     size = 1 << n
     b = index.words[:, 0]
     one = np.uint64(1)
     subsets = np.arange(size, dtype=np.uint64)
 
-    # witness[c, j] = {x : x^-1 c in system j} for every candidate subset c.
-    # x^-1 c is in B iff c is in xB, system sigma[x, j], so bit x of
-    # witness[c, j] is bit c of b[sigma[x, j]].
-    witness = np.zeros((size, m), dtype=np.uint64)
+    # witness[c, j] = {x : x^-1 c in system rreps[j]} for every candidate
+    # subset c.  x^-1 c is in B iff c is in xB, so bit x of witness[c, j]
+    # is bit c of b[sigma[x, rreps[j]]].
+    witness = np.zeros((size, len(rreps)), dtype=np.uint64)
     for x in range(n):
-        witness |= ((b[sigma[x]] >> subsets[:, None]) & one) << np.uint64(x)
+        witness |= ((b[sigma[x, rreps]] >> subsets[:, None]) & one) << np.uint64(x)
 
     # fibre[limb, w, j] holds one 16-bit limb of the mask of candidates
-    # c >= 1 whose witness in system j is w.  For fixed j the fibres are
-    # disjoint, so row a of products is the 0/1 row "w in a" times fibre:
-    # each limb sum is a sum of distinct powers of two below 2^16 and so is
-    # exact in float32 whatever order the BLAS adds in.
+    # c >= 1 whose witness in system rreps[j] is w.  For fixed j the fibres
+    # are disjoint, so row a of products is the 0/1 row "w in a" times
+    # fibre: each limb sum is a sum of distinct powers of two below 2^16
+    # and so is exact in float32 whatever order the BLAS adds in.
     limbs = (size + 15) // 16
-    cols = np.arange(m)
-    fibre = np.zeros((limbs, size, m), dtype=np.float32)
+    cols = np.arange(len(rreps))
+    fibre = np.zeros((limbs, size, len(rreps)), dtype=np.float32)
     for c in range(1, size):
         fibre[c >> 4, witness[c], cols] += np.float32(1 << (c & 15))
 
-    # The representative rows come first and the table is filled after,
-    # both in small blocks: no temporary larger than a block is alive
-    # beside the full table, so the build's peak memory is the table's.
-    rep_rows = np.empty((len(reps), m), dtype=np.int32)
-    for start in range(0, len(reps), _ROW_CHUNK):
-        block = slice(start, start + _ROW_CHUNK)
-        rows = b[reps[block]]
-        member = ((rows[:, None] >> subsets) & one).astype(np.float32)
-        result = np.zeros((len(rows), m), dtype=np.uint64)
-        for limb in range(limbs):
-            result |= (member @ fibre[limb]).astype(np.uint64) << np.uint64(16 * limb)
-        found = index.find(result.reshape(-1, 1))
-        if (found < 0).any():
-            raise ConsistencyError("a product left the enumerated system space")
-        rep_rows[block] = found.reshape(len(rows), m)
-
-    del witness, fibre  # only the representative rows live on beside the table
+    # One block of representative rows at a time: its core cells are
+    # computed, spread along each row by rho and the rows copied into the
+    # table by sigma, so no temporary larger than a block is alive beside
+    # the full table and the build's peak memory is the table's.
     product = np.empty((m, m), dtype=np.int32)
     for start in range(0, len(reps), _ROW_CHUNK):
-        block = slice(start, start + _ROW_CHUNK)
+        block = reps[start : start + _ROW_CHUNK]
+        member = ((b[block, None] >> subsets) & one).astype(np.float32)
+        result = np.zeros((len(block), len(rreps)), dtype=np.uint64)
+        for limb in range(limbs):
+            result |= (member @ fibre[limb]).astype(np.uint64) << np.uint64(16 * limb)
+        core = index.find(result.reshape(-1, 1)).reshape(result.shape)
+        if (core < 0).any():
+            raise ConsistencyError("a product left the enumerated system space")
+        rows = np.empty((len(block), m), dtype=np.intp)  # intp: the sigma gathers need no index cast
+        for shift in rho:
+            rows[:, shift[rreps]] = shift[core]
         for shift in sigma:
-            product[shift[reps[block]]] = shift[rep_rows[block]]
+            product[shift[block]] = shift[rows]
     return lambda_table(g, systems, product)
 
 

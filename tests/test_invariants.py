@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +232,21 @@ def test_check_slbound_composite():
     assert report.sum_bound_holds
     with pytest.raises(ConsistencyError):
         check_slbound_composite(q8, 0b1011)
+
+
+def test_check_slbound_composite_imports_no_masked_arrays():
+    """The coset list comes from np.unique with return_index: the plain call imports numpy.ma on first use."""
+    code = (
+        "import sys\n"
+        "from superx.groups import build_group\n"
+        "from superx.invariants import check_slbound_composite\n"
+        "check_slbound_composite(build_group('C6'), 0b1001)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_half_self_linked_c6():

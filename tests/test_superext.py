@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,25 @@ def test_left_translation_commutes_with_the_product():
                 assert circ(g, a.shift(g, x), b) == ab.shift(g, x), (name, x)
 
 
+def _opposite(g):
+    """g with x.y = yx: its left translations are g's right translations, same inverses."""
+    return replace(g, mul=tuple(zip(*g.mul)))
+
+
+def test_right_translation_commutes_with_the_product():
+    """A o (By) = (A o B)y, the identity build_lambda_table spreads its core cells with."""
+    rng = random.Random(13)
+    for name in ("C7", "Q8", "D8"):
+        g = build_group(name)
+        op = _opposite(g)
+        for _ in range(3):
+            a, b = _random_mls(g, rng), _random_mls(g, rng)
+            assert a.is_maximal_linked() and b.is_maximal_linked()
+            ab = circ(g, a, b)
+            for y in g.elements():
+                assert circ(g, a, b.shift(op, y)) == ab.shift(op, y), (name, y)
+
+
 def test_lambda_table_matches_scalar_circ_exhaustively():
     for name in SMALL:
         g = build_group(name)
@@ -169,16 +189,39 @@ def test_lambda_table_closure_and_mls_products():
 
 
 def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
-    """A representative row whose product is missing from the list still raises."""
-    g = build_group("C4")
-    full = enumerate_mls(4)
-    orbit_of, _ = shift_orbits(g, full)
-    kept = [s for i, s in enumerate(full) if orbit_of[i] != orbit_of[3]]
-    assert len(kept) == len(full) - 4
-    shift_orbits(g, kept)  # still closed under translation
-    monkeypatch.setattr(superext, "enumerate_mls", lambda _n: kept)
-    with pytest.raises(ConsistencyError, match="a product left the enumerated system space"):
-        build_lambda_table(g)
+    """A core cell whose product is missing from the list still raises, on C4 and on non-abelian D6.
+
+    The removed systems are one orbit under translation on both sides, so
+    the list stays closed under sigma and rho and only the core check fires.
+    """
+    for name, seed, size in (("C4", 3, 4), ("D6", 6, 18)):
+        g = build_group(name)
+        full = enumerate_mls(g.order)
+        sigma, rho = _sigma(g, full), _sigma(_opposite(g), full)
+        removed = set(sigma[:, rho[:, seed]].ravel().tolist())  # x systems[seed] y for all x, y
+        assert len(removed) == size
+        kept = [s for i, s in enumerate(full) if i not in removed]
+        _sigma(g, kept), _sigma(_opposite(g), kept)  # still closed under translation on both sides
+        monkeypatch.setattr(superext, "enumerate_mls", lambda _n, kept=kept: kept)
+        with pytest.raises(ConsistencyError, match="a product left the enumerated system space"):
+            build_lambda_table(g)
+
+
+def test_lambda_table_resolves_only_the_core_cells(monkeypatch):
+    """n m queries for each of sigma and rho, then 447 x 447 products: no fallback to all columns."""
+    find = superext._BitmapIndex.find
+    queries = []
+
+    def counted(index, q):
+        queries.append(len(q))
+        return find(index, q)
+
+    monkeypatch.setattr(superext._BitmapIndex, "find", counted)
+    for name in ("C6", "D6"):
+        queries.clear()
+        g = build_group(name)
+        m = build_lambda_table(g).order
+        assert sum(queries) == 2 * g.order * m + 447 * 447, name
 
 
 def _sigma(g, systems):
@@ -342,6 +385,19 @@ def test_one_point_rows_are_the_translations(lam_table, tmp_path):
         assert np.array_equal(table.product[principal_indices(table.elements)], sigma), g.name
         q = orbit_quotient(table)
         assert (q.orbit_of, q.orbits) == shift_orbits(g, table.elements), g.name
+
+
+def test_one_point_columns_are_the_right_translations(lam_table):
+    """A o delta_y = Ay: rho is the one-point columns and moves every cell, (A o B)y = A o (By)."""
+    for name in SHIFT_ORBIT_DIGESTS:
+        g = build_group(name)
+        table = lam_table(name)
+        p = table.product
+        rho = _sigma(_opposite(g), table.elements)
+        assert rho.tolist() == oracle_translation_indices(_opposite(g), table.elements), name
+        assert np.array_equal(rho, p[:, principal_indices(table.elements)].T), name
+        for y, shift in enumerate(rho):
+            assert np.array_equal(p[:, shift], shift[p]), (name, y)
 
 
 def test_shift_orbits_rejects_a_list_not_closed_under_translation():
