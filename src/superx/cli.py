@@ -7,12 +7,13 @@ explore-sl --max-n above 16, the group order cap, exits 3 like any other
 over-cap input; --max-n and sl-table --max-order below 1 are usage errors.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error
 (an unusable --cache-dir included), 3 capacity exceeded, 4 internal
-invariant failed.
+invariant failed; a reader that closes stdout early changes none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -38,6 +39,7 @@ from .semigroups import (
 )
 from .superext import (
     build_lambda_table,
+    element_namer,
     system_counts,
     transversal_subsemigroup_search,
 )
@@ -114,25 +116,26 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
             tail = "\n" + "\n".join(" ".join(f"{v:3d}" for v in row) for row in payload["matrix"])
     elif what == "structure":
         table = build_lambda_table(g)
-        labels = table.labels
+        name = element_namer(g, table)
         idem = idempotents(table)
+        idem_names = [name(e) for e in idem]
         z = zero(table)
         commutative, witness = is_commutative(table)
         ideal = sorted(minimal_ideal(table))
         payload = {
             "count": table.order,
-            "idempotents": [labels[i] for i in idem],
-            "zero": labels[z] if z is not None else None,
+            "idempotents": idem_names,
+            "zero": name(z) if z is not None else None,
             "commutative": commutative,
-            "witness": [labels[witness[0]], labels[witness[1]]] if witness else None,
+            "witness": [name(i) for i in witness] if witness else None,
             "minimal_ideal_size": len(ideal),
-            "minimal_ideal": [labels[i] for i in ideal] if len(ideal) <= 16 else None,
+            "minimal_ideal": [name(i) for i in ideal] if len(ideal) <= 16 else None,
             "central_count": len(central_elements(table)),
-            "subgroup_orders": {labels[e]: maximal_subgroup_at(table, e).order for e in idem},
+            "subgroup_orders": {n: maximal_subgroup_at(table, e).order for n, e in zip(idem_names, idem)},
         }
         if g.order <= 5:
             tr = transversal_subsemigroup_search(table)
-            payload["transversal"] = [labels[i] for i in tr] if tr is not None else None
+            payload["transversal"] = [name(i) for i in tr] if tr is not None else None
     else:
         raise GroupParseError(f"unknown --what value {what!r}")
     rows = [[k, v] for k, v in payload.items() if k not in ("matrix", "elements")]
@@ -297,7 +300,11 @@ def main(argv=None) -> int:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    print(_render(report, args.format))
+    try:
+        print(_render(report, args.format), flush=True)
+    except BrokenPipeError:
+        # the reader left early; the exit-time flush writes what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_MISMATCH if report.status == "fail" else EXIT_OK
 
 

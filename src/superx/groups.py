@@ -170,7 +170,7 @@ def _semidirect_c3_c4() -> FiniteGroup:
 def _direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     # Pair encoding: (i, j) -> i*|H| + j, so the identity stays at 0.
     t = direct_product(from_group(g), from_group(h))
-    return _make_group(t.name, t.product, t.labels)
+    return _make_group(t.name, t.product, t.elements)
 
 
 _NAME_RE = re.compile(r"^C(\d+)$")
@@ -303,4 +303,4 @@ def subgroup_as_group(g: FiniteGroup, h_mask: int) -> FiniteGroup:
     if not h_mask & 1:
         raise ConsistencyError("subgroup mask does not contain the identity")
     t = subtable(from_group(g), list(iter_bits(h_mask)))
-    return _make_group(f"{g.name}|{h_mask:#x}", t.product, t.labels)
+    return _make_group(f"{g.name}|{h_mask:#x}", t.product, t.elements)

@@ -1,8 +1,9 @@
 """Finite semigroups as index tables, with structure analyses.
 
 A SemigroupTable is an element list plus an n x n product table of
-element indices.  Associativity is verified exhaustively up to order
-100 and on sampled triples above that.
+element indices; element i prints as ``str(elements[i])``.
+Associativity is verified exhaustively up to order 100 and on sampled
+triples above that.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ ASSOC_SAMPLES = 10_000
 class SemigroupTable:
     product: np.ndarray
     elements: list = field(default_factory=list)
-    labels: list[str] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -41,18 +41,11 @@ class SemigroupTable:
             self.elements = list(range(n))
         if len(self.elements) != n:
             raise ConsistencyError("element list does not match the table size")
-        if self.labels is not None and len(self.labels) != n:
-            raise ConsistencyError("label list does not match the table size")
         self._check_associative()
 
     @property
     def order(self) -> int:
         return int(self.product.shape[0])
-
-    def label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return str(self.elements[i])
 
     def _check_associative(self) -> None:
         p = self.product
@@ -78,16 +71,13 @@ def sampled_associative(p: np.ndarray, rng: random.Random) -> bool:
 
 
 def from_group(g: FiniteGroup) -> SemigroupTable:
-    return SemigroupTable(
-        np.array(g.mul, dtype=np.int32),
-        elements=list(g.elements()),
-        labels=list(g.element_names),
-        name=g.name,
-    )
+    """The group's Cayley table, its elements named as in the group."""
+    return SemigroupTable(np.array(g.mul, dtype=np.int32), elements=list(g.element_names), name=g.name)
 
 
 def idempotents(t: SemigroupTable) -> list[int]:
-    return [i for i in range(t.order) if t.product[i, i] == i]
+    d = np.diagonal(t.product)
+    return np.flatnonzero(d == np.arange(t.order)).tolist()
 
 
 def right_zeros(t: SemigroupTable) -> list[int]:
@@ -142,13 +132,8 @@ def central_elements(t: SemigroupTable) -> list[int]:
 
 def sqrt_of_idempotents(t: SemigroupTable) -> list[int]:
     """All x whose square is idempotent, i.e. x^4 = x^2."""
-    p = t.product
-    out = []
-    for x in range(t.order):
-        sq = p[x, x]
-        if p[sq, sq] == sq:
-            out.append(x)
-    return out
+    d = np.diagonal(t.product)
+    return np.flatnonzero(d[d] == d).tolist()
 
 
 def principal_ideal(t: SemigroupTable, a: int) -> frozenset[int]:
@@ -191,12 +176,7 @@ def subtable(t: SemigroupTable, indices) -> SemigroupTable:
     prod = pos[t.product[np.ix_(order, order)]]
     if (prod < 0).any():
         raise ConsistencyError("subset is not closed under products")
-    return SemigroupTable(
-        prod,
-        elements=[t.elements[v] for v in order],
-        labels=[t.label(v) for v in order],
-        name=f"{t.name}|sub",
-    )
+    return SemigroupTable(prod, elements=[t.elements[v] for v in order], name=f"{t.name}|sub")
 
 
 def maximal_subgroup_at(t: SemigroupTable, e: int) -> SemigroupTable:
@@ -232,12 +212,7 @@ def adjoin_zero(t: SemigroupTable) -> SemigroupTable:
     n = t.order
     prod = np.full((n + 1, n + 1), n, dtype=np.int32)
     prod[:n, :n] = t.product
-    return SemigroupTable(
-        prod,
-        elements=list(t.elements) + ["0*"],
-        labels=(list(t.labels) + ["0*"]) if t.labels is not None else None,
-        name=f"{t.name}+zero",
-    )
+    return SemigroupTable(prod, elements=list(t.elements) + ["0*"], name=f"{t.name}+zero")
 
 
 def adjoin_identity(t: SemigroupTable) -> SemigroupTable:
@@ -247,20 +222,15 @@ def adjoin_identity(t: SemigroupTable) -> SemigroupTable:
     prod[:n, :n] = t.product
     prod[n, :] = np.arange(n + 1)
     prod[:, n] = np.arange(n + 1)
-    return SemigroupTable(
-        prod,
-        elements=list(t.elements) + ["1*"],
-        labels=(list(t.labels) + ["1*"]) if t.labels is not None else None,
-        name=f"{t.name}+unit",
-    )
+    return SemigroupTable(prod, elements=list(t.elements) + ["1*"], name=f"{t.name}+unit")
 
 
 def direct_product(t1: SemigroupTable, t2: SemigroupTable) -> SemigroupTable:
     n1, n2 = t1.order, t2.order
     # prod[a * n2 + b, c * n2 + d] = p1[a, c] * n2 + p2[b, d]
     prod = (t1.product[:, None, :, None] * n2 + t2.product[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-    labels = [f"({t1.label(a)},{t2.label(b)})" for a in range(n1) for b in range(n2)]
-    return SemigroupTable(prod, elements=labels, labels=labels, name=f"{t1.name}x{t2.name}")
+    elements = [f"({a},{b})" for a in t1.elements for b in t2.elements]
+    return SemigroupTable(prod, elements=elements, name=f"{t1.name}x{t2.name}")
 
 
 def is_isomorphism(t1: SemigroupTable, t2: SemigroupTable, phi) -> bool:

@@ -27,6 +27,7 @@ analyses read them there and take no group.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,17 +65,21 @@ def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
 
 
 def lambda_table(g: FiniteGroup, systems: list[SetFamily], product) -> SemigroupTable:
-    """The lambda(g) table over the given systems, whether built or loaded.
+    """The lambda(g) table over the given systems, whether built or loaded."""
+    return SemigroupTable(product, elements=list(systems), name=f"lambda({g.name})")
 
-    Elements are labelled by their canonical names over C5 and by
-    ``serialize()`` over every other group.
+
+def element_namer(g: FiniteGroup, table: SemigroupTable) -> Callable[[int], str]:
+    """How a report prints element i of the lambda(g) table.
+
+    Its canonical name over C5, ``serialize()`` over every other group.
+    The table stores only its systems, so a report names just the
+    elements it prints.
     """
     if g.name == "C5":
         names = canonical_names()
-        labels = [names[s.minimal_sets] for s in systems]
-    else:
-        labels = [s.serialize() for s in systems]
-    return SemigroupTable(product, elements=list(systems), labels=labels, name=f"lambda({g.name})")
+        return lambda i: names[table.elements[i].minimal_sets]
+    return lambda i: table.elements[i].serialize()
 
 
 def build_lambda_table(g: FiniteGroup) -> SemigroupTable:

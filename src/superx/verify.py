@@ -49,6 +49,7 @@ from .semigroups import (
 from .superext import (
     build_lambda_table,
     circ,
+    element_namer,
     orbit_quotient,
     principal_indices,
     shift_orbits,
@@ -130,24 +131,24 @@ def check_two_power_s() -> list[dict]:
 
 def check_c5_structure() -> list[dict]:
     table = _lambda_table("C5")
-    labels = table.labels
+    name = element_namer(build_group("C5"), table)
     rows = [
-        _row("lambda(C5) zero", "Z", labels[zero(table)]),
+        _row("lambda(C5) zero", "Z", name(zero(table))),
         _row(
             "lambda(C5) idempotents",
             sorted(ref.C5_IDEMPOTENT_NAMES),
-            sorted(labels[i] for i in idempotents(table)),
+            sorted(name(i) for i in idempotents(table)),
         ),
         _row(
             "lambda(C5) central",
             sorted(ref.C5_CENTRAL_NAMES),
-            sorted(labels[i] for i in central_elements(table)),
+            sorted(name(i) for i in central_elements(table)),
         ),
         _row("lambda(C5) |sqrtE|", ref.C5_SQRT_IDEMPOTENT_COUNT, len(sqrt_of_idempotents(table))),
         _row(
             "lambda(C5) minimal ideal",
             sorted(ref.C5_MINIMAL_IDEAL_NAMES),
-            sorted(labels[i] for i in minimal_ideal(table)),
+            sorted(name(i) for i in minimal_ideal(table)),
         ),
         _row(
             "lambda(C5) subgroup orders",
@@ -170,6 +171,7 @@ def t17_cells() -> dict:
     and which cells mismatch.
     """
     table = _lambda_table("C5")
+    name = element_namer(build_group("C5"), table)
     catalog = c5_named_catalog()
     index = {s.minimal_sets: i for i, s in enumerate(table.elements)}
     want = ref.expected_t17_table()
@@ -183,7 +185,7 @@ def t17_cells() -> dict:
             target = index[catalog[expected].minimal_sets]
             got = int(table.product[ri, ci])
             cells.append(
-                {"row": r, "col": c, "expected": expected, "computed": table.labels[got], "match": got == target}
+                {"row": r, "col": c, "expected": expected, "computed": name(got), "match": got == target}
             )
             if int(table.product[ci, ri]) != target:
                 col_row_match = False

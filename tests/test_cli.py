@@ -4,6 +4,10 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +34,7 @@ from superx.cli import (
     main,
 )
 from superx.errors import ConsistencyError
-from superx.families import enumerate_mls
+from superx.families import SetFamily, enumerate_mls
 from superx.groups import _make_group, build_group
 from superx.superext import build_lambda_table
 
@@ -84,6 +88,31 @@ def test_lambda_structure_command():
     assert payload["subgroup_orders"] == {"U": 5, "Λ4": 5, "Λ": 5, "2Λ": 5, "Z": 1}
 
 
+def test_lambda_structure_names_only_what_it_prints(monkeypatch):
+    """lambda C6 --what=structure serializes only the systems its report prints, each once."""
+    calls = []
+    serialize = SetFamily.serialize
+    monkeypatch.setattr(SetFamily, "serialize", lambda s: calls.append(s) or serialize(s))
+    payload = cmd_lambda("C6", "structure").payload
+    printed = payload["idempotents"] + [payload["zero"]] + payload["witness"] + (payload["minimal_ideal"] or [])
+    assert [serialize(s) for s in calls] == [name for name in printed if name is not None]
+    assert list(payload["subgroup_orders"]) == payload["idempotents"]
+
+
+def test_closed_pipe_keeps_the_exit_code(tmp_path):
+    """A reader that is gone before the output is written leaves exit 0 and no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "superx.cli", "lambda", "C3", "--what=table", f"--cache-dir={tmp_path}"]
+    try:
+        proc = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
 def test_lambda_table_cache_round_trip(tmp_path):
     report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
     assert not report.payload["cache_hit"]
@@ -120,8 +149,7 @@ def test_cache_header_and_loaders(tmp_path):
     loaded = load_table(tmp_path, g)
     assert loaded is not None
     assert (loaded.product == table.product).all()
-    assert loaded.elements == table.elements
-    assert (loaded.labels, loaded.name) == (table.labels, table.name)
+    assert (loaded.elements, loaded.name) == (table.elements, table.name)
     assert load_table(tmp_path / "missing", g) is None
 
 
@@ -361,7 +389,7 @@ def test_t17_verdict_is_shared_by_command_and_check(monkeypatch):
     product = table.product.copy()
     # Δ o 2Λ is 2Θ; make it Z
     product[index[catalog["Δ"].minimal_sets], index[catalog["2Λ"].minimal_sets]] = index[catalog["Z"].minimal_sets]
-    broken = SimpleNamespace(product=product, elements=table.elements, labels=table.labels)
+    broken = SimpleNamespace(product=product, elements=table.elements)
     monkeypatch.setattr(verify, "_lambda_table", lambda name: broken)
     report = cmd_c5_t17()
     assert report.status == "fail"

@@ -7,6 +7,7 @@ import superx
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(superx.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def test_every_export_resolves():
@@ -44,8 +45,8 @@ def _unused_imports(tree: ast.Module) -> set[str]:
 
 
 def test_no_unused_imports():
-    """Every name imported in src/superx is used in its module."""
-    for path in sorted(SRC.glob("*.py")):
+    """Every name imported in src/superx and in tests is used in its module."""
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
         assert not _unused_imports(ast.parse(path.read_text())), path.name
 
 

@@ -75,6 +75,16 @@ def test_idempotent_counts(lam_table):
     assert len(idempotents(lam_table("C5"))) == 5
 
 
+def test_diagonal_scans_match_the_loops(lam_table):
+    """idempotents and sqrt_of_idempotents agree with the element-by-element definitions."""
+    for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"):
+        t = lam_table(name)
+        p = t.product.tolist()
+        assert idempotents(t) == [x for x in range(t.order) if p[x][x] == x], name
+        assert sqrt_of_idempotents(t) == [x for x in range(t.order) if p[p[x][x]][p[x][x]] == p[x][x]], name
+    assert (len(idempotents(lam_table("C6"))), len(sqrt_of_idempotents(lam_table("C6")))) == (49, 810)
+
+
 def test_c5_idempotent_names(lam_table):
     t = lam_table("C5")
     nm = _names(t)
@@ -230,8 +240,8 @@ def test_maximal_subgroups_match_the_block_oracle(lam_table):
     for name in ("C4", "C2xC2", "C5", "C6", "D6"):
         t = lam_table(name)
         for e in idempotents(t):
-            want = [t.label(u) for u in oracle_maximal_subgroup(t.product, e)]
-            assert maximal_subgroup_at(t, e).labels == want, (name, e)
+            want = [t.elements[u] for u in oracle_maximal_subgroup(t.product, e)]
+            assert maximal_subgroup_at(t, e).elements == want, (name, e)
 
 
 def test_central_elements(lam_table):

@@ -21,6 +21,7 @@ from superx.families import (
     is_invariant_mls,
     majority_family,
     principal_ultrafilter,
+    SetFamily,
     system_words,
 )
 from superx.groups import build_group
@@ -29,6 +30,7 @@ from superx.semigroups import from_group, right_zeros
 from superx.superext import (
     build_lambda_table,
     circ,
+    element_namer,
     is_transversal_subsemigroup,
     orbit_quotient,
     principal_indices,
@@ -307,19 +309,29 @@ def test_lambda_table_order_row():
     assert build_lambda_table(build_group("C5")).order == 81
 
 
-def test_lambda_table_labels(lam_table, tmp_path):
-    """Canonical names label lambda(C5), serialize() every other lambda table, built or loaded."""
+def test_element_namer(lam_table, tmp_path):
+    """Canonical names print lambda(C5), serialize() every other lambda table (C5xC1 too), built or loaded."""
     names = canonical_names()
-    c5 = lam_table("C5")
-    assert c5.labels == [names[s.minimal_sets] for s in c5.elements]
-    assert len(set(c5.labels)) == 81
-    for name in ("C1", "C4", "C2xC2"):
-        table = lam_table(name)
-        assert table.labels == [s.serialize() for s in table.elements]
-    for name in ("C4", "C5"):
+    for name in ("C1", "C4", "C2xC2", "C5xC1", "C5"):
         g = build_group(name)
         save_table(tmp_path, g, lam_table(name))
-        assert load_table(tmp_path, g).labels == lam_table(name).labels
+        for table in (lam_table(name), load_table(tmp_path, g)):
+            namer = element_namer(g, table)
+            printed = [namer(i) for i in range(table.order)]
+            if name == "C5":
+                assert printed == [names[s.minimal_sets] for s in table.elements]
+                assert len(set(printed)) == 81
+            else:
+                assert printed == [s.serialize() for s in table.elements]
+
+
+def test_build_serializes_no_system(monkeypatch):
+    """A build stores systems, not their text: lambda(C6) makes no serialize() call."""
+    calls = []
+    serialize = SetFamily.serialize
+    monkeypatch.setattr(SetFamily, "serialize", lambda s: calls.append(s) or serialize(s))
+    table = build_lambda_table(build_group("C6"))
+    assert table.order == 2646 and calls == []
 
 
 def test_associativity_sampled_on_c5():
