@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 
 ASSOC_EXHAUSTIVE_LIMIT = 100
 ASSOC_SAMPLES = 10_000
+_TILE = 256
 
 
 @dataclass(eq=False)
@@ -112,22 +113,49 @@ def zero(t: SemigroupTable) -> int | None:
     return z if (p[z] == z).all() and (p[:, z] == z).all() else None
 
 
+def _asymmetric_rows(p: np.ndarray, first_block: bool = False) -> np.ndarray:
+    """Mark each row i that has a j with p[i, j] != p[j, i].
+
+    Over blocks of _TILE indices, the tiles p[I, J] and p[J, I].T are
+    compared once per block pair I <= J, so
+    the transpose is read a tile at a time, not column-wise; a differing
+    cell (i, j) marks row i and row j.  With first_block the scan stops
+    after the first row block holding a mark.
+    """
+    n = p.shape[0]
+    marked = np.zeros(n, dtype=bool)
+    for a in range(0, n, _TILE):
+        rows = slice(a, a + _TILE)
+        for b in range(a, n, _TILE):
+            cols = slice(b, b + _TILE)
+            diff = p[rows, cols] != p[cols, rows].T
+            marked[rows] |= diff.any(axis=1)
+            marked[cols] |= diff.any(axis=0)
+        if first_block and marked[rows].any():
+            break
+    return marked
+
+
 def is_commutative(t: SemigroupTable) -> tuple[bool, tuple[int, int] | None]:
-    """Symmetry of the table, with the least witness pair on failure."""
+    """Symmetry of the table, with the lexicographically least witness pair on failure.
+
+    The tiled scan stops at the first row block with a marked row; no earlier
+    row is marked.  The witness is its least marked row i, then the least j
+    with p[i, j] != p[j, i] over the whole row, which may lie in a later tile.
+    A j < i would have marked row j first, so j > i.
+    """
     p = t.product
-    diff = p != p.T
-    if not diff.any():
+    marked = _asymmetric_rows(p, first_block=True)
+    if not marked.any():
         return True, None
-    # argmax finds the first asymmetric cell in row-major order, which is
-    # the lexicographically least pair
-    i, j = divmod(int(np.argmax(diff)), t.order)
+    i = int(np.argmax(marked))
+    j = i + 1 + int(np.argmax(p[i, i + 1 :] != p[i + 1 :, i]))
     return False, (i, j)
 
 
 def central_elements(t: SemigroupTable) -> list[int]:
-    """All c with c*x = x*c for every x (row c equals column c)."""
-    p = t.product
-    return np.flatnonzero((p == p.T).all(axis=1)).tolist()
+    """All c with c*x = x*c for every x: the rows the tiled scan never marks."""
+    return np.flatnonzero(~_asymmetric_rows(t.product)).tolist()
 
 
 def sqrt_of_idempotents(t: SemigroupTable) -> list[int]:
@@ -195,7 +223,8 @@ def maximal_subgroup_at(t: SemigroupTable, e: int) -> SemigroupTable:
     if p[e, e] != e:
         raise ConsistencyError(f"element {e} is not idempotent")
     ids = np.arange(t.order)
-    power = ids
+    local = np.flatnonzero((p[e] == ids) & (p[:, e] == ids))  # eSe: eu = u = ue
+    power = local
     for _ in range((t.order - 1).bit_length()):
         power = p[power, power]
     omega = power.copy()
@@ -203,8 +232,7 @@ def maximal_subgroup_at(t: SemigroupTable, e: int) -> SemigroupTable:
     while pending.size:
         omega[pending] = p[omega[pending], power[pending]]
         pending = pending[p[omega[pending], omega[pending]] != omega[pending]]
-    units = (p[e] == ids) & (p[:, e] == ids) & (omega == e)
-    return subtable(t, np.flatnonzero(units).tolist())
+    return subtable(t, local[omega == e].tolist())
 
 
 def adjoin_zero(t: SemigroupTable) -> SemigroupTable:

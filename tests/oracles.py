@@ -217,6 +217,19 @@ def oracle_central_elements(product):
     return [c for c in range(n) if all(product[c][x] == product[x][c] for x in range(n))]
 
 
+def oracle_symmetric_rows(product):
+    """Central-row mask of a numpy table: row c equals column c, compared with the whole transpose."""
+    return (product == product.T).all(axis=1)
+
+
+def oracle_first_asymmetric_cell(product):
+    """The row-major first (i, j) with product[i, j] != product[j, i], or None, from the whole transpose."""
+    diff = product != product.T
+    if not diff.any():
+        return None
+    return divmod(int(np.argmax(diff)), product.shape[0])
+
+
 def oracle_direct_product(p1, p2):
     """Product table of the pairs (a, b), indexed a * |p2| + b, cell by cell."""
     n1, n2 = len(p1), len(p2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,10 +33,12 @@ from oracles import (
     find_isomorphism,
     oracle_central_elements,
     oracle_direct_product,
+    oracle_first_asymmetric_cell,
     oracle_maximal_subgroup,
     oracle_left_zeros,
     oracle_minimal_ideal,
     oracle_right_zeros,
+    oracle_symmetric_rows,
 )
 
 
@@ -164,6 +167,40 @@ def test_zeros_and_centre_match_loops(lam_table):
         assert right_zeros(t) == oracle_right_zeros(p), t.name
         assert left_zeros(t) == oracle_left_zeros(p), t.name
         assert central_elements(t) == oracle_central_elements(p), t.name
+
+
+def test_centre_and_witness_match_the_whole_table_order6(lam_table):
+    for name in ("C6", "D6"):
+        t = lam_table(name)
+        assert central_elements(t) == np.flatnonzero(oracle_symmetric_rows(t.product)).tolist(), name
+        assert is_commutative(t) == (False, oracle_first_asymmetric_cell(t.product)), name
+
+
+@pytest.mark.parametrize("a, b", [(255, 256), (2600, 2645), (3, 2645)])
+def test_tile_edges_on_a_null_semigroup_with_a_left_zero_band(a, b):
+    """Order 2,646 is not a multiple of the tile; the one non-commuting pair (a, b) sits on a tile edge,
+    in the last partial tile, or between the first and last row blocks."""
+    n = 2646
+    prod = np.zeros((n, n), dtype=np.int32)
+    prod[a, [a, b]] = a
+    prod[b, [a, b]] = b
+    t = SemigroupTable(prod)
+    assert is_commutative(t) == (False, (a, b))
+    assert central_elements(t) == [c for c in range(n) if c not in (a, b)]
+
+
+def test_commutation_passes_allocate_no_whole_table_mask(lam_table):
+    """A warm call on lambda(C6) peaks far below the 7 MB of a 2,646^2 bool mask."""
+    t = lam_table("C6")
+    for f in (is_commutative, central_elements):
+        f(t)
+        tracemalloc.start()
+        try:
+            f(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (f.__name__, peak)
 
 
 def test_direct_product_matches_loops(lam_table):
