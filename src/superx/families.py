@@ -9,13 +9,17 @@ member), equivalently it contains exactly one of A and its complement
 for every subset A.  The enumerator and the constructors below return
 such families without re-checking; callers that take a family from
 elsewhere test the predicate.
+
+``SetFamily(n, sets)`` checks its minimal sets, and so does every
+constructor but ``_families_of_bitmaps``, which builds the walk's and
+the invariant systems: its one pass yields each family's minimal sets
+ascending and as an antichain, so it checks only the rest itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -151,10 +155,6 @@ def majority_family(g: FiniteGroup) -> SetFamily:
     return SetFamily(g.order, tuple(subsets_of_size(g.order, k)))
 
 
-def is_invariant_mls(g: FiniteGroup, system: SetFamily) -> bool:
-    return all(system.shift(g, x) == system for x in g.elements())
-
-
 def enumerate_mls(ground_size: int) -> list[SetFamily]:
     """All maximal linked systems on {0..n-1} in canonical order.
 
@@ -172,8 +172,8 @@ def enumerate_mls(ground_size: int) -> list[SetFamily]:
 
 @lru_cache(maxsize=None)
 def _shared_systems(n: int) -> tuple[SetFamily, ...]:
-    """The walk's systems, their minimal sets read off the bitmaps in one pass, sorted."""
-    return tuple(SetFamily(n, sets) for sets in sorted(_minimal_sets(_words_of(_walk(n), n), n)))
+    """The walk's systems, derived from their bitmaps in one pass, sorted by minimal sets."""
+    return tuple(sorted(_families_of_bitmaps(_walk(n), n), key=lambda f: f.minimal_sets))
 
 
 def _walk(n: int) -> list[int]:
@@ -214,23 +214,32 @@ def _walk(n: int) -> list[int]:
 
 
 def _words_of(bitmaps, n: int) -> np.ndarray:
-    """Python-int family bitmaps over n points in the layout of ``system_words``."""
+    """Python-int family bitmaps over n points as an (m, W) uint64 array; word w holds subsets 64w..64w+63."""
     width = max(1, (1 << n) >> 6)
     packed = b"".join(bm.to_bytes(8 * width, "little") for bm in bitmaps)
     return np.frombuffer(packed, dtype="<u8").reshape(-1, width).astype(np.uint64)
 
 
-def system_words(systems: list[SetFamily]) -> np.ndarray:
-    """The membership bitmaps of a system list, in its order, as an (m, W) uint64 array.
+def _families_of_bitmaps(bitmaps: list[int], n: int) -> list[SetFamily]:
+    """The families of upward-closed membership bitmaps over n points, in their order.
 
-    Word w holds subsets 64w..64w+63, so W is 1 up to n = 6 and 2^(n-6)
-    above.  A bitmap is the union of its minimal sets' superset closures.
+    ``_minimal_sets`` yields each family's minimal sets ascending and as an
+    antichain, so ``SetFamily.__post_init__`` is skipped and each bitmap is
+    cached as the family's ``bitmap``.  The callers keep them closed: the
+    walk closes every decision upward, and invariant cliques are certified
+    superset-closed.
     """
-    n = systems[0].ground_size
-    closures = _words_of(superset_closures(n), n)
-    sizes = [len(s.minimal_sets) for s in systems]
-    sets = np.fromiter(chain.from_iterable(s.minimal_sets for s in systems), dtype=np.intp, count=sum(sizes))
-    return np.bitwise_or.reduceat(closures[sets], np.cumsum([0] + sizes[:-1]), axis=0)
+    limit = 1 << (1 << n)
+    if any(bm & 1 or not 0 < bm < limit for bm in bitmaps):
+        raise ConsistencyError("a family bitmap needs a member, and no empty set or set past the ground")
+    found = []
+    for sets, bm in zip(_minimal_sets(_words_of(bitmaps, n), n), bitmaps):
+        family = object.__new__(SetFamily)
+        object.__setattr__(family, "ground_size", n)
+        object.__setattr__(family, "minimal_sets", sets)
+        object.__setattr__(family, "bitmap", bm)
+        found.append(family)
+    return found
 
 
 def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:

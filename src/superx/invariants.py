@@ -19,8 +19,8 @@ vertex set.  Both closure facts are asserted on every enumerated clique
 in vertex-index space, all cliques at once: the translates and the
 one-point supersets of the clique's vertices are looked up as vertex
 indices and must all be in the clique.  The certified cliques are
-packed into one word array of membership bitmaps, and a single
-minimal-set pass reads every family off it as a plain ``SetFamily``.
+membership bitmaps, and ``families._families_of_bitmaps`` reads every
+family off them in one minimal-set pass.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ import numpy as np
 
 from .bitsets import iter_bits
 from .errors import CapacityError, ConsistencyError
-from .families import SetFamily, _minimal_sets, majority_family
+from .families import SetFamily, _families_of_bitmaps, majority_family
 from .groups import (
     FiniteGroup,
-    difference_set,
     enumerate_subgroups,
     is_odd_group,
     shift_table,
@@ -62,13 +61,6 @@ def _bit_matrix(masks: list[int], count: int) -> np.ndarray:
     width = (count + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=count, bitorder="little").view(bool)
-
-
-def is_self_linked(g: FiniteGroup, mask: int) -> bool:
-    """True iff the difference set AA^-1 covers the whole group."""
-    if mask == 0:
-        raise ConsistencyError("the empty set is not self-linked")
-    return difference_set(g, mask, mask) == g.full_mask
 
 
 def sl_lower_bound(n: int) -> int:
@@ -259,9 +251,8 @@ def _closed_families(
     translate x * vertices[i], for each of its vertices i and every x.
     It is superset-closed iff it holds the index of vertices[i] with any
     one point added, since every superset is reached one point at a time.
-    A superset-closed clique is its own upward closure, so the families
-    are read off the in-family bitmaps, packed into one (cliques, W)
-    word array, in a single minimal-set pass.
+    A superset-closed clique is its own upward closure, so its in-family
+    bitmap is the family's membership bitmap.
     """
     n = g.order
     verts = np.array(vertices, dtype=np.intp)
@@ -273,10 +264,9 @@ def _closed_families(
         raise ConsistencyError("maximal clique is not shift-closed")
     if any((by_vertex & ~by_vertex[image]).any() for image in plus):
         raise ConsistencyError("maximal clique is not superset-closed")
-    in_family = np.zeros((len(cliques), max(1 << n, 64)), dtype=bool)
+    in_family = np.zeros((len(cliques), 1 << n), dtype=bool)
     in_family[:, verts] = member
-    words = np.packbits(in_family, axis=1, bitorder="little").view("<u8").astype(np.uint64)
-    return [SetFamily(n, sets) for sets in _minimal_sets(words, n)]
+    return _families_of_bitmaps([_packed(row) for row in in_family], n)
 
 
 def enumerate_invariant_mls(g: FiniteGroup, *, allow_large: bool = False) -> list[SetFamily]:

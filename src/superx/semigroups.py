@@ -186,12 +186,18 @@ def minimal_ideal(t: SemigroupTable) -> frozenset[int]:
     table into x = s_1 s_2 ... s_m, the product of every element in index
     order.  One factor lies in K and K absorbs products on both sides, so
     x is in K; J(x) is then an ideal inside K, and minimality gives
-    K = J(x).  As a certificate every k in K must regenerate J(k) = K:
-    a member generating a smaller ideal would mean the fold missed the
-    kernel.
+    K = J(x).  The certificate J(k) = K for every k in K, which makes K
+    minimal, is read off the K x K block: mark each c in K with x in cK;
+    if every k has an a in K with ak marked, x is in akK, inside J(k), so
+    J(k) = J(x) = K.
     """
-    kernel = principal_ideal(t, _product_of_all(t))
-    if any(principal_ideal(t, k) != kernel for k in kernel):
+    x = _product_of_all(t)
+    kernel = principal_ideal(t, x)
+    members = np.array(sorted(kernel))
+    block = t.product[np.ix_(members, members)]
+    marked = np.zeros(t.order, dtype=bool)
+    marked[members] = (block == x).any(axis=1)
+    if not marked[block].any(axis=0).all():
         raise ConsistencyError("a kernel element generates a different ideal")
     return kernel
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import MAX_TABLE_GROUND, SetFamily, _walk, _words_of, enumerate_mls, family_from_bitmap, system_words
+from .families import MAX_TABLE_GROUND, SetFamily, _walk, _words_of, enumerate_mls, family_from_bitmap
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
@@ -122,7 +122,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
     systems = enumerate_mls(n)
-    index = _BitmapIndex(system_words(systems))
+    index = _BitmapIndex(_words_of([s.bitmap for s in systems], n))
     sigma = _translation_indices(g, index)
     rho = _translation_indices(replace(g, mul=tuple(zip(*g.mul))), index)  # x.y = yx: right shifts
     m = len(systems)
@@ -295,7 +295,7 @@ def shift_orbits(g: FiniteGroup, systems: list[SetFamily]) -> tuple[list[int], l
     sigma comes from ``_translation_indices``, as in ``build_lambda_table``,
     which writes it into the one-point rows the table analyses read.
     """
-    return _orbits(_translation_indices(g, _BitmapIndex(system_words(systems))))
+    return _orbits(_translation_indices(g, _BitmapIndex(_words_of([s.bitmap for s in systems], g.order))))
 
 
 def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, int]:
@@ -355,13 +355,6 @@ def orbit_quotient(table: SemigroupTable) -> OrbitQuotient:
             if not np.array_equal(oa[p[rows]], quotient[oa[rows, None], oa]):
                 raise ConsistencyError("orbit product is not well-defined")
     return OrbitQuotient(orbit_of, orbits, quotient)
-
-
-def quotient_table(q: OrbitQuotient) -> SemigroupTable:
-    if q.product is None:
-        raise ConsistencyError("quotient product is not defined (group not central)")
-    reps = [members[0] for members in q.orbits]
-    return SemigroupTable(q.product, elements=reps, name="orbit-quotient")
 
 
 def transversal_subsemigroup_search(table: SemigroupTable) -> list[int] | None:

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
-from superx.errors import CapacityError
+from superx.errors import CapacityError, ConsistencyError
+from superx.semigroups import SemigroupTable
 
 ISO_ORDER_LIMIT = 16
 
@@ -93,6 +94,19 @@ def oracle_translation_indices(g, systems):
     """sigma[x][i], the list index of x * systems[i], through a dict of minimal-set tuples."""
     index = {s.minimal_sets: i for i, s in enumerate(systems)}
     return [[index[s.shift(g, x).minimal_sets] for s in systems] for x in g.elements()]
+
+
+def is_invariant_mls(g, system):
+    """True iff every left translate of the family is the family itself."""
+    return all(system.shift(g, x) == system for x in g.elements())
+
+
+def quotient_table(q):
+    """The orbit quotient as a table; the constructor re-checks its associativity."""
+    if q.product is None:
+        raise ConsistencyError("quotient product is not defined (group not central)")
+    reps = [members[0] for members in q.orbits]
+    return SemigroupTable(q.product, elements=reps, name="orbit-quotient")
 
 
 def oracle_maximal_subgroup(product, e):

@@ -29,7 +29,6 @@ from superx.expected import (
 from superx.families import (
     enumerate_mls,
     generate_family,
-    is_invariant_mls,
     principal_ultrafilter,
 )
 from superx.groups import build_group
@@ -63,6 +62,7 @@ from superx.superext import (
 from superx.verify import boolean_cube_noncommutativity_witness, run_verification
 from oracles import (
     find_isomorphism,
+    is_invariant_mls,
     oracle_all_mls,
     oracle_shift_closed_maximal_linked_families,
     oracle_smallest_self_linked,

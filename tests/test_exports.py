@@ -53,3 +53,54 @@ def test_no_unused_imports():
 def test_unused_import_check_flags_a_dead_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\n__all__ = ['loads']\n")
     assert _unused_imports(tree) == {"os", "dumps"}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name a node reads, as a variable or as an attribute."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def _unreached(trees: list[ast.Module]) -> set[str]:
+    """Top-level functions and classes that no root reaches by name.
+
+    The roots are ``main``, the names in ``__all__`` and every name read
+    by module-level code outside a definition.  A reached definition
+    reaches every name it reads, in any module.  Matching bare names
+    across modules can only over-count what is reached.
+    """
+    defs: dict[str, list[ast.AST]] = {}
+    roots = {"main"}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                roots |= set(ast.literal_eval(node.value))
+            else:
+                roots |= _names_read(node)
+    reached: set[str] = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            for node in defs[name]:
+                todo.extend(_names_read(node))
+    return set(defs) - reached
+
+
+def test_every_src_definition_is_reached():
+    """Only the sl subgroup bounds wait for their verify rows; any other unreached name fails."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert _unreached(trees) == {"SlBoundReport", "check_slbound_composite", "coset_space_sl", "subgroup_as_group"}
+
+
+def test_reachability_check_flags_a_dead_definition():
+    cli = ast.parse("def main():\n    helper()\ndef helper():\n    pass\ndef dead():\n    pass\n")
+    lib = ast.parse(
+        "__all__ = ['api']\nTABLE = {'k': listed}\n"
+        "def api():\n    pass\ndef listed():\n    pass\ndef orphan():\n    api()\nclass Unused:\n    pass\n"
+    )
+    assert _unreached([cli, lib]) == {"dead", "orphan", "Unused"}

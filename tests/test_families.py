@@ -15,13 +15,11 @@ from superx.families import (
     extend_to_mls,
     family_from_bitmap,
     generate_family,
-    is_invariant_mls,
     majority_family,
     principal_ultrafilter,
-    system_words,
 )
 from superx.groups import build_group
-from oracles import oracle_all_mls, oracle_hitting_family
+from oracles import is_invariant_mls, oracle_all_mls, oracle_hitting_family
 
 MLS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
 
@@ -202,11 +200,11 @@ def test_verify_all_walks_each_ground_size_once(monkeypatch):
     assert walked == {n: 1 for n in range(1, 7)}
 
 
-def test_system_words_are_the_bitmaps():
-    """system_words packs each bitmap, and the enumerator's minimal-set pass reads the sets back."""
+def test_words_of_packs_the_bitmaps():
+    """_words_of packs each bitmap, and the enumerator's minimal-set pass reads the sets back."""
     for n in range(1, 7):
         systems = enumerate_mls(n)
-        assert [int(w) for w in system_words(systems)[:, 0]] == [s.bitmap for s in systems]
+        assert [int(w) for w in families._words_of([s.bitmap for s in systems], n)[:, 0]] == [s.bitmap for s in systems]
     c7 = build_group("C7")
     seven = [
         generate_family(7, [0b1000001, 0b0111110]),
@@ -214,9 +212,26 @@ def test_system_words_are_the_bitmaps():
         majority_family(c7),
         extend_to_mls(_family(7, [0, 1], [1, 6], [0, 6])),
     ]
-    words = system_words(seven)
+    words = families._words_of([s.bitmap for s in seven], 7)
     assert [int(lo) | int(hi) << 64 for lo, hi in words] == [s.bitmap for s in seven]
     assert families._minimal_sets(words, 7) == [s.minimal_sets for s in seven]
+
+
+def test_enumerated_systems_are_their_checked_families():
+    """Each walked system passes the public constructor's checks and keeps its own bitmap."""
+    for n in range(1, 7):
+        for s in enumerate_mls(n):
+            checked = SetFamily(n, s.minimal_sets)
+            assert s == checked
+            assert vars(s)["bitmap"] == checked.bitmap
+
+
+def test_families_of_bitmaps_rejects_what_its_pass_cannot_check():
+    sup = superset_closures(3)
+    assert families._families_of_bitmaps([sup[1]], 3) == [SetFamily(3, (1,))]
+    for bitmap in (0, sup[0], sup[1] | 1 << 8):  # no member; the empty set; a set past 3 points
+        with pytest.raises(ConsistencyError):
+            families._families_of_bitmaps([sup[1], bitmap], 3)
 
 
 def test_minimal_sets_across_words():

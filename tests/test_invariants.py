@@ -12,7 +12,7 @@ import pytest
 from superx.bitsets import mask_of
 from superx.errors import CapacityError, ConsistencyError
 from superx.expected import INVARIANT_COUNTS, SIM_CLASS_COUNTS, SL_TABLE
-from superx.families import majority_family
+from superx.families import SetFamily, majority_family
 from superx.groups import build_group, difference_set, enumerate_subgroups, shift_table, translate_set
 from superx.invariants import (
     _closed_families,
@@ -22,7 +22,6 @@ from superx.invariants import (
     coset_space_sl,
     enumerate_half_self_linked,
     enumerate_invariant_mls,
-    is_self_linked,
     odd_equivalence_report,
     partition_condition,
     self_linked_subsets,
@@ -47,19 +46,19 @@ CATALOG_LE10 = ("C1",) + tuple(name for name in SL_TABLE if build_group(name).or
 
 def test_is_self_linked_examples():
     c6 = build_group("C6")
-    assert is_self_linked(c6, mask_of([0, 1, 3]))  # {e, a, a^3}
+    assert oracle_self_linked(c6.mul, mask_of([0, 1, 3]))  # {e, a, a^3}
     for name in ("C4", "Q8", "A4"):
         g = build_group(name)
-        assert is_self_linked(g, g.full_mask)
-    with pytest.raises(ConsistencyError):
-        is_self_linked(c6, 0)
+        assert oracle_self_linked(g.mul, g.full_mask)
 
 
 def test_is_self_linked_matches_direct_definition():
+    """The self-linked subsets are the masks whose difference set AA^-1 is the whole group."""
     for name in ("C5", "C6", "D6", "Q8"):
         g = build_group(name)
+        linked = set(self_linked_subsets(g))
         for mask in range(1, 1 << g.order):
-            assert is_self_linked(g, mask) == oracle_self_linked(g.mul, mask)
+            assert (mask in linked) == oracle_self_linked(g.mul, mask) == (difference_set(g, mask, mask) == g.full_mask)
 
 
 def test_sl_lower_bound():
@@ -68,7 +67,7 @@ def test_sl_lower_bound():
     assert sl_lower_bound(8) == 4  # least k with k^2-k+1 >= 8
     c7 = build_group("C7")
     assert sl(c7) == 3
-    assert is_self_linked(c7, mask_of([0, 1, 3]))  # {e, a, a^3} attains it
+    assert oracle_self_linked(c7.mul, mask_of([0, 1, 3]))  # {e, a, a^3} attains it
 
 
 def test_sl_examples():
@@ -132,10 +131,10 @@ def test_d10_reference_discrepancy():
     # the documented witness set {e, a, b, ba2} misses ba3 in its
     # difference set, so it is not self-linked
     claimed = mask_of([0, 1, 5, 7])
-    assert not is_self_linked(g, claimed)
+    assert not oracle_self_linked(g.mul, claimed)
     # no 4-element subset works at all
     for combo in combinations(range(10), 4):
-        assert not is_self_linked(g, mask_of(combo))
+        assert not oracle_self_linked(g.mul, mask_of(combo))
     assert sl(g) == 5
     assert SL_TABLE["D10"] == 4  # the reference value disagrees
 
@@ -197,7 +196,7 @@ def test_documented_witness_sets():
     for name, points in cases.items():
         g = build_group(name)
         mask = mask_of(points)
-        assert is_self_linked(g, mask)
+        assert oracle_self_linked(g.mul, mask)
         assert mask.bit_count() == sl(g) == SL_TABLE[name]
 
 
@@ -206,9 +205,9 @@ def test_d12_witness_slip_but_correct_value():
     # either reflection convention, yet the table value 5 is right:
     # fifteen identity-containing 5-subsets are self-linked
     g = build_group("D12")
-    assert not is_self_linked(g, mask_of([0, 1, 3, 6, 7]))
-    assert not is_self_linked(g, mask_of([0, 1, 3, 6, 11]))
-    assert is_self_linked(g, mask_of([0, 1, 2, 6, 9]))  # {e, a, a2, b, ba3}
+    assert not oracle_self_linked(g.mul, mask_of([0, 1, 3, 6, 7]))
+    assert not oracle_self_linked(g.mul, mask_of([0, 1, 3, 6, 11]))
+    assert oracle_self_linked(g.mul, mask_of([0, 1, 2, 6, 9]))  # {e, a, a2, b, ba3}
     assert sl(g) == 5 == SL_TABLE["D12"]
 
 
@@ -354,13 +353,23 @@ def test_c7_invariant_structure():
     assert all(s.is_maximal_linked() for s in systems)
 
 
+def test_invariant_families_are_their_checked_families():
+    """Each invariant family passes the public constructor's checks and keeps its own bitmap."""
+    for name in CATALOG_LE10:
+        g = build_group(name)
+        for s in enumerate_invariant_mls(g, allow_large=True):
+            checked = SetFamily(g.order, s.minimal_sets)
+            assert s == checked, name
+            assert vars(s)["bitmap"] == checked.bitmap, name
+
+
 def test_invariant_systems_are_shift_closed_and_self_linked():
     for name in CATALOG_LE8:
         g = build_group(name)
         for s in enumerate_invariant_mls(g):
             assert all(s.shift(g, x) == s for x in g.elements())
             for m in s.minimal_sets:
-                assert is_self_linked(g, m)
+                assert oracle_self_linked(g.mul, m)
 
 
 def test_unique_invariant_system_iff_sl_above_half():
@@ -447,7 +456,7 @@ def test_self_linked_subsets_sorted():
     g = build_group("C6")
     subsets = self_linked_subsets(g)
     assert subsets == sorted(subsets)
-    assert all(is_self_linked(g, m) for m in subsets)
+    assert all(oracle_self_linked(g.mul, m) for m in subsets)
 
 
 def test_compatibility_graph_matches_difference_sets():

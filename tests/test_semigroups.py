@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from superx import semigroups
 from superx.c5 import canonical_names
 from superx.errors import ConsistencyError
 from superx.groups import build_group
@@ -28,9 +29,11 @@ from superx.semigroups import (
     subtable,
     zero,
 )
+from superx.superext import principal_indices
 from superx.verify import isomorphism_maps
 from oracles import (
     find_isomorphism,
+    is_invariant_mls,
     oracle_central_elements,
     oracle_direct_product,
     oracle_first_asymmetric_cell,
@@ -119,8 +122,6 @@ def test_left_zero_only_with_zero(lam_table):
 
 def test_right_zeros_are_shift_invariant_systems(lam_table):
     """The right zeros of lambda(G) are exactly its invariant maximal linked systems."""
-    from superx.families import is_invariant_mls
-
     for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"):
         g = build_group(name)
         t = lam_table(name)
@@ -253,6 +254,16 @@ def test_minimal_ideal_order6(lam_table):
         for s in range(t.order - 2, -1, -1):
             x = int(p[x, s])
         assert x in kernel, name
+
+
+def test_minimal_ideal_rejects_a_fold_outside_the_kernel(lam_table, monkeypatch):
+    """With the fold forced to delta_e, J(x) is the whole table and the certificate must fail."""
+    for name in ("C5", "C6"):
+        t = lam_table(name)
+        identity = principal_indices(t.elements)[0]
+        monkeypatch.setattr(semigroups, "_product_of_all", lambda _: identity)
+        with pytest.raises(ConsistencyError, match="generates a different ideal"):
+            minimal_ideal(t)
 
 
 def test_maximal_subgroups(lam_table):

@@ -18,11 +18,10 @@ from superx.families import (
     enumerate_mls,
     extend_to_mls,
     generate_family,
-    is_invariant_mls,
     majority_family,
     principal_ultrafilter,
     SetFamily,
-    system_words,
+    _words_of,
 )
 from superx.groups import build_group
 from superx.invariants import enumerate_invariant_mls
@@ -34,12 +33,11 @@ from superx.superext import (
     is_transversal_subsemigroup,
     orbit_quotient,
     principal_indices,
-    quotient_table,
     shift_orbits,
     system_counts,
     transversal_subsemigroup_search,
 )
-from oracles import find_isomorphism, oracle_translation_indices
+from oracles import find_isomorphism, is_invariant_mls, oracle_translation_indices, quotient_table
 
 SMALL = ("C1", "C2", "C3", "C4", "C2xC2", "C5")
 
@@ -227,7 +225,7 @@ def test_lambda_table_resolves_only_the_core_cells(monkeypatch):
 
 
 def _sigma(g, systems):
-    return superext._translation_indices(g, superext._BitmapIndex(system_words(systems)))
+    return superext._translation_indices(g, superext._BitmapIndex(_words_of([s.bitmap for s in systems], g.order)))
 
 
 def test_bitmap_index_returns_only_equal_keys():
@@ -239,7 +237,8 @@ def test_bitmap_index_returns_only_equal_keys():
     assert index.find(words).tolist() == [0, 1, 2]
     assert index.find(np.array([[0], [6]], dtype=np.uint64)).tolist() == [-1, -1]
     systems = enumerate_mls(4)
-    assert superext._BitmapIndex(system_words(systems[1:])).find(system_words(systems[:1])).tolist() == [-1]
+    packed = _words_of([s.bitmap for s in systems], 4)
+    assert superext._BitmapIndex(packed[1:]).find(packed[:1]).tolist() == [-1]
 
 
 def test_translation_indices_match_the_shift_oracle(lam_table):
