@@ -31,9 +31,8 @@ from .invariants import (
 from .reports import Report, render_rows_csv, render_rows_text
 from .semigroups import (
     central_elements,
-    idempotents,
     is_commutative,
-    maximal_subgroup_at,
+    maximal_subgroups,
     minimal_ideal,
     zero,
 )
@@ -117,8 +116,8 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
     elif what == "structure":
         table = build_lambda_table(g)
         name = element_namer(g, table)
-        idem = idempotents(table)
-        idem_names = [name(e) for e in idem]
+        subgroups = maximal_subgroups(table)
+        idem_names = [name(e) for e in subgroups]
         z = zero(table)
         commutative, witness = is_commutative(table)
         ideal = sorted(minimal_ideal(table))
@@ -131,7 +130,7 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
             "minimal_ideal_size": len(ideal),
             "minimal_ideal": [name(i) for i in ideal] if len(ideal) <= 16 else None,
             "central_count": len(central_elements(table)),
-            "subgroup_orders": {n: maximal_subgroup_at(table, e).order for n, e in zip(idem_names, idem)},
+            "subgroup_orders": dict(zip(idem_names, map(len, subgroups.values()))),
         }
         if g.order <= 5:
             tr = transversal_subsemigroup_search(table)

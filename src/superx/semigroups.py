@@ -213,32 +213,33 @@ def subtable(t: SemigroupTable, indices) -> SemigroupTable:
     return SemigroupTable(prod, elements=[t.elements[v] for v in order], name=f"{t.name}|sub")
 
 
-def maximal_subgroup_at(t: SemigroupTable, e: int) -> SemigroupTable:
-    """The maximal subgroup H_e: the invertible elements of the local monoid eSe.
+def maximal_subgroups(t: SemigroupTable) -> dict[int, list[int]]:
+    """Each maximal subgroup H_e, the units of eSe, by idempotent e: {e: members of H_e}.
 
-    u is in H_e iff eu = u = ue and u^w = e, where u^w is the one
-    idempotent power of u.  If so, u is in eSe and u^k = e for some k, so
-    u^(k-1) (e when k = 1) is an inverse of u in eSe.  Conversely the powers
-    of a unit u stay in the group H_e, whose only idempotent is e.
+    u is in H_e iff u^w = e and eu = u, where u^w is the one idempotent power
+    of u.  If so, e = u^k commutes with u, so u is in eSe, and u^(k-1) (e when
+    k = 1) is an inverse of u in eSe.  Conversely the powers of a unit u stay
+    in the group H_e, whose only idempotent is e.  So one pass over every u
+    finds all H_e, each idempotent e in its own.  u^(2^L) with 2^L >= |S| lies
+    past the index of u, in the cyclic group of its eventual powers;
+    multiplying it by itself reaches that group's identity, which is u^w.
 
-    u^(2^L) with 2^L >= |S| lies past the index of u, in the cyclic group
-    of its eventual powers; multiplying it by itself reaches that group's
-    identity, which is u^w.
+    Each H_e x H_e block must land in H_e.  Blocks get no associativity check
+    of their own: above ASSOC_EXHAUSTIVE_LIMIT the table's check samples.
     """
     p = t.product
-    if p[e, e] != e:
-        raise ConsistencyError(f"element {e} is not idempotent")
-    ids = np.arange(t.order)
-    local = np.flatnonzero((p[e] == ids) & (p[:, e] == ids))  # eSe: eu = u = ue
-    power = local
+    power = ids = np.arange(t.order)
     for _ in range((t.order - 1).bit_length()):
         power = p[power, power]
     omega = power.copy()
-    pending = np.flatnonzero(p[omega, omega] != omega)
-    while pending.size:
+    pending = ids
+    while (pending := pending[p[omega[pending], omega[pending]] != omega[pending]]).size:
         omega[pending] = p[omega[pending], power[pending]]
-        pending = pending[p[omega[pending], omega[pending]] != omega[pending]]
-    return subtable(t, local[omega == e].tolist())
+    owner = np.where(p[omega, ids] == ids, omega, -1)
+    groups = {e: np.flatnonzero(owner == e) for e in np.flatnonzero(owner == ids).tolist()}
+    if any((owner[p[np.ix_(h, h)]] != e).any() for e, h in groups.items()):
+        raise ConsistencyError(f"{t.name or 'semigroup'}: a maximal subgroup is not closed under products")
+    return {e: h.tolist() for e, h in groups.items()}
 
 
 def adjoin_zero(t: SemigroupTable) -> SemigroupTable:

@@ -39,7 +39,7 @@ from .semigroups import (
     is_commutative,
     is_isomorphism,
     left_zeros,
-    maximal_subgroup_at,
+    maximal_subgroups,
     minimal_ideal,
     right_zeros,
     sampled_associative,
@@ -153,7 +153,7 @@ def check_c5_structure() -> list[dict]:
         _row(
             "lambda(C5) subgroup orders",
             [1, 5],
-            sorted({maximal_subgroup_at(table, e).order for e in idempotents(table)}),
+            sorted({len(h) for h in maximal_subgroups(table).values()}),
         ),
         _row("lambda(C5) commutative", False, is_commutative(table)[0]),
         _row("lambda(C5) transversal", None, transversal_subsemigroup_search(table)),

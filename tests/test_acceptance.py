@@ -48,7 +48,7 @@ from superx.semigroups import (
     idempotents,
     is_commutative,
     left_zeros,
-    maximal_subgroup_at,
+    maximal_subgroups,
     minimal_ideal,
     right_zeros,
     sqrt_of_idempotents,
@@ -160,10 +160,7 @@ def test_criterion_6_lambda_c5_structure(lam_table):
         == sorted(["U", "U+1", "U+2", "U-2", "U-1", "Z"]),
         "sqrtE": len(sqrt_of_idempotents(table)) == 41,
         "minimal ideal": [label(i) for i in minimal_ideal(table)] == ["Z"],
-        "subgroups": all(
-            maximal_subgroup_at(table, e).order in (1, 5) for e in idempotents(table)
-        )
-        and {maximal_subgroup_at(table, e).order for e in idempotents(table)} == {1, 5},
+        "subgroups": {len(h) for h in maximal_subgroups(table).values()} == {1, 5},
         "transversal": transversal_subsemigroup_search(table) is None,
     }
     elapsed = time.perf_counter() - start

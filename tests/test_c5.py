@@ -14,6 +14,7 @@ from superx.c5 import (
     render_name,
 )
 from superx.errors import ConsistencyError
+from superx.expected import INVARIANT_COUNTS, LAMBDA_COUNT_7, LAMBDA_COUNTS, LAMBDA_ORBIT_COUNTS
 from superx.families import (
     enumerate_mls,
     majority_family,
@@ -96,6 +97,14 @@ def test_t17_projects_one_per_orbit():
     cat = c5_named_catalog()
     reps = [orbit_of[index[cat[name].minimal_sets]] for name in T17_NAMES]
     assert sorted(reps) == list(range(len(orbits)))
+
+
+def test_prime_burnside_ties_the_reference_counts():
+    """Every x != e generates C_p, so Fix(x) = inv(C_p) and p * |lambda/C_p| = |lambda| + (p - 1) * inv."""
+    for p in (3, 5):
+        assert p * LAMBDA_ORBIT_COUNTS[p] == LAMBDA_COUNTS[p] + (p - 1) * INVARIANT_COUNTS[f"C{p}"], p
+    # the ground-seven orbit count pinned below, derived instead of computed
+    assert divmod(LAMBDA_COUNT_7 + 6 * INVARIANT_COUNTS["C7"], 7) == (203_226, 0)
 
 
 @pytest.mark.skipif(

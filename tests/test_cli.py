@@ -36,6 +36,7 @@ from superx.cli import (
 from superx.errors import ConsistencyError
 from superx.families import SetFamily, enumerate_mls
 from superx.groups import _make_group, build_group
+from superx.semigroups import SemigroupTable
 from superx.superext import build_lambda_table
 
 
@@ -97,6 +98,15 @@ def test_lambda_structure_names_only_what_it_prints(monkeypatch):
     printed = payload["idempotents"] + [payload["zero"]] + payload["witness"] + (payload["minimal_ideal"] or [])
     assert [serialize(s) for s in calls] == [name for name in printed if name is not None]
     assert list(payload["subgroup_orders"]) == payload["idempotents"]
+
+
+def test_lambda_structure_validates_only_the_group_and_lambda_tables(monkeypatch):
+    """lambda C6 --what=structure constructs two tables, C6 and lambda(C6), and no per-subgroup table."""
+    built = []
+    post_init = SemigroupTable.__post_init__
+    monkeypatch.setattr(SemigroupTable, "__post_init__", lambda t: built.append(t.name) or post_init(t))
+    cmd_lambda("C6", "structure")
+    assert built == ["C6", "lambda(C6)"]
 
 
 def test_closed_pipe_keeps_the_exit_code(tmp_path):

@@ -44,7 +44,7 @@ CATALOG_LE8 = ("C1",) + tuple(INVARIANT_COUNTS)
 CATALOG_LE10 = ("C1",) + tuple(name for name in SL_TABLE if build_group(name).order <= 10)
 
 
-def test_is_self_linked_examples():
+def test_oracle_self_linked_examples():
     c6 = build_group("C6")
     assert oracle_self_linked(c6.mul, mask_of([0, 1, 3]))  # {e, a, a^3}
     for name in ("C4", "Q8", "A4"):
@@ -52,7 +52,7 @@ def test_is_self_linked_examples():
         assert oracle_self_linked(g.mul, g.full_mask)
 
 
-def test_is_self_linked_matches_direct_definition():
+def test_self_linked_subsets_match_direct_definition():
     """The self-linked subsets are the masks whose difference set AA^-1 is the whole group."""
     for name in ("C5", "C6", "D6", "Q8"):
         g = build_group(name)

@@ -21,7 +21,7 @@ from superx.semigroups import (
     is_commutative,
     is_isomorphism,
     left_zeros,
-    maximal_subgroup_at,
+    maximal_subgroups,
     minimal_ideal,
     right_zeros,
     sampled_associative,
@@ -269,27 +269,45 @@ def test_minimal_ideal_rejects_a_fold_outside_the_kernel(lam_table, monkeypatch)
 def test_maximal_subgroups(lam_table):
     t5 = lam_table("C5")
     nm = _names(t5)
-    by_name = {nm(e): maximal_subgroup_at(t5, e).order for e in idempotents(t5)}
-    assert by_name == {"U": 5, "Λ4": 5, "Λ": 5, "2Λ": 5, "Z": 1}
-    h = maximal_subgroup_at(t5, zero(t5))
-    assert h.order == 1
+    groups5 = maximal_subgroups(t5)
+    assert {nm(e): len(h) for e, h in groups5.items()} == {"U": 5, "Λ4": 5, "Λ": 5, "2Λ": 5, "Z": 1}
+    assert groups5[zero(t5)] == [zero(t5)]
     t4 = lam_table("C4")
     ideal_idem = [e for e in idempotents(t4) if e in minimal_ideal(t4)]
     assert len(ideal_idem) == 1
-    grp = maximal_subgroup_at(t4, ideal_idem[0])
+    grp = subtable(t4, maximal_subgroups(t4)[ideal_idem[0]])
     assert grp.order == 8
     assert find_isomorphism(grp, direct_product(from_group(build_group("C2")), from_group(build_group("C4")))) is not None
-    with pytest.raises(ConsistencyError):
-        maximal_subgroup_at(t5, [i for i in range(81) if i not in idempotents(t5)][0])
 
 
 def test_maximal_subgroups_match_the_block_oracle(lam_table):
-    """The idempotent-power test finds the same units as the whole eSe block, at every idempotent."""
-    for name in ("C4", "C2xC2", "C5", "C6", "D6"):
-        t = lam_table(name)
-        for e in idempotents(t):
-            want = [t.elements[u] for u in oracle_maximal_subgroup(t.product, e)]
-            assert maximal_subgroup_at(t, e).elements == want, (name, e)
+    """The idempotent-power pass finds the same units as the whole eSe block, at every idempotent."""
+    group = from_group(build_group("D6"))
+    band = SemigroupTable(np.repeat(np.arange(5)[:, None], 5, axis=1), name="left-zero band")
+    tables = [lam_table(name) for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6")]
+    tables += [
+        group,
+        adjoin_zero(from_group(build_group("C3"))),
+        direct_product(adjoin_identity(from_group(build_group("C2"))), from_group(build_group("C4"))),
+        SemigroupTable(np.zeros((5, 5), dtype=np.int32), name="null"),
+        band,
+    ]
+    for t in tables:
+        groups = maximal_subgroups(t)
+        assert list(groups) == idempotents(t), t.name
+        for e, members in groups.items():
+            assert members == oracle_maximal_subgroup(t.product, e), (t.name, e)
+    assert maximal_subgroups(group) == {0: list(range(6))}
+    assert maximal_subgroups(band) == {e: [e] for e in range(5)}
+
+
+def test_maximal_subgroups_reject_a_block_that_leaves_its_group():
+    """In C3 + zero with 1 * 2 forced to the zero, H_0 = {0, 1} but 1 * 1 = 2 is outside it."""
+    t = adjoin_zero(from_group(build_group("C3")))
+    assert maximal_subgroups(t) == {0: [0, 1, 2], 3: [3]}
+    t.product[1, 2] = 3
+    with pytest.raises(ConsistencyError, match="not closed under products"):
+        maximal_subgroups(t)
 
 
 def test_central_elements(lam_table):

@@ -411,6 +411,57 @@ def test_one_point_columns_are_the_right_translations(lam_table):
             assert np.array_equal(p[:, shift], shift[p]), (name, y)
 
 
+def _one_point_sigma(table):
+    """sigma[x, j], the index of x * element j, read off the one-point rows: delta_x o A = xA."""
+    return table.product[principal_indices(table.elements)]
+
+
+def _fixed_points(sigma):
+    """Fix(x): the number of columns j with sigma[x, j] = j."""
+    return np.count_nonzero(sigma == np.arange(sigma.shape[1]), axis=1).tolist()
+
+
+def test_burnside_counts_the_orbits_off_the_one_point_rows(lam_table):
+    """n * |lambda(G)/G| = sum of Fix(x), with the orbit count taken from the walk, not the table."""
+    for name in SHIFT_ORBIT_DIGESTS:
+        g = build_group(name)
+        sigma = _one_point_sigma(lam_table(name))
+        orbit_count = system_counts(g)[1]
+        assert sum(_fixed_points(sigma)) == g.order * orbit_count, name
+        if orbit_count > 1:  # swapping two columns from different orbits removes their fixed points
+            j = int(np.flatnonzero(~np.isin(np.arange(sigma.shape[1]), sigma[:, 0]))[0])
+            swapped = sigma.copy()
+            swapped[:, [0, j]] = swapped[:, [j, 0]]
+            assert sum(_fixed_points(swapped)) < g.order * orbit_count, name
+    assert _fixed_points(_one_point_sigma(lam_table("C6"))) == [2646, 0, 18, 0, 18, 0]
+    assert _fixed_points(_one_point_sigma(lam_table("D6"))) == [2646, 18, 18, 0, 0, 0]
+
+
+def test_involutions_fix_no_system(lam_table):
+    """A holding one point of each coset {a, ta} and tA = X \\ A: a system holds one of them, and t moves it."""
+    for name in SHIFT_ORBIT_DIGESTS:
+        g = build_group(name)
+        fixed = _fixed_points(_one_point_sigma(lam_table(name)))
+        involutions = [t for t in g.elements() if t and not g.mul[t][t]]
+        assert involutions or g.order % 2, name
+        assert [fixed[t] for t in involutions] == [0] * len(involutions), name
+
+
+def test_sigma_fixed_systems_are_the_maximal_linked_invariant_systems(lam_table):
+    """Two enumerators agree: the columns every x fixes, and the clique search's maximal linked families."""
+    counts = {}
+    for name in SHIFT_ORBIT_DIGESTS:
+        g = build_group(name)
+        table = lam_table(name)
+        sigma = _one_point_sigma(table)
+        columns = np.flatnonzero((sigma == np.arange(table.order)).all(axis=0))
+        fixed = {table.elements[j].minimal_sets for j in columns}
+        invariant = {s.minimal_sets for s in enumerate_invariant_mls(g) if s.is_maximal_linked()}
+        assert fixed == invariant, name
+        counts[name] = len(fixed)
+    assert counts == {"C1": 1, "C2": 0, "C3": 1, "C4": 0, "C2xC2": 0, "C5": 1, "C6": 0, "D6": 0}
+
+
 def test_shift_orbits_rejects_a_list_not_closed_under_translation():
     g = build_group("C4")
     systems = enumerate_mls(4)
