@@ -10,6 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
+from .errors import CapacityError
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the positions of set bits in ascending order."""
@@ -46,7 +48,7 @@ def subsets_of_size(n: int, k: int) -> Iterator[int]:
 def superset_closures(n: int) -> tuple[int, ...]:
     """closures[s] = family bitmap of all supersets of s (including s)."""
     if n > 12:
-        raise ValueError("superset closure tables are limited to n <= 12")
+        raise CapacityError("superset closure tables are limited to n <= 12")
     size = 1 << n
     full = size - 1
     closures = [0] * size
@@ -66,7 +68,7 @@ def superset_closures(n: int) -> tuple[int, ...]:
 def subset_closures(n: int) -> tuple[int, ...]:
     """closures[s] = family bitmap of all subsets of s (including s)."""
     if n > 12:
-        raise ValueError("subset closure tables are limited to n <= 12")
+        raise CapacityError("subset closure tables are limited to n <= 12")
     size = 1 << n
     closures = [0] * size
     for s in range(size):

@@ -1,6 +1,6 @@
 """Named systems over the five-point cyclic group.
 
-Nine base systems have proper names; all 81 systems on C5 arise from a
+Eight base systems have proper names; all 81 systems on C5 arise from a
 17-element set of representatives by adding a constant shift b, written
 "name+b".  Representatives themselves are affine images a*L+b of the
 base systems under x -> a*x+b mod 5, with a in {1,2,-2,-1} rendered as
@@ -85,7 +85,7 @@ def render_name(base: str, a: int = 1, b: int = 0) -> str:
 
 
 def c5_named_catalog() -> dict[str, SetFamily]:
-    """Every named system: the nine base names plus all affine images.
+    """Every named system: the eight base names plus all affine images.
 
     Different names can denote the same system (the images of Λ4 under
     any multiplier coincide, Λ = -Λ and Θ = -Θ); each valid name maps to

@@ -157,7 +157,7 @@ def cmd_invariant(group_name: str, *, allow_large: bool = False) -> Report:
     }
     if g.order % 2 == 0:
         classes = sim_classes(g)
-        payload["s"] = classes.s
+        payload["s"] = len(classes)
         payload["up_majority"] = up_majority_count(g, systems, classes)
     status = "pass"
     if payload["expected"] is not None and payload["expected"] != payload["count"]:

@@ -25,8 +25,6 @@ family off them in one minimal-set pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bitsets import iter_bits
@@ -81,37 +79,6 @@ def self_linked_subsets(g: FiniteGroup) -> list[int]:
     return np.flatnonzero(_self_linked_flags(shift_table(g))).tolist()
 
 
-@dataclass(frozen=True)
-class SlBoundReport:
-    """Composite bound check for a subgroup H of G."""
-
-    sl_group: int
-    sl_subgroup: int
-    sl_coset_space: int
-    subgroup_order: int
-    index: int
-
-    @property
-    def product_bound(self) -> int:
-        return self.sl_subgroup * self.sl_coset_space
-
-    @property
-    def sum_bound(self) -> int:
-        return self.subgroup_order + self.index
-
-    @property
-    def product_bound_holds(self) -> bool:
-        return self.sl_group <= self.product_bound
-
-    @property
-    def sum_bound_holds(self) -> bool:
-        return self.sl_group < self.sum_bound
-
-    @property
-    def coset_half_bound_holds(self) -> bool:
-        return self.sl_coset_space <= (self.index + 1 + 1) // 2
-
-
 def coset_space_sl(g: FiniteGroup, h_mask: int) -> int:
     """Smallest self-linked subset of the coset space G/H.
 
@@ -130,22 +97,23 @@ def coset_space_sl(g: FiniteGroup, h_mask: int) -> int:
     return int(np.bitwise_count(np.flatnonzero(linked)).min())
 
 
-def check_slbound_composite(g: FiniteGroup, h_mask: int) -> SlBoundReport:
-    """Evaluate the subgroup bounds on sl numerically."""
+def check_slbound_composite(g: FiniteGroup, h_mask: int) -> tuple[bool, bool, bool]:
+    """The subgroup bounds on sl for H < G, as (product, sum, coset_half) verdicts.
+
+    product: sl(G) <= sl(H) * sl(G/H); sum: sl(G) < |H| + |G : H|;
+    coset_half: sl(G/H) <= (|G : H| + 2) // 2.  A failing bound is a
+    False verdict; a mask that is not a subgroup raises ConsistencyError.
+    """
     if h_mask not in enumerate_subgroups(g):
         raise ConsistencyError("mask is not a subgroup")
-    h_group = subgroup_as_group(g, h_mask)
-    h_order = h_mask.bit_count()
-    report = SlBoundReport(
-        sl_group=sl(g),
-        sl_subgroup=sl(h_group),
-        sl_coset_space=coset_space_sl(g, h_mask),
-        subgroup_order=h_order,
-        index=g.order // h_order,
+    sl_g, h_order = sl(g), h_mask.bit_count()
+    index = g.order // h_order
+    sl_cosets = coset_space_sl(g, h_mask)
+    return (
+        sl_g <= sl(subgroup_as_group(g, h_mask)) * sl_cosets,
+        sl_g < h_order + index,
+        sl_cosets <= (index + 2) // 2,
     )
-    if not (report.product_bound_holds and report.sum_bound_holds and report.coset_half_bound_holds):
-        raise ConsistencyError("a subgroup bound failed numerically")
-    return report
 
 
 def enumerate_half_self_linked(g: FiniteGroup) -> list[int]:
@@ -158,24 +126,11 @@ def enumerate_half_self_linked(g: FiniteGroup) -> list[int]:
     return np.flatnonzero(flags & half).tolist()
 
 
-@dataclass(frozen=True)
-class SimClasses:
-    """Partition of the half-size self-linked sets.
+def sim_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The ~ classes of the half-size self-linked sets, sorted, found by key.
 
     Two sets are equivalent when one is a translate of the other or of
-    its complement; the class count drives the 2^s invariant-system law.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.classes)
-
-
-def sim_classes(g: FiniteGroup) -> SimClasses:
-    """The ~ classes of the half-size self-linked sets, found by key.
-
+    its complement; the class count s drives the 2^s invariant-system law.
     Translation commutes with complement, x(G - A) = G - xA, so the class
     of A is {xA} together with {x(G - A)}, and its least mask is a key.
     """
@@ -189,7 +144,7 @@ def sim_classes(g: FiniteGroup) -> SimClasses:
     groups: dict[int, list[int]] = {}
     for key, m in zip(keys, sets):
         groups.setdefault(key, []).append(m)
-    return SimClasses(tuple(sorted(tuple(v) for v in groups.values())))
+    return tuple(sorted(tuple(v) for v in groups.values()))
 
 
 def _maximal_cliques(adj: list[int]) -> list[int]:
@@ -306,25 +261,13 @@ def enumerate_invariant_mls(g: FiniteGroup, *, allow_large: bool = False) -> lis
     return sorted(_closed_families(g, shifts, vertices, cliques), key=lambda f: f.minimal_sets)
 
 
-def up_majority_count(
-    g: FiniteGroup,
-    systems: list[SetFamily] | None = None,
-    classes: SimClasses | None = None,
-) -> int:
-    """How many invariant systems contain every majority set; equals 2^s.
-
-    ``systems`` and ``classes`` default to a fresh enumeration and
-    ``sim_classes(g)``.
-    """
+def up_majority_count(g: FiniteGroup, systems: list[SetFamily], classes: tuple[tuple[int, ...], ...]) -> int:
+    """How many of the invariant systems contain every majority set; equals 2^len(classes)."""
     if g.order % 2:
         raise ConsistencyError("the 2^s law applies to even group orders")
-    if systems is None:
-        systems = enumerate_invariant_mls(g)
-    if classes is None:
-        classes = sim_classes(g)
     majority = majority_family(g).bitmap
     count = sum(1 for f in systems if f.bitmap & majority == majority)
-    if count != 2**classes.s:
+    if count != 2 ** len(classes):
         raise ConsistencyError("invariant-system count above the majority family is not 2^s")
     return count
 
@@ -345,40 +288,18 @@ def partition_condition(g: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
     return False, (a, full ^ a)
 
 
-@dataclass(frozen=True)
-class OddEquivalenceReport:
-    """Joint evaluation of the odd-order equivalences for one group.
+def odd_equivalences(g: FiniteGroup, *, lam_table=None) -> bool:
+    """Whether every element of g has odd order, checked against its equivalents.
 
-    Fields (1)-(5): right zero exists in the full system semigroup (only
-    when a table is supplied), some invariant system is maximal linked,
-    all invariant systems are maximal linked, the partition condition,
-    and all element orders odd.  They must agree.
+    The conditions are: some invariant system is maximal linked, all of
+    them are, the partition condition, all element orders odd, and (only
+    when a table is supplied) the table has a right zero.  They must
+    agree; the common value is returned.
     """
-
-    group_name: str
-    right_zero_exists: bool | None
-    some_invariant_maximal_linked: bool
-    all_invariant_maximal_linked: bool
-    partition_holds: bool
-    odd_group: bool
-
-    @property
-    def verdict(self) -> bool:
-        return self.odd_group
-
-
-def odd_equivalence_report(g: FiniteGroup, *, lam_table=None) -> OddEquivalenceReport:
-    """Evaluate the equivalent conditions and fail hard on disagreement."""
-    systems = enumerate_invariant_mls(g)
-    flags = [f.is_maximal_linked() for f in systems]
-    some_ml = any(flags)
-    all_ml = bool(flags) and all(flags)
-    holds, _ = partition_condition(g)
-    odd = is_odd_group(g)
-    rz = None
+    flags = [f.is_maximal_linked() for f in enumerate_invariant_mls(g)]
+    values = [any(flags), bool(flags) and all(flags), partition_condition(g)[0], is_odd_group(g)]
     if lam_table is not None:
-        rz = bool(right_zeros(lam_table))
-    values = [some_ml, all_ml, holds, odd] + ([] if rz is None else [rz])
+        values.append(bool(right_zeros(lam_table)))
     if len(set(values)) != 1:
         raise ConsistencyError(f"{g.name}: odd-order equivalences disagree: {values}")
-    return OddEquivalenceReport(g.name, rz, some_ml, all_ml, holds, odd)
+    return values[0]

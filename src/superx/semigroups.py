@@ -222,7 +222,10 @@ def maximal_subgroups(t: SemigroupTable) -> dict[int, list[int]]:
     in the group H_e, whose only idempotent is e.  So one pass over every u
     finds all H_e, each idempotent e in its own.  u^(2^L) with 2^L >= |S| lies
     past the index of u, in the cyclic group of its eventual powers;
-    multiplying it by itself reaches that group's identity, which is u^w.
+    multiplying it by itself reaches that group's identity, which is u^w,
+    in fewer than |S| steps.  So a u still pending after |S| steps has no
+    idempotent power, which only a table altered after validation allows:
+    that raises ConsistencyError.
 
     Each H_e x H_e block must land in H_e.  Blocks get no associativity check
     of their own: above ASSOC_EXHAUSTIVE_LIMIT the table's check samples.
@@ -233,8 +236,12 @@ def maximal_subgroups(t: SemigroupTable) -> dict[int, list[int]]:
         power = p[power, power]
     omega = power.copy()
     pending = ids
-    while (pending := pending[p[omega[pending], omega[pending]] != omega[pending]]).size:
+    for _ in range(t.order + 1):
+        if not (pending := pending[p[omega[pending], omega[pending]] != omega[pending]]).size:
+            break
         omega[pending] = p[omega[pending], power[pending]]
+    else:
+        raise ConsistencyError(f"{t.name or 'semigroup'}: an element has no idempotent power")
     owner = np.where(p[omega, ids] == ids, omega, -1)
     groups = {e: np.flatnonzero(owner == e) for e in np.flatnonzero(owner == ids).tolist()}
     if any((owner[p[np.ix_(h, h)]] != e).any() for e, h in groups.items()):

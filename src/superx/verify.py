@@ -23,7 +23,7 @@ from .families import (
 from .groups import build_group
 from .invariants import (
     enumerate_invariant_mls,
-    odd_equivalence_report,
+    odd_equivalences,
     sim_classes,
     sl,
     up_majority_count,
@@ -124,8 +124,9 @@ def check_two_power_s() -> list[dict]:
     for name, s_want in ref.SIM_CLASS_COUNTS.items():
         g = build_group(name)
         classes = sim_classes(g)
-        rows.append(_row(f"s({name})", s_want, classes.s))
-        rows.append(_row(f"upL0({name})", 2**s_want, up_majority_count(g, classes=classes)))
+        rows.append(_row(f"s({name})", s_want, len(classes)))
+        up = up_majority_count(g, enumerate_invariant_mls(g), classes)
+        rows.append(_row(f"upL0({name})", 2**s_want, up))
     return rows
 
 
@@ -313,10 +314,9 @@ def check_odd_equivalences(tabled: tuple[str, ...]) -> list[dict]:
     rows = []
     odd_names = {"C1", "C3", "C5", "C7"}
     for name in ("C1",) + ref.CATALOG_LE8:
-        g = build_group(name)
         table = _lambda_table(name) if name in tabled else None
-        report = odd_equivalence_report(g, lam_table=table)
-        rows.append(_row(f"odd equivalences {name}", name in odd_names, report.verdict))
+        odd = odd_equivalences(build_group(name), lam_table=table)
+        rows.append(_row(f"odd equivalences {name}", name in odd_names, odd))
     return rows
 
 

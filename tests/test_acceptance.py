@@ -34,7 +34,7 @@ from superx.families import (
 from superx.groups import build_group
 from superx.invariants import (
     enumerate_invariant_mls,
-    odd_equivalence_report,
+    odd_equivalences,
     sim_classes,
     sl,
     up_majority_count,
@@ -139,8 +139,9 @@ def test_criterion_5_two_power_s_law():
     detail = {}
     for name, s_want in SIM_CLASS_COUNTS.items():
         g = build_group(name)
-        s_got = sim_classes(g).s
-        up = up_majority_count(g)
+        classes = sim_classes(g)
+        s_got = len(classes)
+        up = up_majority_count(g, enumerate_invariant_mls(g), classes)
         detail[name] = (s_got, up)
         ok = ok and s_got == s_want and up == 2**s_want
     elapsed = time.perf_counter() - start
@@ -232,10 +233,10 @@ def test_criterion_9_zero_commutativity_odd_equivalences(lam_table):
     for name in ("C1",) + tuple(INVARIANT_COUNTS):
         g = build_group(name)
         table = lam_table(name) if g.order <= 6 else None
-        report = odd_equivalence_report(g, lam_table=table)  # raises on disagreement
-        odd_ok = odd_ok and report.verdict == (name in odd_names)
+        odd = odd_equivalences(g, lam_table=table)  # raises on disagreement
+        odd_ok = odd_ok and odd == (name in odd_names)
         if table is not None:
-            odd_ok = odd_ok and (report.right_zero_exists == (name in odd_names))
+            odd_ok = odd_ok and (bool(right_zeros(table)) == (name in odd_names))
     elapsed = time.perf_counter() - start
     ok = zero_got == zero_expect and commut_got == commut_expect and witness_ok and odd_ok
     _criterion(

@@ -94,12 +94,12 @@ def _unreached(trees: list[ast.Module]) -> set[str]:
 def test_every_src_definition_is_reached():
     """Only the sl subgroup bounds and the subtable they read wait for their verify rows.
 
-    ``subtable`` builds a subgroup for ``subgroup_as_group``; no command
-    builds a subtable until the sl rows land.  Any other unreached name fails.
+    ``check_slbound_composite`` reads ``coset_space_sl`` and
+    ``subgroup_as_group``, which builds its subgroup with ``subtable``; no
+    command reaches them until the sl rows land.  Any other unreached name fails.
     """
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     assert _unreached(trees) == {
-        "SlBoundReport",
         "check_slbound_composite",
         "coset_space_sl",
         "subgroup_as_group",

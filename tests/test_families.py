@@ -265,6 +265,14 @@ def test_enumerate_mls_capacity():
         enumerate_mls(7)  # ground 7 is only counted, by superext.system_counts
 
 
+def test_ground_above_twelve_is_a_capacity_error():
+    """The closure tables stop at 12 points, and both family entry points say so with CapacityError."""
+    with pytest.raises(CapacityError, match="n <= 12"):
+        SetFamily(13, (1,))
+    with pytest.raises(CapacityError, match="n <= 12"):
+        extend_to_mls(generate_family(13, [1]))
+
+
 def test_mls_exactly_one_of_each_complementary_pair():
     for n in range(1, 7):
         full = (1 << n) - 1

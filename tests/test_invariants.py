@@ -13,7 +13,15 @@ from superx.bitsets import mask_of
 from superx.errors import CapacityError, ConsistencyError
 from superx.expected import INVARIANT_COUNTS, SIM_CLASS_COUNTS, SL_TABLE
 from superx.families import SetFamily, majority_family
-from superx.groups import build_group, difference_set, enumerate_subgroups, shift_table, translate_set
+from superx.groups import (
+    build_group,
+    difference_set,
+    enumerate_subgroups,
+    is_odd_group,
+    shift_table,
+    subgroup_as_group,
+    translate_set,
+)
 from superx.invariants import (
     _closed_families,
     _invariant_cliques,
@@ -22,7 +30,7 @@ from superx.invariants import (
     coset_space_sl,
     enumerate_half_self_linked,
     enumerate_invariant_mls,
-    odd_equivalence_report,
+    odd_equivalences,
     partition_condition,
     self_linked_subsets,
     sim_classes,
@@ -30,6 +38,7 @@ from superx.invariants import (
     sl_lower_bound,
     up_majority_count,
 )
+from superx.semigroups import right_zeros
 from oracles import (
     oracle_compatible,
     oracle_coset_space_sl,
@@ -168,7 +177,7 @@ def test_d10_reference_discrepancy():
     # maximal invariant linked systems found at the opt-in capacity
     # match s = 5 exactly
     assert len(enumerate_half_self_linked(g)) == 100
-    assert sim_classes(g).s == 5
+    assert len(sim_classes(g)) == 5
     systems = enumerate_invariant_mls(g, allow_large=True)
     assert len(systems) == 32 == 2**5
 
@@ -212,25 +221,35 @@ def test_d12_witness_slip_but_correct_value():
 
 
 def test_check_slbound_composite():
+    """The (product, sum, coset_half) verdicts on three subgroups, with the numbers they compare."""
     c9 = build_group("C9")
     h3 = [h for h in enumerate_subgroups(c9) if h.bit_count() == 3][0]
-    report = check_slbound_composite(c9, h3)
-    assert report.sl_group == 4
-    assert report.product_bound == 4
-    assert report.product_bound_holds
+    assert sl(c9) == 4
+    assert sl(subgroup_as_group(c9, h3)) * coset_space_sl(c9, h3) == 4  # the product bound
+    assert check_slbound_composite(c9, h3) == (True, True, True)
     # trivial subgroup
     g = build_group("C6")
-    report = check_slbound_composite(g, 1)
-    assert report.sl_subgroup == 1
-    assert report.product_bound_holds and report.sum_bound_holds
+    assert sl(subgroup_as_group(g, 1)) == 1
+    assert check_slbound_composite(g, 1) == (True, True, True)
     q8 = build_group("Q8")
     h4 = [h for h in enumerate_subgroups(q8) if h.bit_count() == 4][0]
-    report = check_slbound_composite(q8, h4)
-    assert report.sl_group == 4
-    assert report.sum_bound == 6
-    assert report.sum_bound_holds
-    with pytest.raises(ConsistencyError):
+    assert sl(q8) == 4
+    assert h4.bit_count() + q8.order // h4.bit_count() == 6  # the sum bound
+    assert check_slbound_composite(q8, h4) == (True, True, True)
+    with pytest.raises(ConsistencyError, match="not a subgroup"):
         check_slbound_composite(q8, 0b1011)
+
+
+def test_slbound_composite_holds_on_every_catalog_subgroup():
+    """All three bounds hold on each of the 97 proper non-trivial subgroups of the sl catalog groups."""
+    checked = 0
+    for name in SL_TABLE:
+        g = build_group(name)
+        for h_mask in enumerate_subgroups(g):
+            if h_mask not in (1, g.full_mask):
+                assert check_slbound_composite(g, h_mask) == (True, True, True), (name, h_mask)
+                checked += 1
+    assert len(SL_TABLE) == 24 and checked == 97
 
 
 def test_check_slbound_composite_imports_no_masked_arrays():
@@ -283,14 +302,14 @@ def test_half_self_linked_c2_and_odd_order_error():
 
 def test_sim_classes_counts():
     for name, want in SIM_CLASS_COUNTS.items():
-        assert sim_classes(build_group(name)).s == want
+        assert len(sim_classes(build_group(name))) == want
 
 
 def test_c8_three_documented_class_representatives():
     # {e,a,a2,a4}, {e,a,a2,a5}, {e,a,a3,a5} generate the three classes
     g = build_group("C8")
     reps = [mask_of([0, 1, 2, 4]), mask_of([0, 1, 2, 5]), mask_of([0, 1, 3, 5])]
-    classes = sim_classes(g).classes
+    classes = sim_classes(g)
     assert len(classes) == 3
     homes = [next(i for i, cls in enumerate(classes) if r in cls) for r in reps]
     assert sorted(homes) == [0, 1, 2]
@@ -309,7 +328,7 @@ def test_sim_relation_is_an_equivalence():
                     return True
             return False
 
-        classes = sim_classes(g).classes
+        classes = sim_classes(g)
         assert sorted(m for cls in classes for m in cls) == sets
         for cls in classes:
             for a in cls:
@@ -400,10 +419,14 @@ def test_half_size_complements_stay_self_linked():
 def test_up_majority_counts():
     for name, s_value in SIM_CLASS_COUNTS.items():
         g = build_group(name)
-        assert up_majority_count(g) == 2**s_value
+        systems, classes = enumerate_invariant_mls(g), sim_classes(g)
+        assert up_majority_count(g, systems, classes) == 2**s_value
+        with pytest.raises(ConsistencyError, match="not 2\\^s"):
+            up_majority_count(g, systems, classes[1:])
     # even groups with no half-size self-linked sets: unique system, 2^0
     for name in ("C2", "C4", "C2xC2", "D6", "C2xC2xC2"):
-        assert up_majority_count(build_group(name)) == 1
+        g = build_group(name)
+        assert up_majority_count(g, enumerate_invariant_mls(g), sim_classes(g)) == 1
 
 
 def test_partition_condition():
@@ -415,8 +438,6 @@ def test_partition_condition():
     assert not ok
     a, b = witness
     assert a | b == g4.full_mask and a & b == 0
-    from superx.groups import difference_set
-
     assert difference_set(g4, a, a) != g4.full_mask
     assert difference_set(g4, b, b) != g4.full_mask
 
@@ -424,29 +445,31 @@ def test_partition_condition():
 def test_partition_condition_matches_oddness():
     for name in CATALOG_LE8:
         g = build_group(name)
-        from superx.groups import is_odd_group
-
         assert partition_condition(g)[0] == is_odd_group(g)
 
 
-def test_odd_equivalence_reports(lam_table):
+def test_odd_equivalences(lam_table):
     odd_names = {"C1", "C3", "C5", "C7"}
     for name in CATALOG_LE8:
         g = build_group(name)
         table = lam_table(name) if g.order <= 5 else None
-        report = odd_equivalence_report(g, lam_table=table)
-        assert report.verdict == (name in odd_names)
+        assert odd_equivalences(g, lam_table=table) == (name in odd_names)
         if table is not None:
-            assert report.right_zero_exists == (name in odd_names)
+            assert bool(right_zeros(table)) == (name in odd_names)
+
+
+def test_odd_equivalences_read_the_table(lam_table):
+    """A lambda table whose right zeros disagree with the group's other conditions raises."""
+    for name, other in (("C2", "C3"), ("C3", "C2")):
+        with pytest.raises(ConsistencyError, match="disagree"):
+            odd_equivalences(build_group(name), lam_table=lam_table(other))
 
 
 def test_odd_equivalence_d6_all_false():
     g = build_group("D6")
-    report = odd_equivalence_report(g)
-    assert not report.some_invariant_maximal_linked
-    assert not report.all_invariant_maximal_linked
-    assert not report.partition_holds
-    assert not report.odd_group
+    assert odd_equivalences(g) is False
+    assert not partition_condition(g)[0]
+    assert not is_odd_group(g)
     systems = enumerate_invariant_mls(g)
     assert len(systems) == 1
     assert not systems[0].is_maximal_linked()

@@ -310,6 +310,14 @@ def test_maximal_subgroups_reject_a_block_that_leaves_its_group():
         maximal_subgroups(t)
 
 
+def test_maximal_subgroups_stop_when_an_element_has_no_idempotent_power():
+    """With e * e forced to a in C3 no element is idempotent, so e has no idempotent power."""
+    t = from_group(build_group("C3"))
+    t.product[0, 0] = 1
+    with pytest.raises(ConsistencyError, match="no idempotent power"):
+        maximal_subgroups(t)
+
+
 def test_central_elements(lam_table):
     t5 = lam_table("C5")
     assert sorted(_names(t5)(i) for i in central_elements(t5)) == sorted(
