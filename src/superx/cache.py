@@ -1,7 +1,10 @@
 """On-disk cache of lambda tables, one ``<group>-table-v2.npy`` entry per group.
 
 File layout: one header line ``superx-cache v2 <group> <sha256>`` followed
-by the product table in numpy's NPY format.  The sha256 covers the
+by the product table in numpy's NPY format, as the table stores it: uint16,
+so the lambda(C6) payload is 2,646^2 * 2 bytes (14.0 MB).  A load accepts
+any integer dtype the digest covers, the int32 of older entries included;
+the table constructor range-checks and casts it.  The sha256 covers the
 group's multiplication table, the serialized system list from
 ``enumerate_mls`` in order, and the NPY bytes.  A load recomputes it
 from the current group and enumerator, so a corrupt byte, a changed group

@@ -288,15 +288,16 @@ def partition_condition(g: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
     return False, (a, full ^ a)
 
 
-def odd_equivalences(g: FiniteGroup, *, lam_table=None) -> bool:
+def odd_equivalences(g: FiniteGroup, systems: list[SetFamily], *, lam_table=None) -> bool:
     """Whether every element of g has odd order, checked against its equivalents.
 
-    The conditions are: some invariant system is maximal linked, all of
-    them are, the partition condition, all element orders odd, and (only
-    when a table is supplied) the table has a right zero.  They must
-    agree; the common value is returned.
+    systems is the list of invariant systems of g.  The conditions are:
+    some of them is maximal linked, all of them are, the partition
+    condition, all element orders odd, and (only when a table is
+    supplied) the table has a right zero.  They must agree; the common
+    value is returned.
     """
-    flags = [f.is_maximal_linked() for f in enumerate_invariant_mls(g)]
+    flags = [f.is_maximal_linked() for f in systems]
     values = [any(flags), bool(flags) and all(flags), partition_condition(g)[0], is_odd_group(g)]
     if lam_table is not None:
         values.append(bool(right_zeros(lam_table)))

@@ -1,9 +1,12 @@
 """Finite semigroups as index tables, with structure analyses.
 
 A SemigroupTable is an element list plus an n x n product table of
-element indices; element i prints as ``str(elements[i])``.
-Associativity is verified exhaustively up to order 100 and on sampled
-triples above that.
+element indices; element i prints as ``str(elements[i])``.  The table is
+stored as uint16 whatever the input's integer dtype, so orders 1..MAX_ORDER
+(65,536) fit; a larger order is a CapacityError before any cell is read,
+and the range check runs on the input as given, so a negative cell or
+one >= n never wraps through the cast.  Associativity is verified
+exhaustively up to order 100 and on sampled triples above that.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import CapacityError, ConsistencyError
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
 
+MAX_ORDER = 1 << 16  # uint16 cells hold the indices 0..65,535
 ASSOC_EXHAUSTIVE_LIMIT = 100
 ASSOC_SAMPLES = 10_000
 _TILE = 256
@@ -31,13 +35,19 @@ class SemigroupTable:
     name: str = ""
 
     def __post_init__(self):
-        p = np.asarray(self.product, dtype=np.int32)
+        p = np.asarray(self.product)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ConsistencyError("product table must be square")
+        if p.dtype.kind not in "iu":  # a float cell would be truncated by the cast
+            raise ConsistencyError("product table cells must be integers")
         n = p.shape[0]
-        if n and (p.min() < 0 or p.max() >= n):
+        if n > MAX_ORDER:
+            raise CapacityError(f"semigroup tables are supported up to order {MAX_ORDER}")
+        if n == 0:
+            raise ConsistencyError("a semigroup has at least one element")
+        if p.min() < 0 or p.max() >= n:
             raise ConsistencyError("product table index out of range")
-        self.product = p
+        self.product = p.astype(np.uint16, copy=False)
         if not self.elements:
             self.elements = list(range(n))
         if len(self.elements) != n:
@@ -73,7 +83,7 @@ def sampled_associative(p: np.ndarray, rng: random.Random) -> bool:
 
 def from_group(g: FiniteGroup) -> SemigroupTable:
     """The group's Cayley table, its elements named as in the group."""
-    return SemigroupTable(np.array(g.mul, dtype=np.int32), elements=list(g.element_names), name=g.name)
+    return SemigroupTable(np.array(g.mul, dtype=np.uint16), elements=list(g.element_names), name=g.name)
 
 
 def idempotents(t: SemigroupTable) -> list[int]:
@@ -81,14 +91,24 @@ def idempotents(t: SemigroupTable) -> list[int]:
     return np.flatnonzero(d == np.arange(t.order)).tolist()
 
 
+def _fixed_columns(p: np.ndarray) -> list[int]:
+    """All z with p[x, z] = z for every x, the candidates filtered one block of _TILE rows at a time."""
+    candidates = np.arange(p.shape[0])
+    for a in range(0, p.shape[0], _TILE):
+        if not candidates.size:
+            break
+        candidates = candidates[(p[a : a + _TILE, candidates] == candidates).all(axis=0)]
+    return candidates.tolist()
+
+
 def right_zeros(t: SemigroupTable) -> list[int]:
     """All z with x*z = z for every x (columns constant at z)."""
-    return np.flatnonzero((t.product == np.arange(t.order)).all(axis=0)).tolist()
+    return _fixed_columns(t.product)
 
 
 def left_zeros(t: SemigroupTable) -> list[int]:
     """All z with z*x = z for every x (rows constant at z)."""
-    return np.flatnonzero((t.product == np.arange(t.order)[:, None]).all(axis=1)).tolist()
+    return _fixed_columns(t.product.T)
 
 
 def _product_of_all(t: SemigroupTable) -> int:
@@ -205,12 +225,13 @@ def minimal_ideal(t: SemigroupTable) -> frozenset[int]:
 def subtable(t: SemigroupTable, indices) -> SemigroupTable:
     """The induced table on a product-closed subset of elements."""
     order = sorted(indices)
-    pos = np.full(t.order, -1, dtype=np.int32)
-    pos[order] = np.arange(len(order), dtype=np.int32)
-    prod = pos[t.product[np.ix_(order, order)]]
-    if (prod < 0).any():
+    prod = t.product[np.ix_(order, order)]
+    pos = np.zeros(t.order, dtype=np.uint16)
+    pos[order] = np.arange(len(order))
+    sub = pos[prod]
+    if not np.array_equal(np.asarray(order)[sub], prod):  # a product outside the subset maps to order[0]
         raise ConsistencyError("subset is not closed under products")
-    return SemigroupTable(prod, elements=[t.elements[v] for v in order], name=f"{t.name}|sub")
+    return SemigroupTable(sub, elements=[t.elements[v] for v in order], name=f"{t.name}|sub")
 
 
 def maximal_subgroups(t: SemigroupTable) -> dict[int, list[int]]:
@@ -234,7 +255,7 @@ def maximal_subgroups(t: SemigroupTable) -> dict[int, list[int]]:
     power = ids = np.arange(t.order)
     for _ in range((t.order - 1).bit_length()):
         power = p[power, power]
-    omega = power.copy()
+    omega = power.astype(np.intp)  # not uint16: owner marks non-members -1
     pending = ids
     for _ in range(t.order + 1):
         if not (pending := pending[p[omega[pending], omega[pending]] != omega[pending]]).size:
@@ -252,7 +273,7 @@ def maximal_subgroups(t: SemigroupTable) -> dict[int, list[int]]:
 def adjoin_zero(t: SemigroupTable) -> SemigroupTable:
     """Add one absorbing element at index n."""
     n = t.order
-    prod = np.full((n + 1, n + 1), n, dtype=np.int32)
+    prod = np.full((n + 1, n + 1), n, dtype=np.uint16)
     prod[:n, :n] = t.product
     return SemigroupTable(prod, elements=list(t.elements) + ["0*"], name=f"{t.name}+zero")
 
@@ -260,7 +281,7 @@ def adjoin_zero(t: SemigroupTable) -> SemigroupTable:
 def adjoin_identity(t: SemigroupTable) -> SemigroupTable:
     """Add one external two-sided unit at index n."""
     n = t.order
-    prod = np.zeros((n + 1, n + 1), dtype=np.int32)
+    prod = np.zeros((n + 1, n + 1), dtype=np.uint16)
     prod[:n, :n] = t.product
     prod[n, :] = np.arange(n + 1)
     prod[:, n] = np.arange(n + 1)
@@ -269,6 +290,8 @@ def adjoin_identity(t: SemigroupTable) -> SemigroupTable:
 
 def direct_product(t1: SemigroupTable, t2: SemigroupTable) -> SemigroupTable:
     n1, n2 = t1.order, t2.order
+    if n1 * n2 > MAX_ORDER:  # p1 * n2 + p2 would wrap in uint16
+        raise CapacityError(f"a direct product of order {n1 * n2} exceeds the cap of {MAX_ORDER}")
     # prod[a * n2 + b, c * n2 + d] = p1[a, c] * n2 + p2[b, d]
     prod = (t1.product[:, None, :, None] * n2 + t2.product[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     elements = [f"({a},{b})" for a in t1.elements for b in t2.elements]

@@ -155,7 +155,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     # computed, spread along each row by rho and the rows copied into the
     # table by sigma, so no temporary larger than a block is alive beside
     # the full table and the build's peak memory is the table's.
-    product = np.empty((m, m), dtype=np.int32)
+    product = np.empty((m, m), dtype=np.uint16)
     for start in range(0, len(reps), _ROW_CHUNK):
         block = reps[start : start + _ROW_CHUNK]
         member = ((b[block, None] >> subsets) & one).astype(np.float32)
@@ -346,13 +346,15 @@ def orbit_quotient(table: SemigroupTable) -> OrbitQuotient:
     orbit_of, orbits = _orbits(sigma)
     quotient = None
     if np.array_equal(sigma, p[:, principal].T):
-        oa = np.array(orbit_of, dtype=np.int32)
+        oa = np.array(orbit_of, dtype=np.uint16)
         reps = [members[0] for members in orbits]
         quotient = oa[p[np.ix_(reps, reps)]]
-        # every cell, not just the representatives, must map onto its orbit pair
+        # every cell (i, j), not just the representatives, must lie in
+        # orbit quotient[oa[i], oa[j]], which is expect[oa[i], j]
+        expect = quotient[:, oa]
         for start in range(0, len(oa), _ROW_CHUNK):
             rows = slice(start, start + _ROW_CHUNK)
-            if not np.array_equal(oa[p[rows]], quotient[oa[rows, None], oa]):
+            if not np.array_equal(oa[p[rows]], expect[oa[rows]]):
                 raise ConsistencyError("orbit product is not well-defined")
     return OrbitQuotient(orbit_of, orbits, quotient)
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 from . import expected as ref
 from .c5 import c5_named_catalog, T17_NAMES
 from .families import (
+    SetFamily,
     enumerate_mls,
     extend_to_mls,
     generate_family,
@@ -70,6 +71,15 @@ def _lambda_table(name: str) -> SemigroupTable:
     return build_lambda_table(build_group(name))
 
 
+@lru_cache(maxsize=None)
+def _invariant_systems(name: str) -> list[SetFamily]:
+    """The invariant systems of a catalog group, enumerated once per process.
+
+    Several checks read the same list; none of them mutates it.
+    """
+    return enumerate_invariant_mls(build_group(name))
+
+
 def _row(name, expected, computed):
     return {"name": name, "expected": expected, "computed": computed, "match": expected == computed}
 
@@ -114,7 +124,7 @@ def check_sl_table() -> list[dict]:
 
 def check_invariant_counts() -> list[dict]:
     return [
-        _row(f"|invariant({name})|", want, len(enumerate_invariant_mls(build_group(name))))
+        _row(f"|invariant({name})|", want, len(_invariant_systems(name)))
         for name, want in ref.INVARIANT_COUNTS.items()
     ]
 
@@ -125,7 +135,7 @@ def check_two_power_s() -> list[dict]:
         g = build_group(name)
         classes = sim_classes(g)
         rows.append(_row(f"s({name})", s_want, len(classes)))
-        up = up_majority_count(g, enumerate_invariant_mls(g), classes)
+        up = up_majority_count(g, _invariant_systems(name), classes)
         rows.append(_row(f"upL0({name})", 2**s_want, up))
     return rows
 
@@ -315,7 +325,7 @@ def check_odd_equivalences(tabled: tuple[str, ...]) -> list[dict]:
     odd_names = {"C1", "C3", "C5", "C7"}
     for name in ("C1",) + ref.CATALOG_LE8:
         table = _lambda_table(name) if name in tabled else None
-        odd = odd_equivalences(build_group(name), lam_table=table)
+        odd = odd_equivalences(build_group(name), _invariant_systems(name), lam_table=table)
         rows.append(_row(f"odd equivalences {name}", name in odd_names, odd))
     return rows
 

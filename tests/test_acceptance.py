@@ -233,7 +233,7 @@ def test_criterion_9_zero_commutativity_odd_equivalences(lam_table):
     for name in ("C1",) + tuple(INVARIANT_COUNTS):
         g = build_group(name)
         table = lam_table(name) if g.order <= 6 else None
-        odd = odd_equivalences(g, lam_table=table)  # raises on disagreement
+        odd = odd_equivalences(g, enumerate_invariant_mls(g), lam_table=table)  # raises on disagreement
         odd_ok = odd_ok and odd == (name in odd_names)
         if table is not None:
             odd_ok = odd_ok and (bool(right_zeros(table)) == (name in odd_names))

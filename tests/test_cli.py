@@ -226,6 +226,35 @@ def test_cache_never_unpickles_a_payload(tmp_path):
     assert _UNPICKLED  # the payload does run code when unpickled
 
 
+def test_cache_loads_an_int32_entry_as_a_hit(tmp_path):
+    """An entry with an int32 payload and a valid digest, as older versions wrote it, is still served."""
+    g = build_group("C3")
+    table = build_lambda_table(g)
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, table.product.astype(np.int32), allow_pickle=False)
+    npy = buf.getvalue()
+    h = hashlib.sha256(repr(g.mul).encode())
+    h.update("\n".join(s.serialize() for s in enumerate_mls(3)).encode() + b"\n" + npy)
+    path = cache_path(tmp_path, "C3")
+    path.write_bytes(f"superx-cache v2 C3 {h.hexdigest()}\n".encode() + npy)
+    loaded = load_table(tmp_path, g)
+    assert loaded.product.dtype == np.uint16 and np.array_equal(loaded.product, table.product)
+    report = cmd_lambda("C3", "table", cache_dir=str(tmp_path))
+    assert report.payload["cache_hit"]
+    assert report.payload["matrix"] == table.product.tolist()
+    assert path.read_bytes().endswith(npy)  # a hit leaves the entry as it is
+
+
+def test_cache_payload_is_two_bytes_per_cell(tmp_path, lam_table):
+    path = save_table(tmp_path, build_group("C6"), lam_table("C6"))
+    with open(path, "rb") as fh:
+        fh.readline()
+        np.lib.format.read_magic(fh)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert (shape, dtype) == ((2646, 2646), np.dtype(np.uint16))
+        assert len(fh.read()) == 2646**2 * 2
+
+
 def test_resolve_cache_dir_priority(tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERX_CACHE_DIR", str(tmp_path / "env"))
     assert resolve_cache_dir(str(tmp_path / "flag")) == tmp_path / "flag"
@@ -305,6 +334,21 @@ def test_verify_paper_fast(monkeypatch):
     for scope_rows in (rows, all_rows):  # the lone D10 reference mismatch
         assert [r["name"] for r in scope_rows if not r["match"]] == ["sl(D10)"]
     assert report.status == "fail"
+
+
+def test_verify_all_enumerates_each_groups_invariant_systems_once(monkeypatch):
+    """14 groups reach the invariant checks; each list is enumerated once and shared."""
+    calls = []
+    enumerate_invariant_mls = verify.enumerate_invariant_mls
+
+    def counted(g, **kwargs):
+        calls.append(g.name)
+        return enumerate_invariant_mls(g, **kwargs)
+
+    verify._invariant_systems.cache_clear()
+    monkeypatch.setattr(verify, "enumerate_invariant_mls", counted)
+    verify.run_verification("all")
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

@@ -453,7 +453,7 @@ def test_odd_equivalences(lam_table):
     for name in CATALOG_LE8:
         g = build_group(name)
         table = lam_table(name) if g.order <= 5 else None
-        assert odd_equivalences(g, lam_table=table) == (name in odd_names)
+        assert odd_equivalences(g, enumerate_invariant_mls(g), lam_table=table) == (name in odd_names)
         if table is not None:
             assert bool(right_zeros(table)) == (name in odd_names)
 
@@ -462,15 +462,16 @@ def test_odd_equivalences_read_the_table(lam_table):
     """A lambda table whose right zeros disagree with the group's other conditions raises."""
     for name, other in (("C2", "C3"), ("C3", "C2")):
         with pytest.raises(ConsistencyError, match="disagree"):
-            odd_equivalences(build_group(name), lam_table=lam_table(other))
+            g = build_group(name)
+            odd_equivalences(g, enumerate_invariant_mls(g), lam_table=lam_table(other))
 
 
 def test_odd_equivalence_d6_all_false():
     g = build_group("D6")
-    assert odd_equivalences(g) is False
+    systems = enumerate_invariant_mls(g)
+    assert odd_equivalences(g, systems) is False
     assert not partition_condition(g)[0]
     assert not is_odd_group(g)
-    systems = enumerate_invariant_mls(g)
     assert len(systems) == 1
     assert not systems[0].is_maximal_linked()
 

@@ -8,9 +8,10 @@ import pytest
 
 from superx import semigroups
 from superx.c5 import canonical_names
-from superx.errors import ConsistencyError
+from superx.errors import CapacityError, ConsistencyError
 from superx.groups import build_group
 from superx.semigroups import (
+    MAX_ORDER,
     SemigroupTable,
     adjoin_identity,
     adjoin_zero,
@@ -55,6 +56,47 @@ def test_table_validation_rejects_non_associative():
         SemigroupTable(np.array([[1, 1], [0, 0]], dtype=np.int32))
     with pytest.raises(ConsistencyError):
         SemigroupTable(np.array([[0, 2], [1, 0]], dtype=np.int32))
+
+
+def test_table_validation_rejects_empty_oversized_and_out_of_range_tables():
+    with pytest.raises(ConsistencyError, match="at least one element"):
+        SemigroupTable(np.zeros((0, 0), dtype=np.int32))
+    # a view of one cell: the cap is checked before any value is read
+    with pytest.raises(CapacityError):
+        SemigroupTable(np.broadcast_to(np.uint16(0), (MAX_ORDER + 1, MAX_ORDER + 1)))
+    # 3 is n; cast to uint16 first, -1 would read 65,535, and -65,536 and
+    # 65,536 would read 0, a valid null semigroup: the check sees the input
+    for bad in (-1, 3, -MAX_ORDER, MAX_ORDER):
+        prod = np.zeros((3, 3), dtype=np.int64)
+        prod[1, 2] = bad
+        with pytest.raises(ConsistencyError, match="out of range"):
+            SemigroupTable(prod)
+    with pytest.raises(ConsistencyError, match="integers"):
+        SemigroupTable(np.array([[0.5, 1.9], [1.2, 0.0]]))  # would truncate to the C2 table
+
+
+def test_every_table_is_stored_as_uint16(lam_table):
+    group = from_group(build_group("C3"))
+    tables = [
+        lam_table("C6"),
+        group,
+        adjoin_zero(group),
+        adjoin_identity(group),
+        direct_product(group, group),
+        subtable(group, [0]),
+        SemigroupTable(np.zeros((3, 3), dtype=np.int64)),
+    ]
+    for t in tables:
+        assert t.product.dtype == np.uint16, t.name
+    stored = np.zeros((3, 3), dtype=np.uint16)
+    assert SemigroupTable(stored).product is stored  # a uint16 input is not copied
+
+
+def test_direct_product_above_the_cap_is_refused():
+    """257 x 256 elements: p1 * n2 + p2 would wrap in uint16, so nothing is broadcast."""
+    null = lambda n: SemigroupTable(np.zeros((n, n), dtype=np.uint16))
+    with pytest.raises(CapacityError):
+        direct_product(null(257), null(256))
 
 
 def test_sampled_associativity_above_the_exhaustive_limit():
@@ -168,6 +210,21 @@ def test_zeros_and_centre_match_loops(lam_table):
         assert right_zeros(t) == oracle_right_zeros(p), t.name
         assert left_zeros(t) == oracle_left_zeros(p), t.name
         assert central_elements(t) == oracle_central_elements(p), t.name
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_zero_bands_span_several_row_blocks(side):
+    """Order 600 is more than two _TILE blocks; in a band every candidate survives every block."""
+    n = 600
+    ids = np.arange(n)
+    prod = np.tile(ids, (n, 1)) if side == "right" else np.repeat(ids[:, None], n, axis=1)
+    t = SemigroupTable(prod, name=f"{side}-zero band")
+    p = prod.tolist()
+    assert right_zeros(t) == oracle_right_zeros(p) == (list(range(n)) if side == "right" else [])
+    assert left_zeros(t) == oracle_left_zeros(p) == (list(range(n)) if side == "left" else [])
+    late = np.tile(ids, (n, 1))
+    late[n - 1, 5] = 0  # column 5 drops out in the last block only
+    assert semigroups._fixed_columns(late) == [z for z in range(n) if z != 5]
 
 
 def test_centre_and_witness_match_the_whole_table_order6(lam_table):
