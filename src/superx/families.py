@@ -11,9 +11,9 @@ such families without re-checking; callers that take a family from
 elsewhere test the predicate.
 
 ``SetFamily(n, sets)`` checks its minimal sets, and so does every
-constructor but ``_families_of_bitmaps``, which builds the walk's and
-the invariant systems: its one pass yields each family's minimal sets
-ascending and as an antichain, so it checks only the rest itself.
+constructor but ``_families_of_bitmaps``, which builds the enumerated
+and the invariant systems: its one pass yields each family's minimal
+sets ascending and as an antichain, so it checks only the rest itself.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from .bitsets import (
     iter_bits,
     minimal_members,
-    subset_closures,
     subsets_of_size,
     superset_closures,
 )
@@ -34,6 +33,7 @@ from .errors import CapacityError, ConsistencyError
 from .groups import FiniteGroup, shift_table
 
 MAX_TABLE_GROUND = 6
+_PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,7 @@ def enumerate_mls(ground_size: int) -> list[SetFamily]:
     independent of search order.  The systems of each ground size up to
     MAX_TABLE_GROUND are enumerated once per process and shared: each
     call returns a fresh list over the same immutable values.  Larger
-    ground sizes are refused; ``superext.system_counts`` counts ground 7
-    off the walk without listing it.
+    ground sizes are refused; ``superext.system_counts`` counts ground 7.
     """
     if not 1 <= ground_size <= MAX_TABLE_GROUND:
         raise CapacityError(f"enumeration supports ground sizes 1..{MAX_TABLE_GROUND}")
@@ -172,45 +171,45 @@ def enumerate_mls(ground_size: int) -> list[SetFamily]:
 
 @lru_cache(maxsize=None)
 def _shared_systems(n: int) -> tuple[SetFamily, ...]:
-    """The walk's systems, derived from their bitmaps in one pass, sorted by minimal sets."""
-    return tuple(sorted(_families_of_bitmaps(_walk(n), n), key=lambda f: f.minimal_sets))
+    """The enumerated systems, derived from their words in one pass, sorted by minimal sets."""
+    return tuple(sorted(_families_of_bitmaps(_system_words(n), n), key=lambda f: f.minimal_sets))
 
 
-def _walk(n: int) -> list[int]:
-    """The membership bitmaps of every maximal linked system on n points.
+def _up_families(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(up, dual): uint32 bitmaps of every up-family on k <= 5 points (2, 3, 6, 20, 168, 7,581) and its dual.
 
-    Backtracks over complementary subset pairs: a maximal linked system
-    contains exactly one of A and its complement, and membership must be
-    upward closed.  Deciding a pair propagates both closures, so dead
-    branches are cut early.
+    Dedekind's recursion: split at point k - 1, an up-family F is a pair
+    F0 <= F1 of up-families on k - 1 points (its members without the point;
+    with it, removed), F0 | F1 << 2^(k-1).  Its dual, the sets whose
+    complement is not in F, is the pair (dual(F1), dual(F0)).
     """
-    size = 1 << n
-    full = size - 1
-    sup = superset_closures(n)
-    sub = subset_closures(n)
-    reps = sorted(
-        (s for s in range(1, size) if s < (full ^ s)),
-        key=lambda s: (s.bit_count(), s),
-    )
-    bitmaps: list[int] = []
+    if k == 0:
+        return np.array([0, 1], dtype=np.uint32), np.array([1, 0], dtype=np.uint32)
+    (up, dual), shift = _up_families(k - 1), np.uint32(1 << (k - 1))
+    low, high = np.nonzero(up[:, None] & ~up == 0)
+    return up[low] | up[high] << shift, dual[high] | dual[low] << shift
 
-    def walk(i: int, inside: int, outside: int) -> None:
-        while i < len(reps) and (inside | outside) >> reps[i] & 1:
-            i += 1
-        if i == len(reps):
-            bitmaps.append(inside)
-            return
-        s = reps[i]
-        c = full ^ s
-        in_s, out_s = inside | sup[s], outside | sub[c]
-        if not in_s & out_s:
-            walk(i + 1, in_s, out_s)
-        in_c, out_c = inside | sup[c], outside | sub[s]
-        if not in_c & out_c:
-            walk(i + 1, in_c, out_c)
 
-    walk(0, sup[full], 1)
-    return bitmaps
+def _system_words(n: int) -> np.ndarray:
+    """The (m, W) uint64 membership words of every maximal linked system on n <= 7 points.
+
+    Split at point n - 1, a system F is F0 | dual(F0) << 2^(n-1), as it holds
+    one set of each complementary pair, and is upward closed iff F0 <= dual(F0).
+    Split F0 into up-families G0 <= G1: then G1 <= dual(G0), and F in 2^(n-2)-bit
+    quarters is G0, G1, dual(G1), dual(G0).  G0 goes in blocks, not all 7,581 at once.
+    """
+    if n == 1:
+        return np.array([[0b10]], dtype=np.uint64)  # the one system, {{0}}
+    (up, dual), h = _up_families(n - 2), 1 << (n - 2)
+    pairs = []
+    for start in range(0, len(up), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        pairs.append(np.flatnonzero((up[block, None] & ~up | up & ~dual[block, None]) == 0) + start * len(up))
+    low, high = np.divmod(np.concatenate(pairs), len(up))
+    words = np.zeros((len(low), max(1, (4 * h) >> 6)), dtype=np.uint64)
+    for q, quarter in enumerate((up[low], up[high], dual[high], dual[low])):
+        words[:, (q * h) >> 6] |= quarter << np.uint64((q * h) & 63)
+    return words
 
 
 def _words_of(bitmaps, n: int) -> np.ndarray:
@@ -220,20 +219,21 @@ def _words_of(bitmaps, n: int) -> np.ndarray:
     return np.frombuffer(packed, dtype="<u8").reshape(-1, width).astype(np.uint64)
 
 
-def _families_of_bitmaps(bitmaps: list[int], n: int) -> list[SetFamily]:
-    """The families of upward-closed membership bitmaps over n points, in their order.
+def _families_of_bitmaps(words: np.ndarray, n: int) -> list[SetFamily]:
+    """The families of upward-closed (m, W) membership words over n points, in their order.
 
-    ``_minimal_sets`` yields each family's minimal sets ascending and as an
-    antichain, so ``SetFamily.__post_init__`` is skipped and each bitmap is
-    cached as the family's ``bitmap``.  The callers keep them closed: the
-    walk closes every decision upward, and invariant cliques are certified
-    superset-closed.
+    Unchecked, each caching its row as ``bitmap``: the callers keep the rows closed, as every
+    enumerated pair is an up-family and invariant cliques are certified superset-closed.
     """
-    limit = 1 << (1 << n)
-    if any(bm & 1 or not 0 < bm < limit for bm in bitmaps):
+    width = max(1, (1 << n) >> 6)
+    outside = ~np.uint64((1 << min(1 << n, 64)) - 2)  # the empty set, and sets past the ground of one word
+    if words.shape[1:] != (width,) or (words[:, 0] & outside).any() or not words.any(axis=1).all():
         raise ConsistencyError("a family bitmap needs a member, and no empty set or set past the ground")
+    bitmaps = [0] * len(words)
+    for w in range(width):
+        bitmaps = [bm | x << (64 * w) for bm, x in zip(bitmaps, words[:, w].tolist())]
     found = []
-    for sets, bm in zip(_minimal_sets(_words_of(bitmaps, n), n), bitmaps):
+    for sets, bm in zip(_minimal_sets(words, n), bitmaps):
         family = object.__new__(SetFamily)
         object.__setattr__(family, "ground_size", n)
         object.__setattr__(family, "minimal_sets", sets)

@@ -219,9 +219,9 @@ def _closed_families(
         raise ConsistencyError("maximal clique is not shift-closed")
     if any((by_vertex & ~by_vertex[image]).any() for image in plus):
         raise ConsistencyError("maximal clique is not superset-closed")
-    in_family = np.zeros((len(cliques), 1 << n), dtype=bool)
+    in_family = np.zeros((len(cliques), max(64, 1 << n)), dtype=bool)  # whole uint64 words
     in_family[:, verts] = member
-    return _families_of_bitmaps([_packed(row) for row in in_family], n)
+    return _families_of_bitmaps(np.packbits(in_family, axis=1, bitorder="little").view("<u8"), n)
 
 
 def enumerate_invariant_mls(g: FiniteGroup, *, allow_large: bool = False) -> list[SetFamily]:

@@ -91,14 +91,21 @@ def idempotents(t: SemigroupTable) -> list[int]:
     return np.flatnonzero(d == np.arange(t.order)).tolist()
 
 
+def _filtered(n: int, keep) -> list[int]:
+    """The c < n that keep(cands, tile) passes on every slice of _TILE indices, _TILE candidates at a time."""
+    found = []
+    for start in range(0, n, _TILE):
+        cands = np.arange(start, min(start + _TILE, n))
+        for a in range(0, n, _TILE):
+            if cands.size:
+                cands = cands[keep(cands, slice(a, a + _TILE))]
+        found += cands.tolist()
+    return found
+
+
 def _fixed_columns(p: np.ndarray) -> list[int]:
-    """All z with p[x, z] = z for every x, the candidates filtered one block of _TILE rows at a time."""
-    candidates = np.arange(p.shape[0])
-    for a in range(0, p.shape[0], _TILE):
-        if not candidates.size:
-            break
-        candidates = candidates[(p[a : a + _TILE, candidates] == candidates).all(axis=0)]
-    return candidates.tolist()
+    """All z with p[x, z] = z for every x."""
+    return _filtered(p.shape[0], lambda z, rows: (p[rows, z] == z).all(axis=0))
 
 
 def right_zeros(t: SemigroupTable) -> list[int]:
@@ -133,25 +140,20 @@ def zero(t: SemigroupTable) -> int | None:
     return z if (p[z] == z).all() and (p[:, z] == z).all() else None
 
 
-def _asymmetric_rows(p: np.ndarray, first_block: bool = False) -> np.ndarray:
-    """Mark each row i that has a j with p[i, j] != p[j, i].
+def _asymmetric_rows(p: np.ndarray) -> np.ndarray:
+    """Mark each row i that has a j with p[i, j] != p[j, i], up to the first row block holding a mark.
 
-    Over blocks of _TILE indices, the tiles p[I, J] and p[J, I].T are
-    compared once per block pair I <= J, so
-    the transpose is read a tile at a time, not column-wise; a differing
-    cell (i, j) marks row i and row j.  With first_block the scan stops
-    after the first row block holding a mark.
+    Block I of _TILE rows is compared with the tiles p[J, I].T of the blocks
+    J >= I, reading the transpose a tile at a time; a cell (i, j) with j in
+    an earlier block J would have marked its mirror (j, i) and stopped there.
     """
     n = p.shape[0]
     marked = np.zeros(n, dtype=bool)
     for a in range(0, n, _TILE):
         rows = slice(a, a + _TILE)
         for b in range(a, n, _TILE):
-            cols = slice(b, b + _TILE)
-            diff = p[rows, cols] != p[cols, rows].T
-            marked[rows] |= diff.any(axis=1)
-            marked[cols] |= diff.any(axis=0)
-        if first_block and marked[rows].any():
+            marked[rows] |= (p[rows, b : b + _TILE] != p[b : b + _TILE, rows].T).any(axis=1)
+        if marked[rows].any():
             break
     return marked
 
@@ -159,13 +161,12 @@ def _asymmetric_rows(p: np.ndarray, first_block: bool = False) -> np.ndarray:
 def is_commutative(t: SemigroupTable) -> tuple[bool, tuple[int, int] | None]:
     """Symmetry of the table, with the lexicographically least witness pair on failure.
 
-    The tiled scan stops at the first row block with a marked row; no earlier
-    row is marked.  The witness is its least marked row i, then the least j
-    with p[i, j] != p[j, i] over the whole row, which may lie in a later tile.
-    A j < i would have marked row j first, so j > i.
+    The witness is the least marked row i, then the least j with
+    p[i, j] != p[j, i] over the whole row, which may lie in a later tile;
+    a j < i would have marked row j first, so j > i.
     """
     p = t.product
-    marked = _asymmetric_rows(p, first_block=True)
+    marked = _asymmetric_rows(p)
     if not marked.any():
         return True, None
     i = int(np.argmax(marked))
@@ -174,8 +175,9 @@ def is_commutative(t: SemigroupTable) -> tuple[bool, tuple[int, int] | None]:
 
 
 def central_elements(t: SemigroupTable) -> list[int]:
-    """All c with c*x = x*c for every x: the rows the tiled scan never marks."""
-    return np.flatnonzero(~_asymmetric_rows(t.product)).tolist()
+    """All c with c*x = x*c for every x: row c equals column c, checked one tile at a time."""
+    p = t.product
+    return _filtered(t.order, lambda c, cols: (p[c, cols] == p[cols, c].T).all(axis=1))
 
 
 def sqrt_of_idempotents(t: SemigroupTable) -> list[int]:

@@ -5,19 +5,12 @@ For families A, B on a group X the product is
     A o B = {C subset X : {x in X : x^-1 C in B} in A},
 
 which restricted to one-point systems is the group operation itself.
-Cayley tables for the full system space are built with numpy: each
-system is a membership bitmap over all 2^n subsets.  Translation by a
-group element on either side commutes with the product,
-(xA) o (By) = x(A o B)y, so only the cells (A, B) with A a
-left-translation orbit representative and B a right-translation one are
-computed, 447 x 447 of the 2,646 x 2,646 cells on C6 and on D6; every
-other cell is a translated copy of one of them.  The witness sets
-{x : x^-1 C in B} are assembled for all those B at once, and since
-A o B is the union over W in A of the fibre {C : witness_B(C) = W},
-each row of product bitmaps is one matrix product of A's 0/1 membership
-row with the fibre matrix.  Product bitmaps and translated bitmaps are
-resolved back to element indices through one hash table over the system
-bitmaps, built once per system list.
+``build_lambda_table`` builds the Cayley table of the full system space
+with numpy, each system a membership bitmap over all 2^n subsets.  As
+(xA) o (By) = x(A o B)y, it computes only the cells of a left- and a
+right-translation orbit representative (447 x 447 of the 2,646 x 2,646
+on C6 and on D6), and resolves bitmaps to element indices through one
+hash table over the system bitmaps.
 
 The one-point systems delta_x are a copy of the group in the table,
 delta_x o A = xA and A o delta_y = Ay, so the build's translation maps
@@ -34,7 +27,7 @@ import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import MAX_TABLE_GROUND, SetFamily, _walk, _words_of, enumerate_mls, family_from_bitmap
+from .families import MAX_TABLE_GROUND, SetFamily, _system_words, _words_of, enumerate_mls, family_from_bitmap
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
@@ -114,9 +107,8 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     MAX_TABLE_GROUND; larger groups are refused before anything is
     enumerated.  Product bitmaps are resolved to element indices by the
     ``_BitmapIndex`` hash table, which also resolves sigma and rho; every
-    computed product is checked to land back in the enumerated element
-    set, and translated ones do because ``_translation_indices`` checks
-    sigma and rho ("translation left the system list").
+    computed product is checked to land in the system list, and so do its
+    translates, as sigma and rho are compositions of checked generator rows.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
@@ -242,19 +234,21 @@ def principal_indices(systems: list[SetFamily]) -> list[int]:
 def _translation_indices(g: FiniteGroup, index: _BitmapIndex) -> np.ndarray:
     """sigma[x, i], the index of x * systems[i] in the indexed list.
 
-    xA holds xC for every C in A, so its bitmap is A's with bit c moved
-    to bit ``shift_table(g)[x, c]``.  The moved bitmap is the OR of the
-    moved bytes: moves[p, v] is the moved bitmap of byte value v at byte
-    position p, so each element takes one 256-entry gather per byte of
-    the bitmaps.  A translate missing from the list raises
-    ConsistencyError.
+    x(yA) = (xy)A gives sigma[xy] = sigma[x][sigma[y]]: only a generating set (each the
+    least element outside the subgroup of those before it) is translated bitwise, and
+    the other rows are gathers.  xA's bitmap moves A's bit c to ``shift_table(g)[x, c]``,
+    an OR of moved bytes, moves[p, v] the moved byte value v at byte position p.  A
+    translate missing from the list raises ConsistencyError.
     """
     words = index.words
     m, width = words.shape
     size = 1 << g.order
     data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)[:, : (size + 7) // 8]
     sigma = np.empty((g.order, m), dtype=np.int32)
+    sigma[0], filled, generators = np.arange(m), [0], []
     for x, target in enumerate(shift_table(g)):
+        if x in filled:
+            continue
         one = np.zeros((64 * width, width), dtype=np.uint64)  # one[c]: bit c moved; none past 2^n
         one[np.arange(size), target >> 6] = np.uint64(1) << (target & 63).astype(np.uint64)
         moves = np.zeros((8 * width, 256, width), dtype=np.uint64)
@@ -264,8 +258,14 @@ def _translation_indices(g: FiniteGroup, index: _BitmapIndex) -> np.ndarray:
         for p in range(data.shape[1]):
             moved |= np.take(moves[p], data[:, p], axis=0)
         sigma[x] = index.find(moved)
-    if (sigma < 0).any():
-        raise ConsistencyError("translation left the system list")
+        if (sigma[x] < 0).any():
+            raise ConsistencyError("translation left the system list")
+        generators.append(x)
+        for y in filled:  # grows as it is read, so the rows close under the generators
+            for s in generators:
+                if (z := g.mul[s][y]) not in filled:
+                    sigma[z] = sigma[s][sigma[y]]
+                    filled.append(z)
     return sigma
 
 
@@ -299,20 +299,18 @@ def shift_orbits(g: FiniteGroup, systems: list[SetFamily]) -> tuple[list[int], l
 
 
 def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, int]:
-    """(|lambda(g)|, |lambda(g)/g|), counted off the walk's bitmaps without a system list.
+    """(|lambda(g)|, |lambda(g)/g|), counted off ``_system_words`` without a system list.
 
-    The walk yields every system once, so the count is its length; sigma
-    on the walk order resolves translates through the hash index, and
-    each translation orbit has one least member, its column minimum.
-    Ground 7 (1.4 M systems) is gated behind allow_large and larger
-    grounds are refused, before the walk starts.
+    Each translation orbit has one least member, its column minimum in
+    sigma.  Ground 7 (1.4 M systems) is gated behind allow_large and larger
+    grounds are refused, before anything is enumerated.
     """
     n = g.order
     if n > 7:
         raise CapacityError("enumeration supports ground sizes 1..7")
     if n == 7 and not allow_large:
         raise CapacityError("ground size 7 is gated behind allow_large")
-    sigma = _translation_indices(g, _BitmapIndex(_words_of(_walk(n), n)))
+    sigma = _translation_indices(g, _BitmapIndex(_system_words(n)))
     m = sigma.shape[1]
     return m, int(np.count_nonzero(sigma.min(axis=0) == np.arange(m)))
 

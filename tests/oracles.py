@@ -65,6 +65,39 @@ def oracle_all_mls(n):
     return sorted(found)
 
 
+def oracle_walk(n):
+    """The membership bitmaps of every maximal linked system on n points, by backtracking.
+
+    A second enumerator, independent of the package's pair recursion.  It
+    decides the complementary subset pairs one at a time: a maximal linked
+    system contains exactly one of A and its complement, and membership is
+    upward closed, so taking A puts every superset of A inside and every
+    subset of its complement outside.  A branch whose inside and outside
+    meet is cut.  The closures are scanned here, not taken from
+    ``superx.bitsets``.
+    """
+    size = 1 << n
+    full = size - 1
+    sup = [sum(1 << t for t in range(size) if t & s == s) for s in range(size)]
+    sub = [sum(1 << t for t in range(size) if t & s == t) for s in range(size)]
+    reps = sorted((s for s in range(1, size) if s < full ^ s), key=lambda s: (bin(s).count("1"), s))
+    bitmaps = []
+
+    def walk(i, inside, outside):
+        while i < len(reps) and (inside | outside) >> reps[i] & 1:
+            i += 1
+        if i == len(reps):
+            bitmaps.append(inside)
+            return
+        for take, drop in ((reps[i], full ^ reps[i]), (full ^ reps[i], reps[i])):
+            new_in, new_out = inside | sup[take], outside | sub[drop]
+            if not new_in & new_out:
+                walk(i + 1, new_in, new_out)
+
+    walk(0, sup[full], 1)
+    return bitmaps
+
+
 def oracle_subgroups(mul):
     """All subgroups by scanning every subset containing the identity."""
     n = len(mul)

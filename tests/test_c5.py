@@ -1,10 +1,9 @@
 from __future__ import annotations
 
-import os
-
+import numpy as np
 import pytest
 
-from superx import c5
+from superx import c5, superext
 from superx.bitsets import mask_of
 from superx.c5 import (
     T17_NAMES,
@@ -107,9 +106,13 @@ def test_prime_burnside_ties_the_reference_counts():
     assert divmod(LAMBDA_COUNT_7 + 6 * INVARIANT_COUNTS["C7"], 7) == (203_226, 0)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SUPERX_SLOW_TESTS"),
-    reason="counting ground size 7 takes about 10 s; set SUPERX_SLOW_TESTS=1",
-)
-def test_ground_seven_count():
+def test_ground_seven_count(monkeypatch):
+    """The full ground-7 count, and Burnside on the sigma it was read off: Fix = [1,422,564, 3 x 6]."""
+    translate = superext._translation_indices
+    seen = []
+    monkeypatch.setattr(superext, "_translation_indices", lambda g, index: seen.append(translate(g, index)) or seen[-1])
     assert system_counts(build_group("C7"), allow_large=True) == (1_422_564, 203_226)
+    (sigma,) = seen
+    fixed = np.count_nonzero(sigma == np.arange(sigma.shape[1]), axis=1).tolist()
+    assert fixed == [LAMBDA_COUNT_7] + [INVARIANT_COUNTS["C7"]] * 6 == [1_422_564] + [3] * 6
+    assert divmod(sum(fixed), 7) == (203_226, 0)

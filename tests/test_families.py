@@ -19,7 +19,7 @@ from superx.families import (
     principal_ultrafilter,
 )
 from superx.groups import build_group
-from oracles import is_invariant_mls, oracle_all_mls, oracle_hitting_family
+from oracles import is_invariant_mls, oracle_all_mls, oracle_hitting_family, oracle_walk
 
 MLS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
 
@@ -190,14 +190,43 @@ def test_enumerate_mls_returns_a_fresh_list_each_call():
     assert [s.minimal_sets for s in enumerate_mls(4)] == oracle_all_mls(4)
 
 
-def test_verify_all_walks_each_ground_size_once(monkeypatch):
-    walked = Counter()
-    walk = families._walk
-    monkeypatch.setattr(families, "_walk", lambda n: walked.update([n]) or walk(n))
+def test_verify_all_enumerates_each_ground_size_once(monkeypatch):
+    enumerated = Counter()
+    system_words = families._system_words
+    monkeypatch.setattr(families, "_system_words", lambda n: enumerated.update([n]) or system_words(n))
     families._shared_systems.cache_clear()
     verify._lambda_table.cache_clear()
     verify.run_verification("all")
-    assert walked == {n: 1 for n in range(1, 7)}
+    assert enumerated == {n: 1 for n in range(1, 7)}
+
+
+def _bitmaps_of(words):
+    """Each row of an (m, W) word array as one Python int."""
+    return [sum(int(w) << (64 * i) for i, w in enumerate(row)) for row in words]
+
+
+def test_system_words_equal_the_walk_as_a_set():
+    """The pair recursion and the backtracking walk of the oracles list the same systems, each once."""
+    for n in range(1, 7):
+        bitmaps = _bitmaps_of(families._system_words(n))
+        assert len(bitmaps) == len(set(bitmaps)) == MLS_COUNTS[n], n
+        assert set(bitmaps) == set(oracle_walk(n)), n
+
+
+def test_up_family_counts():
+    """Dedekind numbers 2, 3, 6, 20, 168, 7,581 for k = 0..5; up to 4 points the very families found by scanning,
+    each with its dual {A : the complement of A is not a member}."""
+    assert [len(families._up_families(k)[0]) for k in range(6)] == [2, 3, 6, 20, 168, 7581]
+    for k in range(5):
+        size = 1 << k
+        scanned = {
+            bm
+            for bm in range(1 << size)
+            if all(bm >> (s | 1 << b) & 1 for s in range(size) if bm >> s & 1 for b in range(k))
+        }
+        up, dual = (a.tolist() for a in families._up_families(k))
+        assert len(up) == len(set(up)) and set(up) == scanned, k
+        assert dual == [sum(1 << a for a in range(size) if not bm >> (a ^ (size - 1)) & 1) for bm in up], k
 
 
 def test_words_of_packs_the_bitmaps():
@@ -218,7 +247,7 @@ def test_words_of_packs_the_bitmaps():
 
 
 def test_enumerated_systems_are_their_checked_families():
-    """Each walked system passes the public constructor's checks and keeps its own bitmap."""
+    """Each enumerated system passes the public constructor's checks and keeps its own bitmap."""
     for n in range(1, 7):
         for s in enumerate_mls(n):
             checked = SetFamily(n, s.minimal_sets)
@@ -228,10 +257,12 @@ def test_enumerated_systems_are_their_checked_families():
 
 def test_families_of_bitmaps_rejects_what_its_pass_cannot_check():
     sup = superset_closures(3)
-    assert families._families_of_bitmaps([sup[1]], 3) == [SetFamily(3, (1,))]
+    assert families._families_of_bitmaps(families._words_of([sup[1]], 3), 3) == [SetFamily(3, (1,))]
     for bitmap in (0, sup[0], sup[1] | 1 << 8):  # no member; the empty set; a set past 3 points
         with pytest.raises(ConsistencyError):
-            families._families_of_bitmaps([sup[1], bitmap], 3)
+            families._families_of_bitmaps(families._words_of([sup[1], bitmap], 3), 3)
+    with pytest.raises(ConsistencyError):  # words of the wrong width
+        families._families_of_bitmaps(families._words_of([sup[1]], 7), 3)
 
 
 def test_minimal_sets_across_words():

@@ -245,6 +245,7 @@ def test_tile_edges_on_a_null_semigroup_with_a_left_zero_band(a, b):
     t = SemigroupTable(prod)
     assert is_commutative(t) == (False, (a, b))
     assert central_elements(t) == [c for c in range(n) if c not in (a, b)]
+    assert central_elements(t) == np.flatnonzero(oracle_symmetric_rows(t.product)).tolist()
 
 
 def test_commutation_passes_allocate_no_whole_table_mask(lam_table):

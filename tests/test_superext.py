@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from superx import superext
+from superx import families, superext
 from superx.bitsets import mask_of
 from superx.c5 import c5_named_catalog, canonical_names
 from superx.cache import load_table, save_table
@@ -207,8 +207,19 @@ def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
             build_lambda_table(g)
 
 
+def _generators(g):
+    """Each least element outside the subgroup generated by those before it, closed by brute force."""
+    reached, gens = {0}, []
+    for x in g.elements():
+        if x not in reached:
+            gens.append(x)
+            while (grown := reached | {g.mul[a][b] for a in reached | {x} for b in reached | {x}}) != reached:
+                reached = grown
+    return gens
+
+
 def test_lambda_table_resolves_only_the_core_cells(monkeypatch):
-    """n m queries for each of sigma and rho, then 447 x 447 products: no fallback to all columns."""
+    """m queries per generator for each of sigma and rho, then 447 x 447 products: no fallback to all columns."""
     find = superext._BitmapIndex.find
     queries = []
 
@@ -221,7 +232,9 @@ def test_lambda_table_resolves_only_the_core_cells(monkeypatch):
         queries.clear()
         g = build_group(name)
         m = build_lambda_table(g).order
-        assert sum(queries) == 2 * g.order * m + 447 * 447, name
+        generators = len(_generators(g)) + len(_generators(_opposite(g)))
+        assert generators < g.order
+        assert sum(queries) == generators * m + 447 * 447, name
 
 
 def _sigma(g, systems):
@@ -248,6 +261,22 @@ def test_translation_indices_match_the_shift_oracle(lam_table):
         assert _sigma(g, systems).tolist() == oracle_translation_indices(g, systems), name
 
 
+def test_translation_indices_translate_only_a_generating_set(lam_table, monkeypatch):
+    """One bitmap lookup per generator on each side; every other row of sigma and rho is composed, and all match the oracle."""
+    find = superext._BitmapIndex.find
+    lookups = []
+    monkeypatch.setattr(superext._BitmapIndex, "find", lambda index, q: lookups.append(len(q)) or find(index, q))
+    c7 = build_group("C7")
+    cases = [(build_group(name), lam_table(name).elements) for name in SHIFT_ORBIT_DIGESTS]
+    cases.append((c7, _seven_point_systems(c7)))
+    for g, systems in cases:
+        for side in (g, _opposite(g)):
+            lookups.clear()
+            sigma = _sigma(side, systems)
+            assert lookups == [len(systems)] * len(_generators(side)), g.name
+            assert sigma.tolist() == oracle_translation_indices(side, systems), g.name
+
+
 def _seven_point_systems(g):
     """A translation-closed list of 15 systems on C7: two orbits of 7 and the invariant majority."""
     triangles = ([0, 1], [0, 2], [1, 2]), ([0, 1], [1, 3], [0, 3])
@@ -272,18 +301,19 @@ def test_system_counts_match_the_system_list():
 
 
 def test_system_counts_on_seven_points(monkeypatch):
-    """Ground 7 counted off a walk of the 15 systems above, given out of sorted order."""
+    """Ground 7 counted off the words of the 15 systems above, given out of sorted order."""
     g = build_group("C7")
     systems = _seven_point_systems(g)
-    monkeypatch.setattr(superext, "_walk", lambda n: [s.bitmap for s in reversed(systems)])
+    monkeypatch.setattr(superext, "_system_words", lambda n: _words_of([s.bitmap for s in reversed(systems)], n))
     orbit_count = len({min(column) for column in zip(*oracle_translation_indices(g, systems))})
     assert orbit_count == 3
     assert system_counts(g, allow_large=True) == (15, orbit_count)
 
 
 def test_system_counts_capacity(monkeypatch):
-    """Ground 7 without allow_large and ground 8 are refused before the walk; nothing lists ground 7."""
-    monkeypatch.setattr(superext, "_walk", lambda n: pytest.fail("walked a refused ground size"))
+    """Ground 7 without allow_large and ground 8 are refused before enumerating; nothing lists ground 7."""
+    for module in (superext, families):
+        monkeypatch.setattr(module, "_system_words", lambda n: pytest.fail("enumerated a refused ground size"))
     with pytest.raises(CapacityError):
         system_counts(build_group("C7"))
     with pytest.raises(CapacityError):
@@ -422,7 +452,7 @@ def _fixed_points(sigma):
 
 
 def test_burnside_counts_the_orbits_off_the_one_point_rows(lam_table):
-    """n * |lambda(G)/G| = sum of Fix(x), with the orbit count taken from the walk, not the table."""
+    """n * |lambda(G)/G| = sum of Fix(x), with the orbit count taken from system_counts, not the table."""
     for name in SHIFT_ORBIT_DIGESTS:
         g = build_group(name)
         sigma = _one_point_sigma(lam_table(name))
