@@ -23,7 +23,7 @@ from .groups import (
     translate_set,
 )
 from .semigroups import SemigroupTable
-from .superext import build_lambda_table, circ, orbit_quotient, shift_orbits
+from .superext import build_lambda_table, circ, orbit_quotient
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "majority_family",
     "orbit_quotient",
     "principal_ultrafilter",
-    "shift_orbits",
     "translate_set",
     "__version__",
 ]

@@ -166,13 +166,21 @@ def enumerate_mls(ground_size: int) -> list[SetFamily]:
     """
     if not 1 <= ground_size <= MAX_TABLE_GROUND:
         raise CapacityError(f"enumeration supports ground sizes 1..{MAX_TABLE_GROUND}")
-    return list(_shared_systems(ground_size))
+    return list(_shared_systems(ground_size)[0])
 
 
 @lru_cache(maxsize=None)
-def _shared_systems(n: int) -> tuple[SetFamily, ...]:
-    """The enumerated systems, derived from their words in one pass, sorted by minimal sets."""
-    return tuple(sorted(_families_of_bitmaps(_system_words(n), n), key=lambda f: f.minimal_sets))
+def _shared_systems(n: int) -> tuple[tuple[SetFamily, ...], np.ndarray]:
+    """The enumerated systems and their read-only (m, W) words, both ordered by minimal sets in one sort.
+
+    Row i of the words is system i's bitmap; the table build and the orbit counts index these words.
+    """
+    words = _system_words(n)
+    families = _families_of_bitmaps(words, n)
+    order = sorted(range(len(families)), key=lambda i: families[i].minimal_sets)
+    words = words[order]
+    words.flags.writeable = False
+    return tuple(families[i] for i in order), words
 
 
 def _up_families(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,13 +218,6 @@ def _system_words(n: int) -> np.ndarray:
     for q, quarter in enumerate((up[low], up[high], dual[high], dual[low])):
         words[:, (q * h) >> 6] |= quarter << np.uint64((q * h) & 63)
     return words
-
-
-def _words_of(bitmaps, n: int) -> np.ndarray:
-    """Python-int family bitmaps over n points as an (m, W) uint64 array; word w holds subsets 64w..64w+63."""
-    width = max(1, (1 << n) >> 6)
-    packed = b"".join(bm.to_bytes(8 * width, "little") for bm in bitmaps)
-    return np.frombuffer(packed, dtype="<u8").reshape(-1, width).astype(np.uint64)
 
 
 def _families_of_bitmaps(words: np.ndarray, n: int) -> list[SetFamily]:

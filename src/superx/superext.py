@@ -6,11 +6,11 @@ For families A, B on a group X the product is
 
 which restricted to one-point systems is the group operation itself.
 ``build_lambda_table`` builds the Cayley table of the full system space
-with numpy, each system a membership bitmap over all 2^n subsets.  As
-(xA) o (By) = x(A o B)y, it computes only the cells of a left- and a
-right-translation orbit representative (447 x 447 of the 2,646 x 2,646
-on C6 and on D6), and resolves bitmaps to element indices through one
-hash table over the system bitmaps.
+with numpy, each system a membership bitmap over all 2^n subsets, a row
+of the enumerator's own word array.  As (xA) o (By) = x(A o B)y, it
+computes only the cells of a left- and a right-translation orbit
+representative (447 x 447 of the 2,646 x 2,646 on C6 and on D6), and
+resolves bitmaps to element indices through one hash table over them.
 
 The one-point systems delta_x are a copy of the group in the table,
 delta_x o A = xA and A o delta_y = Ay, so the build's translation maps
@@ -21,13 +21,13 @@ analyses read them there and take no group.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import MAX_TABLE_GROUND, SetFamily, _system_words, _words_of, enumerate_mls, family_from_bitmap
+from .families import MAX_TABLE_GROUND, SetFamily, _shared_systems, _system_words, family_from_bitmap
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
@@ -79,7 +79,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     """Cayley table of the extended product over all systems on g.
 
     Only the core cells (r, s), r a left-translation orbit representative
-    (a column minimum of sigma, see ``shift_orbits``) and s a
+    (a column minimum of sigma, see ``_orbits``) and s a
     right-translation one (a column minimum of rho, rho[y, j] the index
     of systems[j] y), are computed.  Every other cell follows from
     translation on either side, because for every group element x
@@ -106,22 +106,23 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     per exact 16-bit limb of the mask.  Supported up to |G| =
     MAX_TABLE_GROUND; larger groups are refused before anything is
     enumerated.  Product bitmaps are resolved to element indices by the
-    ``_BitmapIndex`` hash table, which also resolves sigma and rho; every
-    computed product is checked to land in the system list, and so do its
-    translates, as sigma and rho are compositions of checked generator rows.
+    ``_BitmapIndex`` hash table over the enumerator's words, which also
+    resolves sigma and rho; every computed product is checked to land in
+    the system list, and so do its translates, as sigma and rho are
+    compositions of checked generator rows.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
-    systems = enumerate_mls(n)
-    index = _BitmapIndex(_words_of([s.bitmap for s in systems], n))
+    systems, words = _shared_systems(n)
+    index = _BitmapIndex(words)
     sigma = _translation_indices(g, index)
     rho = _translation_indices(replace(g, mul=tuple(zip(*g.mul))), index)  # x.y = yx: right shifts
     m = len(systems)
     reps = np.flatnonzero(sigma.min(axis=0) == np.arange(m))  # each orbit's least member
     rreps = np.flatnonzero(rho.min(axis=0) == np.arange(m))  # and each right orbit's
     size = 1 << n
-    b = index.words[:, 0]
+    b = words[:, 0]
     one = np.uint64(1)
     subsets = np.arange(size, dtype=np.uint64)
 
@@ -168,31 +169,27 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
 class _BitmapIndex:
     """Open-addressing hash table from system bitmaps to their list indices.
 
-    ``words`` is the (m, W) uint64 bitmap array of a system list.  The
-    table has 2^k int32 slots, 2^k >= 8m, with -1 for an empty slot, and
-    probes linearly from a multiply-shift hash (the words folded by
-    xor-then-multiply).  Inserts and queries run in vectorised rounds of
-    one probe step; a query takes at most as many rounds as the longest
-    insert, and an index is returned only for equal words, so a bitmap
-    that is not in the list, the empty family 0 included, gets -1.
+    ``words`` is the (m, W) uint64 bitmap array of a system list.  A key's
+    home is a multiply-shift hash below 2^k, 2^k >= 8m, and one stable sort
+    by home lays the keys out as linear probing would: the key of rank r
+    takes slot r + max(home_j - j : j <= r), the first free one at or after
+    its home.  No run wraps; ``rounds`` spare slots past 2^k, one more than
+    the longest displacement, hold the overflow.  A query probes at most
+    ``rounds`` slots, an empty one (-1) ending it, and only equal words
+    return an index: a bitmap not in the list, 0 included, gets -1.
     """
 
     def __init__(self, words: np.ndarray):
         self.words = words
         self.bits = (8 * len(words) - 1).bit_length()
-        self.slots = np.full(1 << self.bits, -1, dtype=np.int32)
-        self.rounds = 0
-        keys = np.arange(len(words), dtype=np.int32)
-        slot = self._hash(words)
-        while keys.size:
-            self.rounds += 1
-            free = np.flatnonzero(self.slots[slot] < 0)
-            # the first pending key aimed at each free slot takes it
-            taken, first = np.unique(slot[free], return_index=True)
-            self.slots[taken] = keys[free[first]]
-            left = np.ones(keys.size, dtype=bool)
-            left[free[first]] = False
-            keys, slot = keys[left], (slot[left] + 1) & (len(self.slots) - 1)
+        home = self._hash(words)
+        order = np.argsort(home, kind="stable")
+        home = home[order]
+        rank = np.arange(len(words))
+        slot = np.maximum.accumulate(home - rank) + rank
+        self.rounds = int((slot - home).max()) + 1
+        self.slots = np.full((1 << self.bits) + self.rounds, -1, dtype=np.int32)
+        self.slots[slot] = order
 
     def _hash(self, words: np.ndarray) -> np.ndarray:
         h = words[:, 0] * _HASH_MULTIPLIER
@@ -213,11 +210,11 @@ class _BitmapIndex:
         todo = np.flatnonzero(self._elsewhere(found, queries))
         slot = slot[todo]
         for _ in range(self.rounds - 1):
-            slot = (slot + 1) & (len(self.slots) - 1)
+            slot += 1
             found[todo] = idx = self.slots[slot]
             moving = self._elsewhere(idx, queries[todo])
             todo, slot = todo[moving], slot[moving]
-        found[todo] = -1  # probed past the longest insert: absent
+        found[todo] = -1  # probed past the longest displacement: absent
         return found
 
     def _elsewhere(self, idx: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -289,54 +286,29 @@ def _table_orbits(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
     return _orbits(table.product[principal_indices(table.elements)])
 
 
-def shift_orbits(g: FiniteGroup, systems: list[SetFamily]) -> tuple[list[int], list[list[int]]]:
-    """Left-translation orbits of a system list that has no table yet.
-
-    sigma comes from ``_translation_indices``, as in ``build_lambda_table``,
-    which writes it into the one-point rows the table analyses read.
-    """
-    return _orbits(_translation_indices(g, _BitmapIndex(_words_of([s.bitmap for s in systems], g.order))))
-
-
 def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, int]:
-    """(|lambda(g)|, |lambda(g)/g|), counted off ``_system_words`` without a system list.
+    """(|lambda(g)|, |lambda(g)/g|), counted off the enumerator's words without a table.
 
     Each translation orbit has one least member, its column minimum in
-    sigma.  Ground 7 (1.4 M systems) is gated behind allow_large and larger
-    grounds are refused, before anything is enumerated.
+    sigma.  Ground 7 (1.4 M systems) streams ``_system_words``, with no system
+    list, gated behind allow_large; larger grounds are refused first.
     """
     n = g.order
     if n > 7:
         raise CapacityError("enumeration supports ground sizes 1..7")
     if n == 7 and not allow_large:
         raise CapacityError("ground size 7 is gated behind allow_large")
-    sigma = _translation_indices(g, _BitmapIndex(_system_words(n)))
+    words = _system_words(n) if n > MAX_TABLE_GROUND else _shared_systems(n)[1]
+    sigma = _translation_indices(g, _BitmapIndex(words))
     m = sigma.shape[1]
     return m, int(np.count_nonzero(sigma.min(axis=0) == np.arange(m)))
 
 
-@dataclass
-class OrbitQuotient:
-    """Orbit decomposition of a lambda table under left translation.
+def orbit_quotient(table: SemigroupTable) -> tuple[list[int], list[list[int]], np.ndarray | None]:
+    """(orbit_of, orbits, product): the quotient of a lambda table by the translation action.
 
-    ``product`` is the quotient product on orbit ids, or None when the
-    one-point systems are not central and it is undefined.
-    """
-
-    orbit_of: list[int]
-    orbits: list[list[int]]
-    product: np.ndarray | None
-
-    @property
-    def orbit_count(self) -> int:
-        return len(self.orbits)
-
-
-def orbit_quotient(table: SemigroupTable) -> OrbitQuotient:
-    """Quotient of a lambda table by the translation action.
-
-    The quotient product is only defined when the one-point systems are
-    central; it is then validated over all representative pairs.
+    product, on orbit ids, is None when the one-point systems are not
+    central and it is undefined; a defined one is checked on every cell.
     """
     p = table.product
     principal = principal_indices(table.elements)
@@ -354,7 +326,7 @@ def orbit_quotient(table: SemigroupTable) -> OrbitQuotient:
             rows = slice(start, start + _ROW_CHUNK)
             if not np.array_equal(oa[p[rows]], expect[oa[rows]]):
                 raise ConsistencyError("orbit product is not well-defined")
-    return OrbitQuotient(orbit_of, orbits, quotient)
+    return orbit_of, orbits, quotient
 
 
 def transversal_subsemigroup_search(table: SemigroupTable) -> list[int] | None:

@@ -53,7 +53,7 @@ from .superext import (
     element_namer,
     orbit_quotient,
     principal_indices,
-    shift_orbits,
+    system_counts,
     transversal_subsemigroup_search,
 )
 
@@ -93,14 +93,12 @@ def check_lambda_counts() -> list[dict]:
 
 
 def check_orbit_counts() -> list[dict]:
-    rows = []
-    for n, want in ref.LAMBDA_ORBIT_COUNTS.items():
-        g = build_group(f"C{n}")
-        _, orbits = shift_orbits(g, enumerate_mls(n))
-        rows.append(_row(f"|lambda(C{n})/C{n}|", want, len(orbits)))
-    g = build_group("C2xC2")
-    _, orbits = shift_orbits(g, enumerate_mls(4))
-    rows.append(_row("|lambda(C2xC2)/G|", ref.LAMBDA_ORBIT_COUNTS[4], len(orbits)))
+    """The orbit counts, read as ``lambda --what=count`` reads them."""
+    rows = [
+        _row(f"|lambda(C{n})/C{n}|", want, system_counts(build_group(f"C{n}"))[1])
+        for n, want in ref.LAMBDA_ORBIT_COUNTS.items()
+    ]
+    rows.append(_row("|lambda(C2xC2)/G|", ref.LAMBDA_ORBIT_COUNTS[4], system_counts(build_group("C2xC2"))[1]))
     return rows
 
 
@@ -369,9 +367,9 @@ def check_order6_tables() -> list[dict]:
     rows.append(_row("lambda(C6) table order", ref.LAMBDA_COUNTS[6], t6.order))
     rows.append(_row("lambda(C6) right zeros", [], right_zeros(t6)))
     rows.append(_row("lambda(C6) left zeros", [], left_zeros(t6)))
-    q = orbit_quotient(t6)
-    rows.append(_row("lambda(C6) orbit count", ref.LAMBDA_ORBIT_COUNTS[6], q.orbit_count))
-    rows.append(_row("lambda(C6) quotient defined", True, q.product is not None))
+    _, orbits, quotient = orbit_quotient(t6)
+    rows.append(_row("lambda(C6) orbit count", ref.LAMBDA_ORBIT_COUNTS[6], len(orbits)))
+    rows.append(_row("lambda(C6) quotient defined", True, quotient is not None))
     rows.append(_row("assoc samples lambda(C6)", True, sampled_associative(t6.product, random.Random(664))))
     td = _lambda_table("D6")
     rows.append(_row("lambda(D6) right zeros", [], right_zeros(td)))

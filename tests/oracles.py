@@ -123,6 +123,13 @@ def oracle_translate(mul, x, mask):
     return sum(1 << mul[x][a] for a in bits_of(mask))
 
 
+def words_of(bitmaps, n):
+    """Python-int family bitmaps over n points as an (m, W) uint64 array; word w holds subsets 64w..64w+63."""
+    width = max(1, (1 << n) >> 6)
+    rows = [[bm >> (64 * w) & (1 << 64) - 1 for w in range(width)] for bm in bitmaps]
+    return np.array(rows, dtype=np.uint64).reshape(-1, width)
+
+
 def oracle_translation_indices(g, systems):
     """sigma[x][i], the list index of x * systems[i], through a dict of minimal-set tuples."""
     index = {s.minimal_sets: i for i, s in enumerate(systems)}
@@ -134,12 +141,12 @@ def is_invariant_mls(g, system):
     return all(system.shift(g, x) == system for x in g.elements())
 
 
-def quotient_table(q):
+def quotient_table(orbits, product):
     """The orbit quotient as a table; the constructor re-checks its associativity."""
-    if q.product is None:
+    if product is None:
         raise ConsistencyError("quotient product is not defined (group not central)")
-    reps = [members[0] for members in q.orbits]
-    return SemigroupTable(q.product, elements=reps, name="orbit-quotient")
+    reps = [members[0] for members in orbits]
+    return SemigroupTable(product, elements=reps, name="orbit-quotient")
 
 
 def oracle_maximal_subgroup(product, e):

@@ -20,7 +20,7 @@ from superx.families import (
     principal_ultrafilter,
 )
 from superx.groups import build_group
-from superx.superext import system_counts
+from superx.superext import orbit_quotient, system_counts
 
 
 def test_base_systems_are_the_documented_generators():
@@ -86,12 +86,11 @@ def test_canonical_names_cover_all_81_systems():
     assert base == ["Z"]
 
 
-def test_t17_projects_one_per_orbit():
-    from superx.superext import shift_orbits
-
-    g = build_group("C5")
-    systems = enumerate_mls(5)
-    orbit_of, orbits = shift_orbits(g, systems)
+def test_t17_projects_one_per_orbit(lam_table):
+    table = lam_table("C5")
+    systems = table.elements
+    orbit_of, orbits, _ = orbit_quotient(table)
+    assert len(orbits) == system_counts(build_group("C5"))[1] == 17
     index = {s.minimal_sets: i for i, s in enumerate(systems)}
     cat = c5_named_catalog()
     reps = [orbit_of[index[cat[name].minimal_sets]] for name in T17_NAMES]

@@ -15,8 +15,8 @@ import pytest
 
 from superx.c5 import c5_named_catalog
 from superx.cache import cache_path, load_table, resolve_cache_dir, save_table
-import superx.cache as cache
 import superx.cli as cli
+import superx.families as families
 import superx.superext as superext
 import superx.verify as verify
 from superx.cli import (
@@ -181,14 +181,15 @@ def test_cache_entry_for_another_group_layout_is_rebuilt(tmp_path, monkeypatch):
 
 def test_cache_entry_from_another_enumerator_is_rebuilt(tmp_path, monkeypatch):
     first = cmd_lambda("C4", "table", cache_dir=str(tmp_path)).payload
-    reordered = list(reversed(enumerate_mls(4)))
-    for module in (superext, cache):  # the builder and the loader both read the enumerator
-        monkeypatch.setattr(module, "enumerate_mls", lambda n: list(reordered))
+    systems, words = families._shared_systems(4)
+    reordered = systems[::-1], words[::-1]  # families and words together, as one source
+    for module in (superext, families):  # the builder reads it directly, the loader through enumerate_mls
+        monkeypatch.setattr(module, "_shared_systems", lambda n: reordered)
     report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
     assert not report.payload["cache_hit"]
     assert report.payload["elements"] == first["elements"][::-1]
     # the same semigroup, indexed the other way round
-    last = len(reordered) - 1
+    last = len(systems) - 1
     assert report.payload["matrix"] == [
         [last - first["matrix"][last - a][last - b] for b in range(last + 1)] for a in range(last + 1)
     ]

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from superx import families, verify
+from superx import families, superext, verify
 from superx.bitsets import mask_of, minimal_members, subsets_of_size, superset_closures
 from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
@@ -19,7 +19,7 @@ from superx.families import (
     principal_ultrafilter,
 )
 from superx.groups import build_group
-from oracles import is_invariant_mls, oracle_all_mls, oracle_hitting_family, oracle_walk
+from oracles import is_invariant_mls, oracle_all_mls, oracle_hitting_family, oracle_walk, words_of
 
 MLS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
 
@@ -191,9 +191,11 @@ def test_enumerate_mls_returns_a_fresh_list_each_call():
 
 
 def test_verify_all_enumerates_each_ground_size_once(monkeypatch):
+    """Every call counts: superext binds its own _system_words, for the ground-7 count."""
     enumerated = Counter()
     system_words = families._system_words
-    monkeypatch.setattr(families, "_system_words", lambda n: enumerated.update([n]) or system_words(n))
+    for module in (families, superext):
+        monkeypatch.setattr(module, "_system_words", lambda n: enumerated.update([n]) or system_words(n))
     families._shared_systems.cache_clear()
     verify._lambda_table.cache_clear()
     verify.run_verification("all")
@@ -230,10 +232,13 @@ def test_up_family_counts():
 
 
 def test_words_of_packs_the_bitmaps():
-    """_words_of packs each bitmap, and the enumerator's minimal-set pass reads the sets back."""
+    """Row i of the shared words is the bitmap of system i, read-only; the minimal-set pass reads packed sets back."""
     for n in range(1, 7):
-        systems = enumerate_mls(n)
-        assert [int(w) for w in families._words_of([s.bitmap for s in systems], n)[:, 0]] == [s.bitmap for s in systems]
+        systems, words = families._shared_systems(n)
+        assert list(systems) == enumerate_mls(n)
+        bitmaps = [s.bitmap for s in systems]
+        assert [int(w) for w in words[:, 0]] == bitmaps == [int(w) for w in words_of(bitmaps, n)[:, 0]]
+        assert not words.flags.writeable
     c7 = build_group("C7")
     seven = [
         generate_family(7, [0b1000001, 0b0111110]),
@@ -241,7 +246,7 @@ def test_words_of_packs_the_bitmaps():
         majority_family(c7),
         extend_to_mls(_family(7, [0, 1], [1, 6], [0, 6])),
     ]
-    words = families._words_of([s.bitmap for s in seven], 7)
+    words = words_of([s.bitmap for s in seven], 7)
     assert [int(lo) | int(hi) << 64 for lo, hi in words] == [s.bitmap for s in seven]
     assert families._minimal_sets(words, 7) == [s.minimal_sets for s in seven]
 
@@ -257,12 +262,12 @@ def test_enumerated_systems_are_their_checked_families():
 
 def test_families_of_bitmaps_rejects_what_its_pass_cannot_check():
     sup = superset_closures(3)
-    assert families._families_of_bitmaps(families._words_of([sup[1]], 3), 3) == [SetFamily(3, (1,))]
+    assert families._families_of_bitmaps(words_of([sup[1]], 3), 3) == [SetFamily(3, (1,))]
     for bitmap in (0, sup[0], sup[1] | 1 << 8):  # no member; the empty set; a set past 3 points
         with pytest.raises(ConsistencyError):
-            families._families_of_bitmaps(families._words_of([sup[1], bitmap], 3), 3)
+            families._families_of_bitmaps(words_of([sup[1], bitmap], 3), 3)
     with pytest.raises(ConsistencyError):  # words of the wrong width
-        families._families_of_bitmaps(families._words_of([sup[1]], 7), 3)
+        families._families_of_bitmaps(words_of([sup[1]], 7), 3)
 
 
 def test_minimal_sets_across_words():
@@ -282,7 +287,7 @@ def test_minimal_sets_across_words():
             for s in generators:
                 bitmap |= sup[s]
             bitmaps.append(bitmap)
-        words = families._words_of(bitmaps, n)
+        words = words_of(bitmaps, n)
         assert words.shape == (len(bitmaps), top >> 6)
         assert families._minimal_sets(words, n) == [tuple(minimal_members(b, n)) for b in bitmaps], n
 

@@ -21,7 +21,6 @@ from superx.families import (
     majority_family,
     principal_ultrafilter,
     SetFamily,
-    _words_of,
 )
 from superx.groups import build_group
 from superx.invariants import enumerate_invariant_mls
@@ -33,11 +32,10 @@ from superx.superext import (
     is_transversal_subsemigroup,
     orbit_quotient,
     principal_indices,
-    shift_orbits,
     system_counts,
     transversal_subsemigroup_search,
 )
-from oracles import find_isomorphism, is_invariant_mls, oracle_translation_indices, quotient_table
+from oracles import find_isomorphism, is_invariant_mls, oracle_translation_indices, quotient_table, words_of
 
 SMALL = ("C1", "C2", "C3", "C4", "C2xC2", "C5")
 
@@ -202,7 +200,8 @@ def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
         assert len(removed) == size
         kept = [s for i, s in enumerate(full) if i not in removed]
         _sigma(g, kept), _sigma(_opposite(g), kept)  # still closed under translation on both sides
-        monkeypatch.setattr(superext, "enumerate_mls", lambda _n, kept=kept: kept)
+        shared = tuple(kept), words_of([s.bitmap for s in kept], g.order)
+        monkeypatch.setattr(superext, "_shared_systems", lambda _n, shared=shared: shared)
         with pytest.raises(ConsistencyError, match="a product left the enumerated system space"):
             build_lambda_table(g)
 
@@ -238,7 +237,7 @@ def test_lambda_table_resolves_only_the_core_cells(monkeypatch):
 
 
 def _sigma(g, systems):
-    return superext._translation_indices(g, superext._BitmapIndex(_words_of([s.bitmap for s in systems], g.order)))
+    return superext._translation_indices(g, superext._BitmapIndex(words_of([s.bitmap for s in systems], g.order)))
 
 
 def test_bitmap_index_returns_only_equal_keys():
@@ -250,8 +249,38 @@ def test_bitmap_index_returns_only_equal_keys():
     assert index.find(words).tolist() == [0, 1, 2]
     assert index.find(np.array([[0], [6]], dtype=np.uint64)).tolist() == [-1, -1]
     systems = enumerate_mls(4)
-    packed = _words_of([s.bitmap for s in systems], 4)
+    packed = words_of([s.bitmap for s in systems], 4)
     assert superext._BitmapIndex(packed[1:]).find(packed[:1]).tolist() == [-1]
+
+
+def test_bitmap_index_runs_past_the_last_home(monkeypatch):
+    """A low-entropy hash: a long run on home 0, one on home 5 and one on the last home, which passes 2^k.
+
+    The layout is the one inserting the keys in order into the first free slot at or after the home
+    makes; every member finds its row, absent words find -1, and rounds is the longest displacement plus 1.
+    """
+    def low_entropy(index, words):
+        last = (1 << index.bits) - 1
+        return np.select([words[:, 0] % 3 == 0, words[:, 0] % 3 == 1], [0, last], 5).astype(np.int64)
+
+    monkeypatch.setattr(superext._BitmapIndex, "_hash", low_entropy)
+    words = np.arange(1, 31, dtype=np.uint64)[:, None]
+    index = superext._BitmapIndex(words)
+    homes = low_entropy(index, words).tolist()
+    assert homes.count(0) == homes.count(5) == homes.count((1 << index.bits) - 1) == 10
+    layout = [-1] * len(index.slots)
+    for key in sorted(range(len(words)), key=homes.__getitem__):
+        slot = homes[key]
+        while layout[slot] >= 0:
+            slot += 1
+        layout[slot] = key
+    assert index.slots.tolist() == layout
+    placed = np.flatnonzero(index.slots >= 0)
+    assert placed.max() >= 1 << index.bits
+    assert index.rounds == int((placed - np.array(homes)[index.slots[placed]]).max()) + 1
+    assert index.find(words).tolist() == list(range(len(words)))
+    absent = np.array([[0], [33], [34], [35], [3 << 40]], dtype=np.uint64)  # homes 0, 0, last, 5, 0
+    assert index.find(absent).tolist() == [-1] * len(absent)
 
 
 def test_translation_indices_match_the_shift_oracle(lam_table):
@@ -293,18 +322,18 @@ def test_translation_indices_on_seven_points():
     assert _sigma(g, systems).tolist() == oracle_translation_indices(g, systems)
 
 
-def test_system_counts_match_the_system_list():
+def test_system_counts_match_the_system_list(lam_table):
+    """The counts off the shared words equal the table's order and its one-point-row orbits."""
     for name in SHIFT_ORBIT_DIGESTS:
-        g = build_group(name)
-        systems = enumerate_mls(g.order)
-        assert system_counts(g) == (len(systems), len(shift_orbits(g, systems)[1])), name
+        table = lam_table(name)
+        assert system_counts(build_group(name)) == (table.order, len(orbit_quotient(table)[1])), name
 
 
 def test_system_counts_on_seven_points(monkeypatch):
     """Ground 7 counted off the words of the 15 systems above, given out of sorted order."""
     g = build_group("C7")
     systems = _seven_point_systems(g)
-    monkeypatch.setattr(superext, "_system_words", lambda n: _words_of([s.bitmap for s in reversed(systems)], n))
+    monkeypatch.setattr(superext, "_system_words", lambda n: words_of([s.bitmap for s in reversed(systems)], n))
     orbit_count = len({min(column) for column in zip(*oracle_translation_indices(g, systems))})
     assert orbit_count == 3
     assert system_counts(g, allow_large=True) == (15, orbit_count)
@@ -381,19 +410,17 @@ def test_principal_indices_embed_group():
                 assert int(table.product[idx[x], idx[y]]) == idx[g.mul[x][y]]
 
 
-def test_shift_orbit_counts():
-    want = {1: 1, 2: 1, 3: 2, 4: 3, 5: 17, 6: 447}
-    for n, count in want.items():
-        g = build_group(f"C{n}")
-        _, orbits = shift_orbits(g, enumerate_mls(n))
-        assert len(orbits) == count
-    g = build_group("C2xC2")
-    _, orbits = shift_orbits(g, enumerate_mls(4))
-    assert len(orbits) == 3
+def test_shift_orbit_counts(lam_table):
+    """Counted off the enumerator's words without a table, and off each table's one-point rows."""
+    want = {"C1": 1, "C2": 1, "C3": 2, "C4": 3, "C2xC2": 3, "C5": 17, "C6": 447}
+    for name, count in want.items():
+        assert system_counts(build_group(name))[1] == count, name
+        assert len(orbit_quotient(lam_table(name))[1]) == count, name
 
 
-# sha256 of json.dumps(shift_orbits(g, enumerate_mls(g.order))): orbit ids,
-# orbit order and members, recorded before shift_orbits read shift_table.
+# sha256 of json.dumps([orbit_of, orbits]) of each table's orbit_quotient: orbit
+# ids, orbit order and members, recorded off sigma from a system list, before
+# that read shift_table.
 SHIFT_ORBIT_DIGESTS = {
     "C1": "7e81841ae664f806f63d61098329e4dc1befc4469544c156365c22b53521df5c",
     "C2": "edea1acdaa0795a9d91e426f03d6366452c0e0cae25fedc3a9299e955689cb5f",
@@ -406,10 +433,10 @@ SHIFT_ORBIT_DIGESTS = {
 }
 
 
-def test_shift_orbits_pinned():
+def test_shift_orbits_pinned(lam_table):
     for name, want in SHIFT_ORBIT_DIGESTS.items():
-        g = build_group(name)
-        got = json.dumps(shift_orbits(g, enumerate_mls(g.order)))
+        orbit_of, orbits, _ = orbit_quotient(lam_table(name))
+        got = json.dumps([orbit_of, orbits])
         assert hashlib.sha256(got.encode()).hexdigest() == want, name
 
 
@@ -424,8 +451,7 @@ def test_one_point_rows_are_the_translations(lam_table, tmp_path):
     for g, table in tables:
         sigma = _sigma(g, table.elements)
         assert np.array_equal(table.product[principal_indices(table.elements)], sigma), g.name
-        q = orbit_quotient(table)
-        assert (q.orbit_of, q.orbits) == shift_orbits(g, table.elements), g.name
+        assert orbit_quotient(table)[:2] == superext._orbits(sigma), g.name
 
 
 def test_one_point_columns_are_the_right_translations(lam_table):
@@ -492,26 +518,26 @@ def test_sigma_fixed_systems_are_the_maximal_linked_invariant_systems(lam_table)
     assert counts == {"C1": 1, "C2": 0, "C3": 1, "C4": 0, "C2xC2": 0, "C5": 1, "C6": 0, "D6": 0}
 
 
-def test_shift_orbits_rejects_a_list_not_closed_under_translation():
+def test_translation_indices_reject_a_list_not_closed_under_translation():
     g = build_group("C4")
     systems = enumerate_mls(4)
     moved = next(i for i, s in enumerate(systems) if not is_invariant_mls(g, s))
     with pytest.raises(ConsistencyError, match="translation left the system list"):
-        shift_orbits(g, systems[:moved] + systems[moved + 1 :])
+        _sigma(g, systems[:moved] + systems[moved + 1 :])
 
 
 def test_orbit_quotient_c5():
     g = build_group("C5")
     table = build_lambda_table(g)
-    q = orbit_quotient(table)
-    assert q.orbit_count == 17
+    _, orbits, quotient = orbit_quotient(table)
+    assert len(orbits) == 17
     p = table.product
     assert all(np.array_equal(p[i], p[:, i]) for i in principal_indices(table.elements))
-    assert q.product is not None
-    qt = quotient_table(q)  # construction re-checks associativity
+    assert quotient is not None
+    qt = quotient_table(orbits, quotient)  # construction re-checks associativity
     assert qt.order == 17
     # orbit sizes: the zero is fixed, everything else moves freely
-    sizes = sorted(len(o) for o in q.orbits)
+    sizes = sorted(len(o) for o in orbits)
     assert sizes == [1] + [5] * 16
 
 
@@ -519,7 +545,7 @@ def test_orbit_quotient_rejects_a_cell_crossing_orbits(lam_table):
     g = build_group("C5")
     table = copy.copy(lam_table("C5"))
     table.product = table.product.copy()
-    orbit_of, orbits = shift_orbits(g, table.elements)
+    orbit_of, orbits = superext._orbits(_sigma(g, table.elements))
     principals = set(principal_indices(table.elements))
     # a non-representative cell between two free orbits without one-point systems
     free = [o for o in orbits if len(o) == 5 and not principals & set(o)]
@@ -533,19 +559,19 @@ def test_orbit_quotient_rejects_a_cell_crossing_orbits(lam_table):
 def test_orbit_quotient_c6_matches_per_pair(lam_table):
     g = build_group("C6")
     table = lam_table("C6")
-    q = orbit_quotient(table)
-    assert q.orbit_count == 447
+    orbit_of, orbits, quotient = orbit_quotient(table)
+    assert len(orbits) == 447
     p = table.product
     rng = random.Random(447)
     for _ in range(200):
-        qa, qb = rng.randrange(q.orbit_count), rng.randrange(q.orbit_count)
-        cells = {q.orbit_of[int(p[a, b])] for a in q.orbits[qa] for b in q.orbits[qb]}
-        assert cells == {int(q.product[qa, qb])}
+        qa, qb = rng.randrange(len(orbits)), rng.randrange(len(orbits))
+        cells = {orbit_of[int(p[a, b])] for a in orbits[qa] for b in orbits[qb]}
+        assert cells == {int(quotient[qa, qb])}
 
 
 def test_orbit_quotient_c1():
-    q = orbit_quotient(build_lambda_table(build_group("C1")))
-    assert q.orbit_count == 1
+    _, orbits, _ = orbit_quotient(build_lambda_table(build_group("C1")))
+    assert len(orbits) == 1
 
 
 def test_orbit_quotient_noncentral_group_has_no_product(lam_table):
@@ -553,10 +579,10 @@ def test_orbit_quotient_noncentral_group_has_no_product(lam_table):
     # quotient product must be marked absent while orbits still count
     g = build_group("D6")
     table = lam_table("D6")
-    q = orbit_quotient(table)
+    _, orbits, quotient = orbit_quotient(table)
     p = table.product
     assert not all(np.array_equal(p[i], p[:, i]) for i in principal_indices(table.elements))
-    assert q.product is None
+    assert quotient is None
     # independent orbit count: group systems by their full shift orbits
     systems = lam_table("D6").elements
     seen: set[tuple] = set()
@@ -566,9 +592,9 @@ def test_orbit_quotient_noncentral_group_has_no_product(lam_table):
         if key not in seen:
             seen.add(key)
             count += 1
-    assert q.orbit_count == count == 447
+    assert len(orbits) == count == 447
     with pytest.raises(ConsistencyError):
-        quotient_table(q)
+        quotient_table(orbits, quotient)
 
 
 def test_find_isomorphism_capacity(lam_table):
