@@ -32,6 +32,7 @@ from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
 _ROW_CHUNK = 64
+_BUILD_ROWS = 32  # the build's block: intp rows and their sigma gather, 16 x 32 x m bytes; orbit_quotient keeps 64
 _BITMAP_GROUND_LIMIT = 10
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 over the golden ratio
 
@@ -149,8 +150,8 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     # table by sigma, so no temporary larger than a block is alive beside
     # the full table and the build's peak memory is the table's.
     product = np.empty((m, m), dtype=np.uint16)
-    for start in range(0, len(reps), _ROW_CHUNK):
-        block = reps[start : start + _ROW_CHUNK]
+    for start in range(0, len(reps), _BUILD_ROWS):
+        block = reps[start : start + _BUILD_ROWS]
         member = ((b[block, None] >> subsets) & one).astype(np.float32)
         result = np.zeros((len(block), len(rreps)), dtype=np.uint64)
         for limb in range(limbs):

@@ -3,8 +3,9 @@
 Each check row compares a computed quantity against a reference value
 from :mod:`superx.expected` and carries name/expected/computed/match.
 The fast scope covers everything that does not need a Cayley table on
-a six-element ground set; the all scope builds those tables too.  Each
-table is built at most once per process and shared by the checks.
+a six-element ground set; the all scope builds those tables too.  The
+small tables are built at most once per process and shared by the
+checks; each 14 MB order-6 table is read in one pass and released.
 """
 
 from __future__ import annotations
@@ -64,11 +65,25 @@ ORDER6_GROUPS = ("C6", "D6")
 
 @lru_cache(maxsize=None)
 def _lambda_table(name: str) -> SemigroupTable:
-    """The lambda table of a catalog group, built once per process.
+    """The lambda table of a catalog group of order at most 5, built once per process.
 
-    Several checks read the same tables; none of them mutates one.
+    Several checks read the same tables; none of them mutates one.  The
+    order-6 tables are read by ``_order6_facts`` instead.
     """
     return build_lambda_table(build_group(name))
+
+
+@lru_cache(maxsize=None)
+def _order6_facts(name: str) -> dict:
+    """Every fact the rows read off the lambda table of C6 or D6, in one pass that drops the table."""
+    table = build_lambda_table(build_group(name))
+    facts = dict(zero=zero(table), order=table.order, right_zeros=right_zeros(table), left_zeros=left_zeros(table))
+    facts["odd"] = odd_equivalences(build_group(name), _invariant_systems(name), lam_table=table)
+    if name == "C6":
+        _, orbits, quotient = orbit_quotient(table)
+        facts.update(orbit_count=len(orbits), quotient_defined=quotient is not None)
+        facts["assoc"] = sampled_associative(table.product, random.Random(664))
+    return facts
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +288,8 @@ def check_zero_existence(tabled: tuple[str, ...]) -> list[dict]:
     One row per tabled group, read off its Cayley table.
     """
     odd_small = ("C1", "C3", "C5")
-    return [_row(f"zero in lambda({n})", n in odd_small, zero(_lambda_table(n)) is not None) for n in tabled]
+    zeros = [_order6_facts(n)["zero"] if n in ORDER6_GROUPS else zero(_lambda_table(n)) for n in tabled]
+    return [_row(f"zero in lambda({n})", n in odd_small, z is not None) for n, z in zip(tabled, zeros)]
 
 
 def check_commutativity() -> list[dict]:
@@ -322,8 +338,11 @@ def check_odd_equivalences(tabled: tuple[str, ...]) -> list[dict]:
     rows = []
     odd_names = {"C1", "C3", "C5", "C7"}
     for name in ("C1",) + ref.CATALOG_LE8:
-        table = _lambda_table(name) if name in tabled else None
-        odd = odd_equivalences(build_group(name), _invariant_systems(name), lam_table=table)
+        if name in ORDER6_GROUPS and name in tabled:
+            odd = _order6_facts(name)["odd"]
+        else:
+            table = _lambda_table(name) if name in tabled else None
+            odd = odd_equivalences(build_group(name), _invariant_systems(name), lam_table=table)
         rows.append(_row(f"odd equivalences {name}", name in odd_names, odd))
     return rows
 
@@ -362,19 +381,17 @@ def check_property_samples() -> list[dict]:
 
 def check_order6_tables() -> list[dict]:
     """The expensive block: Cayley tables on six-point grounds."""
-    rows = []
-    t6 = _lambda_table("C6")
-    rows.append(_row("lambda(C6) table order", ref.LAMBDA_COUNTS[6], t6.order))
-    rows.append(_row("lambda(C6) right zeros", [], right_zeros(t6)))
-    rows.append(_row("lambda(C6) left zeros", [], left_zeros(t6)))
-    _, orbits, quotient = orbit_quotient(t6)
-    rows.append(_row("lambda(C6) orbit count", ref.LAMBDA_ORBIT_COUNTS[6], len(orbits)))
-    rows.append(_row("lambda(C6) quotient defined", True, quotient is not None))
-    rows.append(_row("assoc samples lambda(C6)", True, sampled_associative(t6.product, random.Random(664))))
-    td = _lambda_table("D6")
-    rows.append(_row("lambda(D6) right zeros", [], right_zeros(td)))
-    rows.append(_row("lambda(D6) zero", None, zero(td)))
-    return rows
+    c6, d6 = _order6_facts("C6"), _order6_facts("D6")
+    return [
+        _row("lambda(C6) table order", ref.LAMBDA_COUNTS[6], c6["order"]),
+        _row("lambda(C6) right zeros", [], c6["right_zeros"]),
+        _row("lambda(C6) left zeros", [], c6["left_zeros"]),
+        _row("lambda(C6) orbit count", ref.LAMBDA_ORBIT_COUNTS[6], c6["orbit_count"]),
+        _row("lambda(C6) quotient defined", True, c6["quotient_defined"]),
+        _row("assoc samples lambda(C6)", True, c6["assoc"]),
+        _row("lambda(D6) right zeros", [], d6["right_zeros"]),
+        _row("lambda(D6) zero", None, d6["zero"]),
+    ]
 
 
 def run_verification(scope: str = "fast") -> tuple[list[dict], bool]:

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,8 +38,9 @@ from superx.cli import (
 from superx.errors import ConsistencyError
 from superx.families import SetFamily, enumerate_mls
 from superx.groups import _make_group, build_group
-from superx.semigroups import SemigroupTable
-from superx.superext import build_lambda_table
+from superx.invariants import enumerate_invariant_mls, odd_equivalences
+from superx.semigroups import SemigroupTable, left_zeros, right_zeros, sampled_associative, zero
+from superx.superext import build_lambda_table, orbit_quotient
 
 
 def test_report_json_round_trip():
@@ -325,6 +328,7 @@ def test_verify_paper_fast(monkeypatch):
         return build(g)
 
     verify._lambda_table.cache_clear()
+    verify._order6_facts.cache_clear()
     monkeypatch.setattr(verify, "build_lambda_table", build_below_order6)
     start = time.perf_counter()
     report = cmd_verify_paper("fast")
@@ -335,6 +339,54 @@ def test_verify_paper_fast(monkeypatch):
     for scope_rows in (rows, all_rows):  # the lone D10 reference mismatch
         assert [r["name"] for r in scope_rows if not r["match"]] == ["sl(D10)"]
     assert report.status == "fail"
+
+
+# sha256 of the rows of run_verification("all"), as JSON with sorted keys
+VERIFY_ALL_ROWS_DIGEST = "32bc75834cf12e711dde0fce59f421ca1622d5d4ed1f83314568a674454f728b"
+
+
+def test_verify_all_holds_one_order6_table_at_a_time(monkeypatch):
+    """C6 and D6 are each built once, and neither while the other is alive; the rows keep their values."""
+    build = verify.build_lambda_table
+    built, alive = [], set()
+
+    def tracked(g):
+        if g.order == 6:
+            assert not alive, f"lambda({g.name}) built while {sorted(alive)} is alive"
+            built.append(g.name)
+        table = build(g)
+        if g.order == 6:
+            alive.add(g.name)
+            weakref.finalize(table, alive.discard, g.name)
+        return table
+
+    verify._lambda_table.cache_clear()
+    verify._order6_facts.cache_clear()
+    monkeypatch.setattr(verify, "build_lambda_table", tracked)
+    rows, all_pass = verify.run_verification("all")
+    assert sorted(built) == ["C6", "D6"]
+    assert not alive
+    digest = hashlib.sha256(json.dumps(rows, ensure_ascii=False, sort_keys=True).encode()).hexdigest()
+    assert not all_pass and digest == VERIFY_ALL_ROWS_DIGEST
+
+    c6, d6 = build_group("C6"), build_group("D6")
+    t6, td = build_lambda_table(c6), build_lambda_table(d6)
+    _, orbits, quotient = orbit_quotient(t6)
+    direct = {
+        "zero in lambda(C6)": zero(t6) is not None,
+        "zero in lambda(D6)": zero(td) is not None,
+        "odd equivalences C6": odd_equivalences(c6, enumerate_invariant_mls(c6), lam_table=t6),
+        "odd equivalences D6": odd_equivalences(d6, enumerate_invariant_mls(d6), lam_table=td),
+        "lambda(C6) table order": t6.order,
+        "lambda(C6) right zeros": right_zeros(t6),
+        "lambda(C6) left zeros": left_zeros(t6),
+        "lambda(C6) orbit count": len(orbits),
+        "lambda(C6) quotient defined": quotient is not None,
+        "assoc samples lambda(C6)": sampled_associative(t6.product, random.Random(664)),
+        "lambda(D6) right zeros": right_zeros(td),
+        "lambda(D6) zero": zero(td),
+    }
+    assert {r["name"]: r["computed"] for r in rows if r["name"] in direct} == direct
 
 
 def test_verify_all_enumerates_each_groups_invariant_systems_once(monkeypatch):

@@ -198,6 +198,7 @@ def test_verify_all_enumerates_each_ground_size_once(monkeypatch):
         monkeypatch.setattr(module, "_system_words", lambda n: enumerated.update([n]) or system_words(n))
     families._shared_systems.cache_clear()
     verify._lambda_table.cache_clear()
+    verify._order6_facts.cache_clear()
     verify.run_verification("all")
     assert enumerated == {n: 1 for n in range(1, 7)}
 
