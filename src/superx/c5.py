@@ -109,12 +109,9 @@ def canonical_names() -> dict[tuple[int, ...], str]:
     catalog = c5_named_catalog()
     out: dict[tuple[int, ...], str] = {}
     for rep in T17_NAMES:
-        system = catalog[rep]
         for b in range(5):
-            shifted = affine_image(system, 1, b)
-            key = shifted.minimal_sets
-            name = rep if b == 0 else render_name(rep, 1, b)
-            out.setdefault(key, name)
+            name = render_name(rep, 1, b)
+            out.setdefault(catalog[name].minimal_sets, name)
     if len(out) != 81:
         raise ConsistencyError("canonical naming did not cover the 81 systems")
     return out

@@ -75,8 +75,6 @@ def cmd_sl_table(max_order: int = 13) -> Report:
         payload={"rows": rows, "all_match": all_match},
         headers=["group", "order", "expected", "computed", "match"],
         rows=[[r["group"], r["order"], r["expected"], r["computed"], _ok(r["match"])] for r in rows],
-        head="",
-        tail="",
     )
 
 
@@ -138,7 +136,7 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
     else:
         raise GroupParseError(f"unknown --what value {what!r}")
     rows = [[k, v] for k, v in payload.items() if k not in ("matrix", "elements")]
-    return Report("lambda", group_name, status, payload, headers=["key", "value"], rows=rows, head="", tail=tail)
+    return Report("lambda", group_name, status, payload, headers=["key", "value"], rows=rows, tail=tail)
 
 
 def cmd_invariant(group_name: str, *, allow_large: bool = False) -> Report:
@@ -173,7 +171,6 @@ def cmd_invariant(group_name: str, *, allow_large: bool = False) -> Report:
         headers=["minimal sets", "maximal linked"],
         rows=[[",".join(map(str, s["minimal_sets"])), s["maximal_linked"]] for s in payload["systems"]],
         head="  ".join(head) + "\n",
-        tail="",
     )
 
 
@@ -187,8 +184,6 @@ def cmd_c5_t17() -> Report:
         verdict,
         headers=["row", "col", "expected", "computed", "match"],
         rows=[[c["row"], c["col"], c["expected"], c["computed"], _ok(c["match"])] for c in verdict["cells"]],
-        head="",
-        tail="",
     )
 
 
@@ -200,8 +195,6 @@ def cmd_verify_paper(scope: str = "fast") -> Report:
         payload={"scope": scope, "rows": rows, "all_pass": all_pass},
         headers=["check", "expected", "computed", "match"],
         rows=[[r["name"], r["expected"], r["computed"], _ok(r["match"])] for r in rows],
-        head="",
-        tail="",
     )
 
 
@@ -223,8 +216,6 @@ def cmd_explore_sl(max_n: int = 16) -> Report:
             [r["n"], r["sl"], r["conjecture"], r["equal"], "-" if r["reference"] is None else r["reference"]]
             for r in rows
         ],
-        head="",
-        tail="",
     )
 
 

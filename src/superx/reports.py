@@ -18,8 +18,8 @@ class Report:
     _: KW_ONLY
     headers: list[str]
     rows: list[list]
-    head: str
-    tail: str
+    head: str = ""
+    tail: str = ""
 
     def to_dict(self) -> dict:
         return {

@@ -140,36 +140,18 @@ def zero(t: SemigroupTable) -> int | None:
     return z if (p[z] == z).all() and (p[:, z] == z).all() else None
 
 
-def _asymmetric_rows(p: np.ndarray) -> np.ndarray:
-    """Mark each row i that has a j with p[i, j] != p[j, i], up to the first row block holding a mark.
-
-    Block I of _TILE rows is compared with the tiles p[J, I].T of the blocks
-    J >= I, reading the transpose a tile at a time; a cell (i, j) with j in
-    an earlier block J would have marked its mirror (j, i) and stopped there.
-    """
-    n = p.shape[0]
-    marked = np.zeros(n, dtype=bool)
-    for a in range(0, n, _TILE):
-        rows = slice(a, a + _TILE)
-        for b in range(a, n, _TILE):
-            marked[rows] |= (p[rows, b : b + _TILE] != p[b : b + _TILE, rows].T).any(axis=1)
-        if marked[rows].any():
-            break
-    return marked
-
-
 def is_commutative(t: SemigroupTable) -> tuple[bool, tuple[int, int] | None]:
     """Symmetry of the table, with the lexicographically least witness pair on failure.
 
-    The witness is the least marked row i, then the least j with
-    p[i, j] != p[j, i] over the whole row, which may lie in a later tile;
-    a j < i would have marked row j first, so j > i.
+    Row i is non-central exactly when some j has p[i, j] != p[j, i], so the
+    witness row i is the least index central_elements leaves out.  Every
+    row before it is central, so the least such j over the whole row is > i.
     """
-    p = t.product
-    marked = _asymmetric_rows(p)
-    if not marked.any():
+    central = central_elements(t)
+    if len(central) == t.order:
         return True, None
-    i = int(np.argmax(marked))
+    i = next((k for k, c in enumerate(central) if k != c), len(central))
+    p = t.product
     j = i + 1 + int(np.argmax(p[i, i + 1 :] != p[i + 1 :, i]))
     return False, (i, j)
 

@@ -249,6 +249,37 @@ def test_cache_loads_an_int32_entry_as_a_hit(tmp_path):
     assert path.read_bytes().endswith(npy)  # a hit leaves the entry as it is
 
 
+@pytest.mark.parametrize(
+    "header, shape",
+    [
+        ("superx-cache v2 C4 {digest}", None),
+        ("superx-cache v1 C3 {digest}", None),
+        ("superx-cache v2 C3", None),
+        ("superx-cache v2 C3 {digest}", (2, 2)),
+    ],
+    ids=["other-group", "other-version", "no-digest", "wrong-shape"],
+)
+def test_cache_rejects_a_foreign_header_or_a_misshapen_payload(tmp_path, header, shape):
+    """An entry whose payload digest is valid but whose header or table shape is not is a miss, then rebuilt."""
+    g = build_group("C3")
+    table = build_lambda_table(g)
+    product = table.product if shape is None else np.zeros(shape, dtype=np.uint16)
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, product, allow_pickle=False)
+    npy = buf.getvalue()
+    h = hashlib.sha256(repr(g.mul).encode())
+    h.update("\n".join(s.serialize() for s in enumerate_mls(3)).encode() + b"\n" + npy)
+    path = cache_path(tmp_path, "C3")
+    written = f"{header.format(digest=h.hexdigest())}\n".encode() + npy
+    path.write_bytes(written)
+    assert load_table(tmp_path, g) is None
+    report = cmd_lambda("C3", "table", cache_dir=str(tmp_path))
+    assert not report.payload["cache_hit"]
+    assert report.payload["matrix"] == table.product.tolist()
+    assert path.read_bytes() != written
+    assert cmd_lambda("C3", "table", cache_dir=str(tmp_path)).payload["cache_hit"]
+
+
 def test_cache_payload_is_two_bytes_per_cell(tmp_path, lam_table):
     path = save_table(tmp_path, build_group("C6"), lam_table("C6"))
     with open(path, "rb") as fh:
@@ -339,6 +370,11 @@ def test_verify_paper_fast(monkeypatch):
     for scope_rows in (rows, all_rows):  # the lone D10 reference mismatch
         assert [r["name"] for r in scope_rows if not r["match"]] == ["sl(D10)"]
     assert report.status == "fail"
+
+
+def test_verify_paper_rejects_an_unknown_scope():
+    with pytest.raises(ValueError, match="scope"):
+        verify.run_verification("bogus")
 
 
 # sha256 of the rows of run_verification("all"), as JSON with sorted keys

@@ -310,6 +310,23 @@ def test_ground_above_twelve_is_a_capacity_error():
         extend_to_mls(generate_family(13, [1]))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SetFamily(3, ()), "at least one member"),
+        (lambda: SetFamily(3, (0, 1)), "empty set cannot be a member"),
+        (lambda: SetFamily(3, (0b1000,)), "exceeds the ground set"),
+        (lambda: SetFamily(3, (2, 1)), "strictly ascending"),
+        (lambda: SetFamily(3, (1, 3)), "antichain"),
+        (lambda: SetFamily(3, (1,)).shift(build_group("C4"), 1), "does not match the group order"),
+    ],
+    ids=["no-members", "empty-set", "past-ground", "descending", "not-antichain", "shift-order"],
+)
+def test_set_family_rejects_malformed_families(make, message):
+    with pytest.raises(ConsistencyError, match=message):
+        make()
+
+
 def test_mls_exactly_one_of_each_complementary_pair():
     for n in range(1, 7):
         full = (1 << n) - 1

@@ -73,6 +73,10 @@ def test_table_validation_rejects_empty_oversized_and_out_of_range_tables():
             SemigroupTable(prod)
     with pytest.raises(ConsistencyError, match="integers"):
         SemigroupTable(np.array([[0.5, 1.9], [1.2, 0.0]]))  # would truncate to the C2 table
+    with pytest.raises(ConsistencyError, match="square"):
+        SemigroupTable(np.zeros((2, 3), dtype=np.int32))
+    with pytest.raises(ConsistencyError, match="element list"):
+        SemigroupTable(np.zeros((2, 2), dtype=np.int32), elements=["a", "b", "c"])
 
 
 def test_every_table_is_stored_as_uint16(lam_table):

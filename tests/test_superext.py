@@ -635,6 +635,12 @@ def test_transversal_search_c4():
     assert is_transversal_subsemigroup(table, [one, triangle, square])
 
 
+def test_transversal_check_rejects_a_repeated_orbit_and_an_unclosed_pick():
+    table = build_lambda_table(build_group("C4"))
+    assert not is_transversal_subsemigroup(table, [0, 1, 3])  # 0 and 1 share an orbit
+    assert not is_transversal_subsemigroup(table, [0, 2, 3])  # one per orbit, but a product leaves the set
+
+
 def test_transversal_search_c5_absent():
     assert transversal_subsemigroup_search(build_lambda_table(build_group("C5"))) is None
 
