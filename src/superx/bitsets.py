@@ -2,7 +2,8 @@
 
 A subset of {0, ..., n-1} is an int whose bit i is set iff point i is in
 the subset.  Families of subsets are likewise packed into a single int
-indexed by subset value, which keeps the hot loops branch-free.
+indexed by subset value, on at most 12 points; one shift of the whole
+bitmap per point closes a family upward (the subset-lattice zeta transform).
 """
 
 from __future__ import annotations
@@ -45,50 +46,38 @@ def subsets_of_size(n: int, k: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
-def superset_closures(n: int) -> tuple[int, ...]:
-    """closures[s] = family bitmap of all supersets of s (including s)."""
+def _points_missing(n: int) -> tuple[int, ...]:
+    """missing[b] = family bitmap of the subsets of {0..n-1} that miss point b.
+
+    The bitmap repeats 2^b ones and 2^b zeros from bit 0 up: all ones
+    divided by the repunit of that block, times the run of ones.
+    """
     if n > 12:
-        raise CapacityError("superset closure tables are limited to n <= 12")
-    size = 1 << n
-    full = size - 1
-    closures = [0] * size
-    for s in range(size):
-        bm = 0
-        t = s
-        while True:
-            bm |= 1 << t
-            if t == full:
-                break
-            t = (t + 1) | s
-        closures[s] = bm
-    return tuple(closures)
+        raise CapacityError("family bitmaps are limited to n <= 12")
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n))
 
 
-@lru_cache(maxsize=None)
-def subset_closures(n: int) -> tuple[int, ...]:
-    """closures[s] = family bitmap of all subsets of s (including s)."""
-    if n > 12:
-        raise CapacityError("subset closure tables are limited to n <= 12")
-    size = 1 << n
-    closures = [0] * size
-    for s in range(size):
-        bm = 0
-        t = s
-        while True:
-            bm |= 1 << t
-            if t == 0:
-                break
-            t = (t - 1) & s
-        closures[s] = bm
-    return tuple(closures)
+def up_closure(family_bitmap: int, n: int) -> int:
+    """The family bitmap of every superset of a member: the upward closure.
+
+    Adding point b to the members that miss it moves their bits up by 2^b.
+    One pass over the points is enough: once b is done, adding a later
+    point to a member keeps the family closed under adding b.
+    """
+    for b, missing in enumerate(_points_missing(n)):
+        family_bitmap |= (family_bitmap & missing) << (1 << b)
+    return family_bitmap
 
 
 def minimal_members(family_bitmap: int, n: int) -> list[int]:
-    """Inclusion-minimal subsets in a family bitmap, ascending."""
-    sub = subset_closures(n)
-    out = []
-    for s in iter_bits(family_bitmap):
-        strict = sub[s] ^ (1 << s)
-        if not family_bitmap & strict:
-            out.append(s)
-    return out
+    """Inclusion-minimal subsets in a family bitmap, ascending.
+
+    They are those of its upward closure, where a member is minimal iff
+    dropping any one of its points leaves the family.
+    """
+    up = up_closure(family_bitmap, n)
+    above = 0  # the sets that are a member plus one more point
+    for b, missing in enumerate(_points_missing(n)):
+        above |= (up & missing) << (1 << b)
+    return list(iter_bits(up & ~above))

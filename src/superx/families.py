@@ -23,12 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bitsets import (
-    iter_bits,
-    minimal_members,
-    subsets_of_size,
-    superset_closures,
-)
+from .bitsets import _points_missing, iter_bits, minimal_members, subsets_of_size, up_closure
 from .errors import CapacityError, ConsistencyError
 from .groups import FiniteGroup, shift_table
 
@@ -57,13 +52,9 @@ class SetFamily:
         for i in range(1, len(sets)):
             if sets[i] <= sets[i - 1]:
                 raise ConsistencyError("minimal sets must be strictly ascending")
-        # Ascending order leaves a subset a of b before b, so the antichain
-        # fails iff some set has a strict superset among the sets.
-        sup = superset_closures(n)
-        packed = 0
-        for s in sets:
-            packed |= 1 << s
-        if any((sup[s] ^ (1 << s)) & packed for s in sets):
+        # The sets are their own minimal members iff none contains another.  Past
+        # 12 points this raises CapacityError, so the checks above go first.
+        if minimal_members(sum(1 << s for s in sets), n) != list(sets):
             raise ConsistencyError("minimal sets must form an antichain")
 
     def contains(self, mask: int) -> bool:
@@ -73,14 +64,7 @@ class SetFamily:
     @cached_property
     def bitmap(self) -> int:
         """Membership bitmap over all 2^n subset values."""
-        sup = superset_closures(self.ground_size)
-        bm = 0
-        for s in self.minimal_sets:
-            bm |= sup[s]
-        return bm
-
-    def members(self) -> list[int]:
-        return list(iter_bits(self.bitmap))
+        return up_closure(sum(1 << s for s in self.minimal_sets), self.ground_size)
 
     def _hitting_bitmap(self) -> int:
         """Bitmap of the sets meeting every member: {B : complement of B not in self}.
@@ -133,6 +117,8 @@ def generate_family(ground_size: int, sets) -> SetFamily:
         raise ConsistencyError("cannot generate a family from no sets")
     if any(s == 0 for s in sets):
         raise ConsistencyError("generators must be non-empty")
+    if any(s >> ground_size for s in sets):
+        raise ConsistencyError("member exceeds the ground set")
     keep = []
     for s in sorted(set(sets)):
         if not any(t & s == t for t in keep):
@@ -248,13 +234,12 @@ def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
 
     A member s is minimal iff s minus any one of its points is not a
     member; for point b that set sits 2^b bits below s, in the same word
-    for b < 6, and for b >= 6 in word j - 2^(b-6) for every word j with
-    bit b - 6 set.
+    for b < 6 (the members missing b, moved up by 2^b), and for b >= 6 in
+    word j - 2^(b-6) for every word j with bit b - 6 set.
     """
     below = np.zeros_like(words)
-    for b in range(min(n, 6)):
-        holds_b = np.uint64(sum(1 << s for s in range(64) if s >> b & 1))
-        below |= (words << np.uint64(1 << b)) & holds_b
+    for b, missing in enumerate(_points_missing(6)[:n]):
+        below |= (words & np.uint64(missing)) << np.uint64(1 << b)
     for b in range(6, n):
         step = 1 << (b - 6)
         holds_b = np.flatnonzero(np.arange(words.shape[1]) & step)
@@ -270,19 +255,17 @@ def extend_to_mls(family: SetFamily) -> SetFamily:
     """Greedy completion of a linked family to a maximal linked system.
 
     Scans subsets in ascending mask order and adds every set that meets
-    all current members.  The scan order makes the result deterministic;
-    supersets of added sets are added later, so the result is monotone,
-    and being unextendable it equals its transversal.
+    all current members, keeping the bitmap upward closed.  A set meets
+    every member iff its complement is not a member.  The scan order makes
+    the result deterministic, and being unextendable it equals its
+    transversal.
     """
     if not family.is_linked():
         raise ConsistencyError("can only extend a linked family")
     n = family.ground_size
-    members = family.members()
+    full = (1 << n) - 1
     bitmap = family.bitmap
     for cand in range(1, 1 << n):
-        if bitmap >> cand & 1:
-            continue
-        if all(cand & m for m in members):
-            bitmap |= 1 << cand
-            members.append(cand)
+        if not (bitmap >> cand | bitmap >> (full ^ cand)) & 1:
+            bitmap = up_closure(bitmap | 1 << cand, n)
     return family_from_bitmap(n, bitmap)

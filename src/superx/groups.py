@@ -265,37 +265,16 @@ def difference_set(g: FiniteGroup, a_mask: int, b_mask: int) -> int:
 def enumerate_subgroups(g: FiniteGroup) -> list[int]:
     """All subgroups of g as subset masks, sorted by (size, mask value).
 
-    Subgroups are produced by closing generator sets one element at a
-    time, which visits the whole subgroup lattice for these orders.
+    A finite subset closed under products is a subgroup, and H is closed
+    iff xH = H for every x in H, as a translate has |H| elements; every
+    mask holding the identity is tested at once through the shift table.
     """
-    trivial = 1
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for h_mask in frontier:
-            for x in g.elements():
-                if h_mask >> x & 1:
-                    continue
-                closed = _close_subgroup(g, h_mask | (1 << x))
-                if closed not in found:
-                    found.add(closed)
-                    nxt.append(closed)
-        frontier = nxt
-    return sorted(found, key=lambda m: (m.bit_count(), m))
-
-
-def _close_subgroup(g: FiniteGroup, mask: int) -> int:
-    mul = g.mul
-    while True:
-        new = mask
-        elems = list(iter_bits(mask))
-        for a in elems:
-            for b in elems:
-                new |= 1 << mul[a][b]
-        if new == mask:
-            return mask
-        mask = new
+    shifts = shift_table(g)
+    masks = np.arange(1, 1 << g.order, 2)
+    closed = np.ones(len(masks), dtype=bool)
+    for x in g.elements():
+        closed &= (masks >> x & 1 == 0) | (shifts[x, masks] == masks)
+    return sorted(masks[closed].tolist(), key=lambda m: (m.bit_count(), m))
 
 
 def subgroup_as_group(g: FiniteGroup, h_mask: int) -> FiniteGroup:

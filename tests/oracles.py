@@ -42,6 +42,48 @@ def oracle_upward_closure(sets, n):
     return members
 
 
+def oracle_superset_closures(n):
+    """closures[s] = family bitmap of all supersets of s, by walking t = (t + 1) | s up to the full set."""
+    full = (1 << n) - 1
+    closures = []
+    for s in range(1 << n):
+        bm, t = 1 << s, s
+        while t != full:
+            t = (t + 1) | s
+            bm |= 1 << t
+        closures.append(bm)
+    return closures
+
+
+def oracle_minimal_members(bitmap, n):
+    """The members of a family bitmap with no member among their strict subsets, by walking those subsets."""
+    out = []
+    for s in range(1 << n):
+        if bitmap >> s & 1:
+            t, below = s, False
+            while t and not below:
+                t = (t - 1) & s
+                below = bool(bitmap >> t & 1)
+            if not below:
+                out.append(s)
+    return out
+
+
+def oracle_extend_to_mls(minimal_sets, n):
+    """The bitmap of the greedy completion by a member scan.
+
+    Starting from every member, it adds in ascending mask order each set
+    that meets all members so far.
+    """
+    members = sorted(oracle_upward_closure(minimal_sets, n))
+    taken = set(members)
+    for cand in range(1, 1 << n):
+        if cand not in taken and all(cand & m for m in members):
+            members.append(cand)
+            taken.add(cand)
+    return sum(1 << m for m in members)
+
+
 def oracle_minimal_sets(members):
     return tuple(sorted(s for s in members if not any(t != s and t & s == t for t in members)))
 

@@ -59,6 +59,9 @@ def test_named_symmetries():
     # doubling images carry the documented names
     assert affine_image(cat["Λ"], 2, 0) == cat["2Λ"]
     assert affine_image(cat["Δ"], 2, 0) == cat["2Δ"]
+    # x -> 0*x + 1 is not a bijection of Z5
+    with pytest.raises(ConsistencyError, match="invertible mod 5"):
+        affine_image(cat["Λ"], 0, 1)
     assert cat["2Λ"].minimal_sets == tuple(
         sorted(
             [mask_of([0, 4]), mask_of([0, 1]), mask_of([1, 2, 4]), mask_of([0, 2, 3]), mask_of([1, 3, 4])]

@@ -469,6 +469,11 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"argument {flag}: must be at least 1, got {value}" in captured.err
+    # so is a limit that is not an int
+    assert main(["sl-table", "--max-order", "x"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-order: invalid int value: 'x'" in captured.err
     # an unusable cache directory is a usage error, not a mismatch
     (tmp_path / "file").write_text("")
     (tmp_path / "taken" / "C3-table-v2.npy").mkdir(parents=True)

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from superx import families, superext, verify
-from superx.bitsets import mask_of, minimal_members, subsets_of_size, superset_closures
+from superx.bitsets import mask_of, minimal_members, subsets_of_size, up_closure
 from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
     SetFamily,
@@ -19,7 +19,16 @@ from superx.families import (
     principal_ultrafilter,
 )
 from superx.groups import build_group
-from oracles import is_invariant_mls, oracle_all_mls, oracle_hitting_family, oracle_walk, words_of
+from oracles import (
+    is_invariant_mls,
+    oracle_all_mls,
+    oracle_extend_to_mls,
+    oracle_hitting_family,
+    oracle_minimal_members,
+    oracle_superset_closures,
+    oracle_walk,
+    words_of,
+)
 
 MLS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
 
@@ -262,7 +271,7 @@ def test_enumerated_systems_are_their_checked_families():
 
 
 def test_families_of_bitmaps_rejects_what_its_pass_cannot_check():
-    sup = superset_closures(3)
+    sup = oracle_superset_closures(3)
     assert families._families_of_bitmaps(words_of([sup[1]], 3), 3) == [SetFamily(3, (1,))]
     for bitmap in (0, sup[0], sup[1] | 1 << 8):  # no member; the empty set; a set past 3 points
         with pytest.raises(ConsistencyError):
@@ -272,25 +281,50 @@ def test_families_of_bitmaps_rejects_what_its_pass_cannot_check():
 
 
 def test_minimal_sets_across_words():
-    """On 4, 8 and 16 words the minimal-set pass agrees with minimal_members.
+    """On one word and on 4, 8 and 16 words the minimal-set pass agrees with the subset walk.
 
     For n >= 7 a point b >= 6 moves a set into another word, so every
-    family below has minimal sets that hold such a point.
+    family there has minimal sets that hold such a point.
     """
     rng = random.Random(20261018)
-    for n in (8, 9, 10):
-        sup = superset_closures(n)
+    for n in (3, 6, 8, 9, 10):
+        sup = oracle_superset_closures(n)
         top = 1 << n
-        bitmaps = [(1 << top) - 2, sup[mask_of([1, 7, n - 1])]]  # all non-empty sets; a principal filter
+        bitmaps = [(1 << top) - 2, sup[mask_of([1, min(7, n - 1), n - 1])]]  # all non-empty sets; a principal filter
         for _ in range(20):
-            generators = rng.sample(range(1, top), rng.randint(1, 12))
+            generators = rng.sample(range(1, top), rng.randint(1, min(top - 1, 12)))
             bitmap = 0
             for s in generators:
                 bitmap |= sup[s]
             bitmaps.append(bitmap)
         words = words_of(bitmaps, n)
-        assert words.shape == (len(bitmaps), top >> 6)
-        assert families._minimal_sets(words, n) == [tuple(minimal_members(b, n)) for b in bitmaps], n
+        assert words.shape == (len(bitmaps), max(1, top >> 6))
+        assert families._minimal_sets(words, n) == [tuple(oracle_minimal_members(b, n)) for b in bitmaps], n
+
+
+def test_up_closure_and_minimal_members_match_the_oracles():
+    """The one-point shifts agree with the superset and subset walks up to 10 points.
+
+    The closure is checked on every single set; minimal members on closed and
+    on unclosed bitmaps, whose minimal members are those of their closure.
+    """
+    rng = random.Random(20261019)
+    for n in range(1, 11):
+        sup = oracle_superset_closures(n)
+        assert [up_closure(1 << s, n) for s in range(1 << n)] == sup, n
+        top = 1 << n
+        for _ in range(6):
+            generators = rng.sample(range(1, top), rng.randint(1, min(top - 1, 12)))
+            unclosed = sum(1 << s for s in generators)
+            closed = 0
+            for s in generators:
+                closed |= sup[s]
+            assert up_closure(unclosed, n) == up_closure(closed, n) == closed, n
+            want = oracle_minimal_members(closed, n)
+            assert minimal_members(closed, n) == minimal_members(unclosed, n) == want, n
+            assert oracle_minimal_members(unclosed, n) == want, n
+        noise = rng.getrandbits(top) & ~1  # dense and unclosed, without the empty set
+        assert minimal_members(noise, n) == oracle_minimal_members(noise, n), n
 
 
 def test_enumerate_mls_capacity():
@@ -303,9 +337,22 @@ def test_enumerate_mls_capacity():
 
 
 def test_ground_above_twelve_is_a_capacity_error():
-    """The closure tables stop at 12 points, and both family entry points say so with CapacityError."""
+    """Family bitmaps stop at 12 points, and the family entry points say so with CapacityError.
+
+    SetFamily checks the ground after the members' own order, so a malformed
+    list of minimal sets on 13 points still raises its ConsistencyError.
+    """
     with pytest.raises(CapacityError, match="n <= 12"):
         SetFamily(13, (1,))
+    with pytest.raises(CapacityError, match="n <= 12"):
+        SetFamily(13, (1, 3))  # not an antichain, but checked after the ground
+    with pytest.raises(ConsistencyError, match="at least one member"):
+        SetFamily(13, ())
+    with pytest.raises(ConsistencyError, match="strictly ascending"):
+        SetFamily(13, (2, 1))
+    for operator in (up_closure, minimal_members):
+        with pytest.raises(CapacityError, match="n <= 12"):
+            operator(1, 13)
     with pytest.raises(CapacityError, match="n <= 12"):
         extend_to_mls(generate_family(13, [1]))
 
@@ -319,8 +366,9 @@ def test_ground_above_twelve_is_a_capacity_error():
         (lambda: SetFamily(3, (2, 1)), "strictly ascending"),
         (lambda: SetFamily(3, (1, 3)), "antichain"),
         (lambda: SetFamily(3, (1,)).shift(build_group("C4"), 1), "does not match the group order"),
+        (lambda: generate_family(3, [1, 9]), "exceeds the ground set"),  # 9 = {0, 3} is absorbed by {0}
     ],
-    ids=["no-members", "empty-set", "past-ground", "descending", "not-antichain", "shift-order"],
+    ids=["no-members", "empty-set", "past-ground", "descending", "not-antichain", "shift-order", "generator-past-ground"],
 )
 def test_set_family_rejects_malformed_families(make, message):
     with pytest.raises(ConsistencyError, match=message):
@@ -398,3 +446,19 @@ def test_extend_to_mls():
         extend_to_mls(_family(4, [0], [1]))
     # deterministic
     assert extend_to_mls(fam) == extend_to_mls(fam)
+
+
+def test_extend_to_mls_matches_the_member_scan():
+    """On 2,000 seeded linked families the bitmap scan completes to the member scan's system."""
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        point, gens = rng.randrange(n), []
+        for _ in range(rng.randint(1, 6)):
+            s = rng.randrange(1, 1 << n) | (1 << point if rng.random() < 0.7 else 0)
+            if all(s & t for t in gens):
+                gens.append(s)
+        fam = generate_family(n, gens)
+        ext = extend_to_mls(fam)
+        assert ext.bitmap == oracle_extend_to_mls(fam.minimal_sets, n), (n, fam.minimal_sets)
+        assert ext.is_maximal_linked()
