@@ -10,10 +10,10 @@ for every subset A.  The enumerator and the constructors below return
 such families without re-checking; callers that take a family from
 elsewhere test the predicate.
 
-``SetFamily(n, sets)`` checks its minimal sets, and so does every
-constructor but ``_families_of_bitmaps``, which builds the enumerated
-and the invariant systems: its one pass yields each family's minimal
-sets ascending and as an antichain, so it checks only the rest itself.
+``SetFamily(n, sets)`` checks its minimal sets.  The constructors here
+derive theirs ascending and as an antichain and check only the rest:
+``_families_of_bitmaps``, which builds the enumerated and the invariant
+systems in one pass, itself, and the others through ``_derived``.
 """
 
 from __future__ import annotations
@@ -123,16 +123,35 @@ def generate_family(ground_size: int, sets) -> SetFamily:
     for s in sorted(set(sets)):
         if not any(t & s == t for t in keep):
             keep.append(s)
-    return SetFamily(ground_size, tuple(keep))
+    return _derived(ground_size, tuple(keep))
 
 
 def family_from_bitmap(ground_size: int, bitmap: int) -> SetFamily:
-    return SetFamily(ground_size, tuple(minimal_members(bitmap, ground_size)))
+    """The family of the members of a bitmap and their supersets."""
+    up = up_closure(bitmap, ground_size)
+    return _derived(ground_size, tuple(minimal_members(up, ground_size)), up)
 
 
 def principal_ultrafilter(g: FiniteGroup, x: int) -> SetFamily:
     """The system of all sets containing the point x."""
-    return SetFamily(g.order, (1 << x,))
+    return _derived(g.order, (1 << x,))
+
+
+def _derived(n: int, sets: tuple[int, ...], bitmap: int | None = None) -> SetFamily:
+    """Minimal sets its caller derived ascending and as an antichain, checked for the rest as ``SetFamily`` does."""
+    if not sets:
+        raise ConsistencyError("a set family needs at least one member")
+    if sets[0] == 0:  # ascending: the least and the greatest set decide
+        raise ConsistencyError("the empty set cannot be a member")
+    if sets[-1] >> n:
+        raise ConsistencyError("member exceeds the ground set")
+    _points_missing(n)  # CapacityError past 12 points
+    family = object.__new__(SetFamily)
+    object.__setattr__(family, "ground_size", n)
+    object.__setattr__(family, "minimal_sets", sets)
+    if bitmap is not None:
+        object.__setattr__(family, "bitmap", bitmap)
+    return family
 
 
 def majority_family(g: FiniteGroup) -> SetFamily:

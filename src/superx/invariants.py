@@ -37,7 +37,6 @@ from .groups import (
     shift_table,
     subgroup_as_group,
 )
-from .semigroups import right_zeros
 
 MAX_INVARIANT_ORDER = 8
 MAX_INVARIANT_ORDER_LARGE = 10
@@ -288,19 +287,19 @@ def partition_condition(g: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
     return False, (a, full ^ a)
 
 
-def odd_equivalences(g: FiniteGroup, systems: list[SetFamily], *, lam_table=None) -> bool:
+def odd_equivalences(g: FiniteGroup, systems: list[SetFamily], *, right_zeros: list[int] | None = None) -> bool:
     """Whether every element of g has odd order, checked against its equivalents.
 
     systems is the list of invariant systems of g.  The conditions are:
     some of them is maximal linked, all of them are, the partition
-    condition, all element orders odd, and (only when a table is
-    supplied) the table has a right zero.  They must agree; the common
-    value is returned.
+    condition, all element orders odd, and (only when the right zeros of
+    its lambda table are supplied) that table has a right zero.  They
+    must agree; the common value is returned.
     """
     flags = [f.is_maximal_linked() for f in systems]
     values = [any(flags), bool(flags) and all(flags), partition_condition(g)[0], is_odd_group(g)]
-    if lam_table is not None:
-        values.append(bool(right_zeros(lam_table)))
+    if right_zeros is not None:
+        values.append(bool(right_zeros))
     if len(set(values)) != 1:
         raise ConsistencyError(f"{g.name}: odd-order equivalences disagree: {values}")
     return values[0]

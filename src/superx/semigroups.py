@@ -45,7 +45,7 @@ class SemigroupTable:
             raise CapacityError(f"semigroup tables are supported up to order {MAX_ORDER}")
         if n == 0:
             raise ConsistencyError("a semigroup has at least one element")
-        if p.min() < 0 or p.max() >= n:
+        if (p.dtype.kind == "i" and p.min() < 0) or p.max() >= n:  # an unsigned cell is never negative
             raise ConsistencyError("product table index out of range")
         self.product = p.astype(np.uint16, copy=False)
         if not self.elements:

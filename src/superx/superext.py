@@ -325,7 +325,7 @@ def orbit_quotient(table: SemigroupTable) -> tuple[list[int], list[list[int]], n
         expect = quotient[:, oa]
         for start in range(0, len(oa), _ROW_CHUNK):
             rows = slice(start, start + _ROW_CHUNK)
-            if not np.array_equal(oa[p[rows]], expect[oa[rows]]):
+            if not np.array_equal(oa.take(p[rows].astype(np.intp)), expect[oa[rows]]):
                 raise ConsistencyError("orbit product is not well-defined")
     return orbit_of, orbits, quotient
 

@@ -4,8 +4,8 @@ Each check row compares a computed quantity against a reference value
 from :mod:`superx.expected` and carries name/expected/computed/match.
 The fast scope covers everything that does not need a Cayley table on
 a six-element ground set; the all scope builds those tables too.  The
-small tables are built at most once per process and shared by the
-checks; each 14 MB order-6 table is read in one pass and released.
+groups and small tables are built at most once per process, shared by
+the checks; each 14 MB order-6 table is read in one pass and released.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .families import (
     generate_family,
     principal_ultrafilter,
 )
-from .groups import build_group
+from .groups import FiniteGroup, build_group
 from .invariants import (
     enumerate_invariant_mls,
     odd_equivalences,
@@ -64,21 +64,27 @@ ORDER6_GROUPS = ("C6", "D6")
 
 
 @lru_cache(maxsize=None)
+def _group(name: str) -> FiniteGroup:
+    """A catalog group, built and validated once per process; ``FiniteGroup`` is frozen."""
+    return build_group(name)
+
+
+@lru_cache(maxsize=None)
 def _lambda_table(name: str) -> SemigroupTable:
     """The lambda table of a catalog group of order at most 5, built once per process.
 
     Several checks read the same tables; none of them mutates one.  The
     order-6 tables are read by ``_order6_facts`` instead.
     """
-    return build_lambda_table(build_group(name))
+    return build_lambda_table(_group(name))
 
 
 @lru_cache(maxsize=None)
 def _order6_facts(name: str) -> dict:
     """Every fact the rows read off the lambda table of C6 or D6, in one pass that drops the table."""
-    table = build_lambda_table(build_group(name))
+    table = build_lambda_table(_group(name))
     facts = dict(zero=zero(table), order=table.order, right_zeros=right_zeros(table), left_zeros=left_zeros(table))
-    facts["odd"] = odd_equivalences(build_group(name), _invariant_systems(name), lam_table=table)
+    facts["odd"] = odd_equivalences(_group(name), _invariant_systems(name), right_zeros=facts["right_zeros"])
     if name == "C6":
         _, orbits, quotient = orbit_quotient(table)
         facts.update(orbit_count=len(orbits), quotient_defined=quotient is not None)
@@ -92,7 +98,7 @@ def _invariant_systems(name: str) -> list[SetFamily]:
 
     Several checks read the same list; none of them mutates it.
     """
-    return enumerate_invariant_mls(build_group(name))
+    return enumerate_invariant_mls(_group(name))
 
 
 def _row(name, expected, computed):
@@ -110,10 +116,10 @@ def check_lambda_counts() -> list[dict]:
 def check_orbit_counts() -> list[dict]:
     """The orbit counts, read as ``lambda --what=count`` reads them."""
     rows = [
-        _row(f"|lambda(C{n})/C{n}|", want, system_counts(build_group(f"C{n}"))[1])
+        _row(f"|lambda(C{n})/C{n}|", want, system_counts(_group(f"C{n}"))[1])
         for n, want in ref.LAMBDA_ORBIT_COUNTS.items()
     ]
-    rows.append(_row("|lambda(C2xC2)/G|", ref.LAMBDA_ORBIT_COUNTS[4], system_counts(build_group("C2xC2"))[1]))
+    rows.append(_row("|lambda(C2xC2)/G|", ref.LAMBDA_ORBIT_COUNTS[4], system_counts(_group("C2xC2"))[1]))
     return rows
 
 
@@ -121,7 +127,7 @@ def sl_table_rows(max_order: int = 13) -> list[dict]:
     """sl of every reference group up to max_order against its table value."""
     rows = []
     for name, want in ref.SL_TABLE.items():
-        g = build_group(name)
+        g = _group(name)
         if g.order > max_order:
             continue
         got = sl(g)
@@ -145,7 +151,7 @@ def check_invariant_counts() -> list[dict]:
 def check_two_power_s() -> list[dict]:
     rows = []
     for name, s_want in ref.SIM_CLASS_COUNTS.items():
-        g = build_group(name)
+        g = _group(name)
         classes = sim_classes(g)
         rows.append(_row(f"s({name})", s_want, len(classes)))
         up = up_majority_count(g, _invariant_systems(name), classes)
@@ -155,7 +161,7 @@ def check_two_power_s() -> list[dict]:
 
 def check_c5_structure() -> list[dict]:
     table = _lambda_table("C5")
-    name = element_namer(build_group("C5"), table)
+    name = element_namer(_group("C5"), table)
     rows = [
         _row("lambda(C5) zero", "Z", name(zero(table))),
         _row(
@@ -195,7 +201,7 @@ def t17_cells() -> dict:
     and which cells mismatch.
     """
     table = _lambda_table("C5")
-    name = element_namer(build_group("C5"), table)
+    name = element_namer(_group("C5"), table)
     catalog = c5_named_catalog()
     index = {s.minimal_sets: i for i, s in enumerate(table.elements)}
     want = ref.expected_t17_table()
@@ -263,14 +269,14 @@ def isomorphism_maps() -> list[tuple[str, SemigroupTable, SemigroupTable, list[i
     Each map keeps the model's index order, so lambda(C3) ~ C3+zero maps
     the group elements to their one-point systems and the zero to the zero.
     """
-    g3, lam3 = build_group("C3"), _lambda_table("C3")
+    g3, lam3 = _group("C3"), _lambda_table("C3")
     z = zero(lam3)
     phi3 = None if z is None else principal_indices(lam3.elements) + [z]
     maps = [("lambda(C3) ~ C3+zero", adjoin_zero(from_group(g3)), lam3, phi3)]
-    c2_unit = adjoin_identity(from_group(build_group("C2")))
+    c2_unit = adjoin_identity(from_group(_group("C2")))
     for name in ("C4", "C2xC2"):
         lam = _lambda_table(name)
-        model = direct_product(c2_unit, from_group(build_group(name)))
+        model = direct_product(c2_unit, from_group(_group(name)))
         maps.append((f"lambda({name}) ~ (C2+unit)x{name}", model, lam, _unit_times_group_map(lam)))
     return maps
 
@@ -307,7 +313,7 @@ def boolean_cube_noncommutativity_witness() -> bool:
     Linked families over the generators are greedily completed; the two
     products then separate on bA versus bcA, which are disjoint.
     """
-    g = build_group("C2xC2xC2")
+    g = _group("C2xC2xC2")
     a_el, b_el, c_el = 4, 2, 1
     base = {0, a_el, b_el, a_el ^ b_el ^ c_el}
     h1 = {0, a_el, b_el, a_el ^ b_el}
@@ -341,8 +347,8 @@ def check_odd_equivalences(tabled: tuple[str, ...]) -> list[dict]:
         if name in ORDER6_GROUPS and name in tabled:
             odd = _order6_facts(name)["odd"]
         else:
-            table = _lambda_table(name) if name in tabled else None
-            odd = odd_equivalences(build_group(name), _invariant_systems(name), lam_table=table)
+            zeros = right_zeros(_lambda_table(name)) if name in tabled else None
+            odd = odd_equivalences(_group(name), _invariant_systems(name), right_zeros=zeros)
         rows.append(_row(f"odd equivalences {name}", name in odd_names, odd))
     return rows
 
@@ -351,7 +357,7 @@ def check_embedding() -> list[dict]:
     """One-point systems multiply exactly like the group elements."""
     rows = []
     for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"):
-        g = build_group(name)
+        g = _group(name)
         ok = True
         for x in g.elements():
             fx = principal_ultrafilter(g, x)

@@ -229,10 +229,11 @@ def test_criterion_9_zero_commutativity_odd_equivalences(lam_table):
     for name in ("C1",) + tuple(INVARIANT_COUNTS):
         g = build_group(name)
         table = lam_table(name) if g.order <= 6 else None
-        odd = odd_equivalences(g, enumerate_invariant_mls(g), lam_table=table)  # raises on disagreement
+        zeros = None if table is None else right_zeros(table)
+        odd = odd_equivalences(g, enumerate_invariant_mls(g), right_zeros=zeros)  # raises on disagreement
         odd_ok = odd_ok and odd == (name in odd_names)
         if table is not None:
-            odd_ok = odd_ok and (bool(right_zeros(table)) == (name in odd_names))
+            odd_ok = odd_ok and (bool(zeros) == (name in odd_names))
     elapsed = time.perf_counter() - start
     ok = zero_got == zero_expect and commut_got == commut_expect and witness_ok and odd_ok
     _criterion(

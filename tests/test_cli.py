@@ -411,8 +411,8 @@ def test_verify_all_holds_one_order6_table_at_a_time(monkeypatch):
     direct = {
         "zero in lambda(C6)": zero(t6) is not None,
         "zero in lambda(D6)": zero(td) is not None,
-        "odd equivalences C6": odd_equivalences(c6, enumerate_invariant_mls(c6), lam_table=t6),
-        "odd equivalences D6": odd_equivalences(d6, enumerate_invariant_mls(d6), lam_table=td),
+        "odd equivalences C6": odd_equivalences(c6, enumerate_invariant_mls(c6), right_zeros=right_zeros(t6)),
+        "odd equivalences D6": odd_equivalences(d6, enumerate_invariant_mls(d6), right_zeros=right_zeros(td)),
         "lambda(C6) table order": t6.order,
         "lambda(C6) right zeros": right_zeros(t6),
         "lambda(C6) left zeros": left_zeros(t6),

@@ -327,6 +327,42 @@ def test_up_closure_and_minimal_members_match_the_oracles():
         assert minimal_members(noise, n) == oracle_minimal_members(noise, n), n
 
 
+def test_derived_families_equal_their_checked_families():
+    """On 2,000 seeded bitmaps and generator lists, n <= 9, each derived family is its checked one.
+
+    family_from_bitmap, and through it transversal, generate_family and
+    principal_ultrafilter skip SetFamily's antichain check; family_from_bitmap
+    keeps the closure it computed as the family's bitmap.
+    """
+    rng = random.Random(20261021)
+    for k in range(2000):
+        n = rng.randint(1, 9)
+        top = 1 << n
+        gens = rng.sample(range(1, top), rng.randint(1, min(top - 1, 8)))
+        bitmap = sum(1 << s for s in gens) if k % 4 else (rng.getrandbits(top) | 1 << (top - 1)) & ~1
+        checked = SetFamily(n, tuple(minimal_members(bitmap, n)))
+        derived = family_from_bitmap(n, bitmap)
+        assert derived == checked and vars(derived)["bitmap"] == up_closure(bitmap, n) == checked.bitmap
+        assert generate_family(n, gens) == SetFamily(n, tuple(minimal_members(sum(1 << s for s in gens), n)))
+        hitting = sum(1 << c for c in range(1, top) if all(c & s for s in checked.minimal_sets))
+        transversal = checked.transversal()
+        assert transversal == SetFamily(n, tuple(minimal_members(hitting, n)))
+        assert vars(transversal)["bitmap"] == hitting
+    for name in ("C1", "C5", "C2xC2xC2"):
+        g = build_group(name)
+        for x in g.elements():
+            assert principal_ultrafilter(g, x) == SetFamily(g.order, (1 << x,))
+
+
+def test_derived_families_past_twelve_points_are_a_capacity_error():
+    """The derived path checks the ground after the members, as SetFamily does."""
+    with pytest.raises(ConsistencyError, match="at least one member"):
+        families._derived(13, ())
+    for make in (families._derived, family_from_bitmap, generate_family):
+        with pytest.raises(CapacityError, match="n <= 12"):
+            make(13, 2 if make is family_from_bitmap else (1,))
+
+
 def test_enumerate_mls_capacity():
     with pytest.raises(CapacityError):
         enumerate_mls(0)
@@ -367,8 +403,19 @@ def test_ground_above_twelve_is_a_capacity_error():
         (lambda: SetFamily(3, (1, 3)), "antichain"),
         (lambda: SetFamily(3, (1,)).shift(build_group("C4"), 1), "does not match the group order"),
         (lambda: generate_family(3, [1, 9]), "exceeds the ground set"),  # 9 = {0, 3} is absorbed by {0}
+        (lambda: family_from_bitmap(3, 0), "at least one member"),
+        (lambda: family_from_bitmap(3, 0b11), "empty set cannot be a member"),
+        (lambda: family_from_bitmap(3, 1 << 8), "exceeds the ground set"),
+        (lambda: principal_ultrafilter(build_group("C3"), 3), "exceeds the ground set"),
+        (lambda: families._derived(3, ()), "at least one member"),
+        (lambda: families._derived(3, (0, 1)), "empty set cannot be a member"),
+        (lambda: families._derived(3, (1, 0b1000)), "exceeds the ground set"),
     ],
-    ids=["no-members", "empty-set", "past-ground", "descending", "not-antichain", "shift-order", "generator-past-ground"],
+    ids=[
+        "no-members", "empty-set", "past-ground", "descending", "not-antichain", "shift-order", "generator-past-ground",
+        "bitmap-no-members", "bitmap-empty-set", "bitmap-past-ground", "point-past-ground",
+        "derived-no-members", "derived-empty-set", "derived-past-ground",
+    ],
 )
 def test_set_family_rejects_malformed_families(make, message):
     with pytest.raises(ConsistencyError, match=message):

@@ -453,17 +453,18 @@ def test_odd_equivalences(lam_table):
     for name in CATALOG_LE8:
         g = build_group(name)
         table = lam_table(name) if g.order <= 5 else None
-        assert odd_equivalences(g, enumerate_invariant_mls(g), lam_table=table) == (name in odd_names)
+        zeros = None if table is None else right_zeros(table)
+        assert odd_equivalences(g, enumerate_invariant_mls(g), right_zeros=zeros) == (name in odd_names)
         if table is not None:
-            assert bool(right_zeros(table)) == (name in odd_names)
+            assert bool(zeros) == (name in odd_names)
 
 
 def test_odd_equivalences_read_the_table(lam_table):
-    """A lambda table whose right zeros disagree with the group's other conditions raises."""
+    """Right zeros of a lambda table that disagree with the group's other conditions raise."""
     for name, other in (("C2", "C3"), ("C3", "C2")):
         with pytest.raises(ConsistencyError, match="disagree"):
             g = build_group(name)
-            odd_equivalences(g, enumerate_invariant_mls(g), lam_table=lam_table(other))
+            odd_equivalences(g, enumerate_invariant_mls(g), right_zeros=right_zeros(lam_table(other)))
 
 
 def test_odd_equivalence_d6_all_false():

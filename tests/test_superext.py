@@ -556,6 +556,30 @@ def test_orbit_quotient_rejects_a_cell_crossing_orbits(lam_table):
         orbit_quotient(table)
 
 
+def test_orbit_quotient_rejects_a_crossing_cell_in_the_first_and_the_last_chunk_of_c6(lam_table):
+    """lambda(C6) is checked in 64-row chunks, the last one partial (rows 2,624-2,645).
+
+    A cell moved to another orbit raises in either end chunk.  Rows 0, 1 and
+    2,645 hold one-point systems, whose cells the centrality test reads, so the
+    first and the last other row are moved, each in a column that is neither a
+    one-point system nor its orbit's representative.
+    """
+    table = copy.copy(lam_table("C6"))
+    table.product = table.product.copy()
+    orbit_of, orbits = superext._table_orbits(table)
+    principals = set(principal_indices(table.elements))
+    free = [i for i in range(table.order) if i not in principals]
+    j = next(j for j in reversed(free) if j != orbits[orbit_of[j]][0])
+    assert free[0] < 64 and free[-1] >= 2624
+    for i in (free[0], free[-1]):
+        cell = int(table.product[i, j])
+        table.product[i, j] = next(k for k in range(table.order) if orbit_of[k] != orbit_of[cell])
+        with pytest.raises(ConsistencyError, match="not well-defined"):
+            orbit_quotient(table)
+        table.product[i, j] = cell
+    assert orbit_quotient(table)[2] is not None
+
+
 def test_orbit_quotient_c6_matches_per_pair(lam_table):
     g = build_group("C6")
     table = lam_table("C6")
