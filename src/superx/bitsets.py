@@ -70,13 +70,12 @@ def up_closure(family_bitmap: int, n: int) -> int:
     return family_bitmap
 
 
-def minimal_members(family_bitmap: int, n: int) -> list[int]:
-    """Inclusion-minimal subsets in a family bitmap, ascending.
+def minimal_members(up: int, n: int) -> list[int]:
+    """Inclusion-minimal members of an upward-closed family bitmap, ascending.
 
-    They are those of its upward closure, where a member is minimal iff
-    dropping any one of its points leaves the family.
+    In a closed family a member is minimal iff dropping any one of its
+    points leaves the family.  An unclosed bitmap needs ``up_closure`` first.
     """
-    up = up_closure(family_bitmap, n)
     above = 0  # the sets that are a member plus one more point
     for b, missing in enumerate(_points_missing(n)):
         above |= (up & missing) << (1 << b)

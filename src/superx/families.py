@@ -54,8 +54,10 @@ class SetFamily:
                 raise ConsistencyError("minimal sets must be strictly ascending")
         # The sets are their own minimal members iff none contains another.  Past
         # 12 points this raises CapacityError, so the checks above go first.
-        if minimal_members(sum(1 << s for s in sets), n) != list(sets):
+        up = up_closure(sum(1 << s for s in sets), n)
+        if minimal_members(up, n) != list(sets):
             raise ConsistencyError("minimal sets must form an antichain")
+        object.__setattr__(self, "bitmap", up)
 
     def contains(self, mask: int) -> bool:
         """True iff mask is a member, i.e. contains some minimal set."""

@@ -10,7 +10,8 @@ with numpy, each system a membership bitmap over all 2^n subsets, a row
 of the enumerator's own word array.  As (xA) o (By) = x(A o B)y, it
 computes only the cells of a left- and a right-translation orbit
 representative (447 x 447 of the 2,646 x 2,646 on C6 and on D6), and
-resolves bitmaps to element indices through one hash table over them.
+resolves bitmaps to element indices through an exact index on their two
+low quarters.  ``system_counts`` counts orbits with no index at all.
 
 The one-point systems delta_x are a copy of the group in the table,
 delta_x o A = xA and A o delta_y = Ay, so the build's translation maps
@@ -27,14 +28,14 @@ import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import MAX_TABLE_GROUND, SetFamily, _shared_systems, _system_words, family_from_bitmap
+from .families import MAX_TABLE_GROUND, SetFamily, _shared_systems, _system_words, _up_families, family_from_bitmap
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
 _ROW_CHUNK = 64
 _BUILD_ROWS = 32  # the build's block: intp rows and their sigma gather, 16 x 32 x m bytes; orbit_quotient keeps 64
 _BITMAP_GROUND_LIMIT = 10
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 over the golden ratio
+_TRANSLATE_ROWS = 1 << 14  # rows per block of _translated: their bytes, gather indices and output fit a 2 MB L2
 
 
 def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
@@ -106,24 +107,24 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     is the mask of candidates C >= 1 with witness W in B, one float32 GEMM
     per exact 16-bit limb of the mask.  Supported up to |G| =
     MAX_TABLE_GROUND; larger groups are refused before anything is
-    enumerated.  Product bitmaps are resolved to element indices by the
-    ``_BitmapIndex`` hash table over the enumerator's words, which also
-    resolves sigma and rho; every computed product is checked to land in
-    the system list, and so do its translates, as sigma and rho are
+    enumerated.  Every system here is one 64-bit word.  Product bitmaps are
+    resolved to element indices by ``_SystemIndex`` over those words, which
+    also resolves sigma and rho; every computed product is checked to land
+    in the system list, and so do its translates, as sigma and rho are
     compositions of checked generator rows.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
     systems, words = _shared_systems(n)
-    index = _BitmapIndex(words)
+    b = words[:, 0]
+    index = _SystemIndex(b, n)
     sigma = _translation_indices(g, index)
     rho = _translation_indices(replace(g, mul=tuple(zip(*g.mul))), index)  # x.y = yx: right shifts
     m = len(systems)
     reps = np.flatnonzero(sigma.min(axis=0) == np.arange(m))  # each orbit's least member
     rreps = np.flatnonzero(rho.min(axis=0) == np.arange(m))  # and each right orbit's
     size = 1 << n
-    b = words[:, 0]
     one = np.uint64(1)
     subsets = np.arange(size, dtype=np.uint64)
 
@@ -156,7 +157,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
         result = np.zeros((len(block), len(rreps)), dtype=np.uint64)
         for limb in range(limbs):
             result |= (member @ fibre[limb]).astype(np.uint64) << np.uint64(16 * limb)
-        core = index.find(result.reshape(-1, 1)).reshape(result.shape)
+        core = index.find(result)
         if (core < 0).any():
             raise ConsistencyError("a product left the enumerated system space")
         rows = np.empty((len(block), m), dtype=np.intp)  # intp: the sigma gathers need no index cast
@@ -167,60 +168,35 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     return lambda_table(g, systems, product)
 
 
-class _BitmapIndex:
-    """Open-addressing hash table from system bitmaps to their list indices.
+class _SystemIndex:
+    """Exact index from the bitmaps of a system list on n <= MAX_TABLE_GROUND points to their rows.
 
-    ``words`` is the (m, W) uint64 bitmap array of a system list.  A key's
-    home is a multiply-shift hash below 2^k, 2^k >= 8m, and one stable sort
-    by home lays the keys out as linear probing would: the key of rank r
-    takes slot r + max(home_j - j : j <= r), the first free one at or after
-    its home.  No run wraps; ``rounds`` spare slots past 2^k, one more than
-    the longest displacement, hold the overflow.  A query probes at most
-    ``rounds`` slots, an empty one (-1) ending it, and only equal words
-    return an index: a bitmap not in the list, 0 included, gets -1.
+    A system holds one set of each complementary pair, so its bitmap is fixed
+    by its two low 2^(n-2)-bit quarters G0 and G1, up-families on n - 2 points
+    (see ``_system_words``).  ``pos`` maps a quarter to its position among
+    those u up-families, u for any other value, and ``rows[pos(G0), pos(G1)]``
+    is the row of the listed system with those quarters, -1 where there is
+    none.  Only equal bitmaps return the row: a bitmap not in the list, 0
+    included, gets -1.
     """
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
-        self.bits = (8 * len(words) - 1).bit_length()
-        home = self._hash(words)
-        order = np.argsort(home, kind="stable")
-        home = home[order]
-        rank = np.arange(len(words))
-        slot = np.maximum.accumulate(home - rank) + rank
-        self.rounds = int((slot - home).max()) + 1
-        self.slots = np.full((1 << self.bits) + self.rounds, -1, dtype=np.int32)
-        self.slots[slot] = order
+    def __init__(self, bitmaps: np.ndarray, n: int):
+        self.bitmaps = bitmaps
+        self.h = max(1, (1 << n) >> 2)  # ground 1: G0 and G1 are the bits of {} and {0}
+        up = _up_families(max(0, n - 2))[0]
+        self.pos = np.full(1 << self.h, len(up), dtype=np.int16)
+        self.pos[up] = np.arange(len(up))
+        self.rows = np.full((len(up) + 1, len(up) + 1), -1, dtype=np.int16)
+        self.rows[self._quarters(bitmaps)] = np.arange(len(bitmaps))
 
-    def _hash(self, words: np.ndarray) -> np.ndarray:
-        h = words[:, 0] * _HASH_MULTIPLIER
-        for w in range(1, words.shape[1]):
-            h ^= words[:, w]
-            h *= _HASH_MULTIPLIER
-        h >>= np.uint64(64 - self.bits)
-        return h.view(np.int64)
+    def _quarters(self, bitmaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        quarter = (1 << self.h) - 1
+        return self.pos[bitmaps & quarter], self.pos[bitmaps >> self.h & quarter]
 
-    def find(self, queries: np.ndarray) -> np.ndarray:
-        """The list index of each (q, W) query bitmap, -1 where it is absent.
-
-        A probe reads one slot: an empty slot (-1) ends it, a slot holding
-        other words sends the query on to the next slot.
-        """
-        slot = self._hash(queries)
-        found = self.slots[slot]
-        todo = np.flatnonzero(self._elsewhere(found, queries))
-        slot = slot[todo]
-        for _ in range(self.rounds - 1):
-            slot += 1
-            found[todo] = idx = self.slots[slot]
-            moving = self._elsewhere(idx, queries[todo])
-            todo, slot = todo[moving], slot[moving]
-        found[todo] = -1  # probed past the longest displacement: absent
-        return found
-
-    def _elsewhere(self, idx: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """True where slot index idx holds a system whose words differ from the query."""
-        return (idx >= 0) & (self.words[idx] != queries).any(axis=1)  # idx -1 reads the last row; masked
+    def find(self, bitmaps: np.ndarray) -> np.ndarray:
+        """The row of each query bitmap, in the queries' shape, -1 where it is absent."""
+        row = self.rows[self._quarters(bitmaps)]
+        return np.where(self.bitmaps[row] == bitmaps, row, -1)  # row -1 reads the last bitmap; masked
 
 
 def principal_indices(systems: list[SetFamily]) -> list[int]:
@@ -229,33 +205,19 @@ def principal_indices(systems: list[SetFamily]) -> list[int]:
     return [index[(1 << x,)] for x in range(systems[0].ground_size)]
 
 
-def _translation_indices(g: FiniteGroup, index: _BitmapIndex) -> np.ndarray:
+def _translation_indices(g: FiniteGroup, index: _SystemIndex) -> np.ndarray:
     """sigma[x, i], the index of x * systems[i] in the indexed list.
 
     x(yA) = (xy)A gives sigma[xy] = sigma[x][sigma[y]]: only a generating set (each the
     least element outside the subgroup of those before it) is translated bitwise, and
-    the other rows are gathers.  xA's bitmap moves A's bit c to ``shift_table(g)[x, c]``,
-    an OR of moved bytes, moves[p, v] the moved byte value v at byte position p.  A
-    translate missing from the list raises ConsistencyError.
+    the other rows are gathers.  A translate missing from the list raises ConsistencyError.
     """
-    words = index.words
-    m, width = words.shape
-    size = 1 << g.order
-    data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)[:, : (size + 7) // 8]
-    sigma = np.empty((g.order, m), dtype=np.int32)
-    sigma[0], filled, generators = np.arange(m), [0], []
-    for x, target in enumerate(shift_table(g)):
+    sigma = np.empty((g.order, len(index.bitmaps)), dtype=np.int32)
+    sigma[0], filled, generators = np.arange(len(index.bitmaps)), [0], []
+    for x in g.elements():
         if x in filled:
             continue
-        one = np.zeros((64 * width, width), dtype=np.uint64)  # one[c]: bit c moved; none past 2^n
-        one[np.arange(size), target >> 6] = np.uint64(1) << (target & 63).astype(np.uint64)
-        moves = np.zeros((8 * width, 256, width), dtype=np.uint64)
-        for k in range(8):
-            moves[:, 1 << k : 2 << k] = moves[:, : 1 << k] | one[k::8, None]
-        moved = np.zeros_like(words)
-        for p in range(data.shape[1]):
-            moved |= np.take(moves[p], data[:, p], axis=0)
-        sigma[x] = index.find(moved)
+        sigma[x] = index.find(_translated(g, x, index.bitmaps))
         if (sigma[x] < 0).any():
             raise ConsistencyError("translation left the system list")
         generators.append(x)
@@ -265,6 +227,30 @@ def _translation_indices(g: FiniteGroup, index: _BitmapIndex) -> np.ndarray:
                     sigma[z] = sigma[s][sigma[y]]
                     filled.append(z)
     return sigma
+
+
+def _translated(g: FiniteGroup, x: int, words: np.ndarray) -> np.ndarray:
+    """Word 0 of x times each system of a word array, (m,) or (m, W): the translate's sets below 64.
+
+    xA's bitmap moves A's bit c to ``shift_table(g)[x, c]``, so its word 0 is an OR
+    of moved bytes, moves[p, v] the bits below 64 that byte value v at byte
+    position p moves to; past 6 points, bytes of every word move into word 0.
+    """
+    target = shift_table(g)[x].astype(np.uint64)
+    data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(len(words), -1)
+    one = np.zeros(8 * data.shape[1], dtype=np.uint64)  # one[c]: bit c moved, 0 where it leaves word 0
+    low = np.flatnonzero(target < 64)
+    one[low] = np.uint64(1) << target[low]
+    moves = np.zeros((data.shape[1], 256), dtype=np.uint64)
+    for k in range(8):
+        moves[:, 1 << k : 2 << k] = moves[:, : 1 << k] | one[k::8, None]
+    live = np.flatnonzero(moves.any(axis=1))  # not the bytes past 2^n, nor on 7 points the half some x moves past word 0
+    moved = np.zeros(len(words), dtype=np.uint64)
+    for start in range(0, len(words), _TRANSLATE_ROWS):
+        rows, block = data[start : start + _TRANSLATE_ROWS], moved[start : start + _TRANSLATE_ROWS]
+        for p in live:
+            block |= moves[p][rows[:, p]]
+    return moved
 
 
 def _orbits(sigma: np.ndarray) -> tuple[list[int], list[list[int]]]:
@@ -288,11 +274,16 @@ def _table_orbits(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
 
 
 def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, int]:
-    """(|lambda(g)|, |lambda(g)/g|), counted off the enumerator's words without a table.
+    """(|lambda(g)|, |lambda(g)/g|), counted off the enumerator's words with no table and no index.
 
-    Each translation orbit has one least member, its column minimum in
-    sigma.  Ground 7 (1.4 M systems) streams ``_system_words``, with no system
-    list, gated behind allow_large; larger grounds are refused first.
+    Word 0 fixes a system: up to 6 points it is the whole bitmap, and on 7 it
+    holds the members missing point 6, which fix the rest as a system holds
+    one set of each complementary pair.  So each translation orbit has one
+    member whose word 0 is at most each of its translates': those are
+    counted.  x permutes all systems, so a translate list whose sorted word
+    0s are the list's is the list, and any other raises ConsistencyError.
+    Ground 7 (1.4 M systems) streams ``_system_words``, with no system list,
+    gated behind allow_large; larger grounds are refused first.
     """
     n = g.order
     if n > 7:
@@ -300,9 +291,15 @@ def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, in
     if n == 7 and not allow_large:
         raise CapacityError("ground size 7 is gated behind allow_large")
     words = _system_words(n) if n > MAX_TABLE_GROUND else _shared_systems(n)[1]
-    sigma = _translation_indices(g, _BitmapIndex(words))
-    m = sigma.shape[1]
-    return m, int(np.count_nonzero(sigma.min(axis=0) == np.arange(m)))
+    first = words[:, 0]
+    ordered = np.sort(first)
+    least = np.ones(len(words), dtype=bool)
+    for x in range(1, n):  # element 0 is the identity
+        moved = _translated(g, x, words)
+        least &= first <= moved
+        if not np.array_equal(np.sort(moved), ordered):
+            raise ConsistencyError("translation left the system list")
+    return len(words), int(np.count_nonzero(least))
 
 
 def orbit_quotient(table: SemigroupTable) -> tuple[list[int], list[list[int]], np.ndarray | None]:

@@ -109,12 +109,19 @@ def test_prime_burnside_ties_the_reference_counts():
 
 
 def test_ground_seven_count(monkeypatch):
-    """The full ground-7 count, and Burnside on the sigma it was read off: Fix = [1,422,564, 3 x 6]."""
-    translate = superext._translation_indices
-    seen = []
-    monkeypatch.setattr(superext, "_translation_indices", lambda g, index: seen.append(translate(g, index)) or seen[-1])
+    """The full ground-7 count, and Burnside on the translates it was read off: Fix = [1,422,564, 3 x 6].
+
+    Word 0 fixes a system, so Fix(x) counts the rows whose word 0 equals their translate's.
+    """
+    translate = superext._translated
+    fixed = [LAMBDA_COUNT_7]  # the identity, which the count does not translate
+
+    def counted(g, x, words):
+        moved = translate(g, x, words)
+        fixed.append(int(np.count_nonzero(moved == words[:, 0])))
+        return moved
+
+    monkeypatch.setattr(superext, "_translated", counted)
     assert system_counts(build_group("C7"), allow_large=True) == (1_422_564, 203_226)
-    (sigma,) = seen
-    fixed = np.count_nonzero(sigma == np.arange(sigma.shape[1]), axis=1).tolist()
     assert fixed == [LAMBDA_COUNT_7] + [INVARIANT_COUNTS["C7"]] * 6 == [1_422_564] + [3] * 6
     assert divmod(sum(fixed), 7) == (203_226, 0)

@@ -305,8 +305,9 @@ def test_minimal_sets_across_words():
 def test_up_closure_and_minimal_members_match_the_oracles():
     """The one-point shifts agree with the superset and subset walks up to 10 points.
 
-    The closure is checked on every single set; minimal members on closed and
-    on unclosed bitmaps, whose minimal members are those of their closure.
+    The closure is checked on every single set; minimal members on closed
+    bitmaps, and on unclosed ones closed first, whose minimal members are
+    those of their closure.
     """
     rng = random.Random(20261019)
     for n in range(1, 11):
@@ -321,10 +322,10 @@ def test_up_closure_and_minimal_members_match_the_oracles():
                 closed |= sup[s]
             assert up_closure(unclosed, n) == up_closure(closed, n) == closed, n
             want = oracle_minimal_members(closed, n)
-            assert minimal_members(closed, n) == minimal_members(unclosed, n) == want, n
+            assert minimal_members(closed, n) == minimal_members(up_closure(unclosed, n), n) == want, n
             assert oracle_minimal_members(unclosed, n) == want, n
         noise = rng.getrandbits(top) & ~1  # dense and unclosed, without the empty set
-        assert minimal_members(noise, n) == oracle_minimal_members(noise, n), n
+        assert minimal_members(up_closure(noise, n), n) == oracle_minimal_members(noise, n), n
 
 
 def test_derived_families_equal_their_checked_families():
@@ -332,7 +333,8 @@ def test_derived_families_equal_their_checked_families():
 
     family_from_bitmap, and through it transversal, generate_family and
     principal_ultrafilter skip SetFamily's antichain check; family_from_bitmap
-    keeps the closure it computed as the family's bitmap.
+    keeps the closure it computed as the family's bitmap, and SetFamily the
+    closure its antichain check computed.
     """
     rng = random.Random(20261021)
     for k in range(2000):
@@ -340,10 +342,11 @@ def test_derived_families_equal_their_checked_families():
         top = 1 << n
         gens = rng.sample(range(1, top), rng.randint(1, min(top - 1, 8)))
         bitmap = sum(1 << s for s in gens) if k % 4 else (rng.getrandbits(top) | 1 << (top - 1)) & ~1
-        checked = SetFamily(n, tuple(minimal_members(bitmap, n)))
+        checked = SetFamily(n, tuple(minimal_members(up_closure(bitmap, n), n)))
         derived = family_from_bitmap(n, bitmap)
-        assert derived == checked and vars(derived)["bitmap"] == up_closure(bitmap, n) == checked.bitmap
-        assert generate_family(n, gens) == SetFamily(n, tuple(minimal_members(sum(1 << s for s in gens), n)))
+        assert derived == checked and vars(derived)["bitmap"] == up_closure(bitmap, n) == vars(checked)["bitmap"]
+        gen_sets = tuple(minimal_members(up_closure(sum(1 << s for s in gens), n), n))
+        assert generate_family(n, gens) == SetFamily(n, gen_sets)
         hitting = sum(1 << c for c in range(1, top) if all(c & s for s in checked.minimal_sets))
         transversal = checked.transversal()
         assert transversal == SetFamily(n, tuple(minimal_members(hitting, n)))

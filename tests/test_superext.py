@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from superx import families, superext
-from superx.bitsets import mask_of
+from superx.bitsets import iter_bits, mask_of
 from superx.c5 import c5_named_catalog, canonical_names
 from superx.cache import load_table, save_table
 from superx.errors import CapacityError, ConsistencyError
@@ -22,7 +22,7 @@ from superx.families import (
     principal_ultrafilter,
     SetFamily,
 )
-from superx.groups import build_group
+from superx.groups import build_group, translate_set
 from superx.invariants import enumerate_invariant_mls
 from superx.semigroups import from_group, right_zeros
 from superx.superext import (
@@ -217,16 +217,17 @@ def _generators(g):
     return gens
 
 
+def _counted_lookups(monkeypatch):
+    """The number of bitmaps each _SystemIndex.find call resolves, in call order."""
+    find = superext._SystemIndex.find
+    lookups = []
+    monkeypatch.setattr(superext._SystemIndex, "find", lambda index, q: lookups.append(np.size(q)) or find(index, q))
+    return lookups
+
+
 def test_lambda_table_resolves_only_the_core_cells(monkeypatch):
     """m queries per generator for each of sigma and rho, then 447 x 447 products: no fallback to all columns."""
-    find = superext._BitmapIndex.find
-    queries = []
-
-    def counted(index, q):
-        queries.append(len(q))
-        return find(index, q)
-
-    monkeypatch.setattr(superext._BitmapIndex, "find", counted)
+    queries = _counted_lookups(monkeypatch)
     for name in ("C6", "D6"):
         queries.clear()
         g = build_group(name)
@@ -237,50 +238,36 @@ def test_lambda_table_resolves_only_the_core_cells(monkeypatch):
 
 
 def _sigma(g, systems):
-    return superext._translation_indices(g, superext._BitmapIndex(words_of([s.bitmap for s in systems], g.order)))
+    return superext._translation_indices(g, _index(systems))
 
 
-def test_bitmap_index_returns_only_equal_keys():
-    """An absent bitmap, the empty family 0 included, finds -1 even where its slot is taken."""
-    inverse = pow(int(superext._HASH_MULTIPLIER), -1, 1 << 64)  # hashes to slot 0, like 0 does
-    words = np.array([[inverse], [5], [7]], dtype=np.uint64)
-    index = superext._BitmapIndex(words)
-    assert index.slots[0] == 0
-    assert index.find(words).tolist() == [0, 1, 2]
-    assert index.find(np.array([[0], [6]], dtype=np.uint64)).tolist() == [-1, -1]
-    systems = enumerate_mls(4)
-    packed = words_of([s.bitmap for s in systems], 4)
-    assert superext._BitmapIndex(packed[1:]).find(packed[:1]).tolist() == [-1]
+def _index(systems):
+    return superext._SystemIndex(words_of([s.bitmap for s in systems], systems[0].ground_size)[:, 0], systems[0].ground_size)
 
 
-def test_bitmap_index_runs_past_the_last_home(monkeypatch):
-    """A low-entropy hash: a long run on home 0, one on home 5 and one on the last home, which passes 2^k.
+def test_system_index_matches_a_dict_oracle():
+    """Grounds 1-6: every system, each with one bit flipped, seeded random words, 0, and halves of two systems.
 
-    The layout is the one inserting the keys in order into the first free slot at or after the home
-    makes; every member finds its row, absent words find -1, and rounds is the longest displacement plus 1.
+    The last query has a listed system's quarters G0 and G1 but another's upper
+    half, so only the word compare can reject it; a list missing a system finds -1 for it.
     """
-    def low_entropy(index, words):
-        last = (1 << index.bits) - 1
-        return np.select([words[:, 0] % 3 == 0, words[:, 0] % 3 == 1], [0, last], 5).astype(np.int64)
-
-    monkeypatch.setattr(superext._BitmapIndex, "_hash", low_entropy)
-    words = np.arange(1, 31, dtype=np.uint64)[:, None]
-    index = superext._BitmapIndex(words)
-    homes = low_entropy(index, words).tolist()
-    assert homes.count(0) == homes.count(5) == homes.count((1 << index.bits) - 1) == 10
-    layout = [-1] * len(index.slots)
-    for key in sorted(range(len(words)), key=homes.__getitem__):
-        slot = homes[key]
-        while layout[slot] >= 0:
-            slot += 1
-        layout[slot] = key
-    assert index.slots.tolist() == layout
-    placed = np.flatnonzero(index.slots >= 0)
-    assert placed.max() >= 1 << index.bits
-    assert index.rounds == int((placed - np.array(homes)[index.slots[placed]]).max()) + 1
-    assert index.find(words).tolist() == list(range(len(words)))
-    absent = np.array([[0], [33], [34], [35], [3 << 40]], dtype=np.uint64)  # homes 0, 0, last, 5, 0
-    assert index.find(absent).tolist() == [-1] * len(absent)
+    rng = random.Random(20261019)
+    for n in range(1, 7):
+        bitmaps = [s.bitmap for s in enumerate_mls(n)]
+        oracle = {b: i for i, b in enumerate(bitmaps)}
+        half = (1 << (1 << n >> 1)) - 1
+        queries = list(bitmaps) + [b ^ 1 << c for b in bitmaps for c in range(1 << n)]
+        queries += [rng.getrandbits(1 << n) for _ in range(1000)] + [0]
+        mixed = [bitmaps[0] & half | b & ~half for b in bitmaps[1:]]
+        assert all(m not in oracle and m & half in {b & half for b in bitmaps} for m in mixed), n
+        queries += mixed
+        index = _index(enumerate_mls(n))
+        found = index.find(np.array(queries, dtype=np.uint64)).tolist()
+        assert found == [oracle.get(q, -1) for q in queries], n
+        assert found[: len(bitmaps)] == list(range(len(bitmaps))) and -1 in found, n
+        if n > 1:
+            absent = _index(enumerate_mls(n)[1:]).find(np.array(bitmaps[:1], dtype=np.uint64))
+            assert absent.tolist() == [-1], n
 
 
 def test_translation_indices_match_the_shift_oracle(lam_table):
@@ -292,18 +279,14 @@ def test_translation_indices_match_the_shift_oracle(lam_table):
 
 def test_translation_indices_translate_only_a_generating_set(lam_table, monkeypatch):
     """One bitmap lookup per generator on each side; every other row of sigma and rho is composed, and all match the oracle."""
-    find = superext._BitmapIndex.find
-    lookups = []
-    monkeypatch.setattr(superext._BitmapIndex, "find", lambda index, q: lookups.append(len(q)) or find(index, q))
-    c7 = build_group("C7")
-    cases = [(build_group(name), lam_table(name).elements) for name in SHIFT_ORBIT_DIGESTS]
-    cases.append((c7, _seven_point_systems(c7)))
-    for g, systems in cases:
+    lookups = _counted_lookups(monkeypatch)
+    for name in SHIFT_ORBIT_DIGESTS:
+        g, systems = build_group(name), lam_table(name).elements
         for side in (g, _opposite(g)):
             lookups.clear()
             sigma = _sigma(side, systems)
-            assert lookups == [len(systems)] * len(_generators(side)), g.name
-            assert sigma.tolist() == oracle_translation_indices(side, systems), g.name
+            assert lookups == [len(systems)] * len(_generators(side)), name
+            assert sigma.tolist() == oracle_translation_indices(side, systems), name
 
 
 def _seven_point_systems(g):
@@ -314,12 +297,21 @@ def _seven_point_systems(g):
     return sorted({s.shift(g, x) for s in seeds for x in g.elements()}, key=lambda s: s.minimal_sets)
 
 
-def test_translation_indices_on_seven_points():
-    """Two-word bitmaps: a translation-closed list of a few 7-point systems, not the full enumeration."""
+def test_translated_word_zero_on_seven_points():
+    """Two-word bitmaps: word 0 of each translate is its sets below 64, some of them moved down from word 1."""
     g = build_group("C7")
     systems = _seven_point_systems(g)
     assert len(systems) == 15
-    assert _sigma(g, systems).tolist() == oracle_translation_indices(g, systems)
+    words = words_of([s.bitmap for s in systems], 7)
+    from_word_one = 0
+    for x in g.elements():
+        want = []
+        for s in systems:
+            moved = [(c, t) for c in iter_bits(s.bitmap) if (t := translate_set(g, x, c)) < 64]
+            from_word_one += sum(c >= 64 for c, _ in moved)
+            want.append(sum(1 << t for _, t in moved))
+        assert superext._translated(g, x, words).tolist() == want, x
+    assert from_word_one > 0
 
 
 def test_system_counts_match_the_system_list(lam_table):
@@ -330,13 +322,18 @@ def test_system_counts_match_the_system_list(lam_table):
 
 
 def test_system_counts_on_seven_points(monkeypatch):
-    """Ground 7 counted off the words of the 15 systems above, given out of sorted order."""
+    """Ground 7 counted off the words of the 15 systems above, given out of sorted order; one fewer is refused."""
     g = build_group("C7")
     systems = _seven_point_systems(g)
     monkeypatch.setattr(superext, "_system_words", lambda n: words_of([s.bitmap for s in reversed(systems)], n))
     orbit_count = len({min(column) for column in zip(*oracle_translation_indices(g, systems))})
     assert orbit_count == 3
     assert system_counts(g, allow_large=True) == (15, orbit_count)
+    moving = next(s for s in systems if not is_invariant_mls(g, s))
+    kept = [s for s in systems if s != moving]
+    monkeypatch.setattr(superext, "_system_words", lambda n: words_of([s.bitmap for s in kept], n))
+    with pytest.raises(ConsistencyError, match="translation left the system list"):
+        system_counts(g, allow_large=True)
 
 
 def test_system_counts_capacity(monkeypatch):
