@@ -10,16 +10,17 @@ for every subset A.  The enumerator and the constructors below return
 such families without re-checking; callers that take a family from
 elsewhere test the predicate.
 
-``SetFamily(n, sets)`` checks its minimal sets.  The constructors here
-derive theirs ascending and as an antichain and check only the rest:
-``_families_of_bitmaps``, which builds the enumerated and the invariant
-systems in one pass, itself, and the others through ``_derived``.
+``SetFamily(n, sets)`` checks its minimal sets.  Every other family is
+built by one unchecked constructor, ``_derived``, from minimal sets its
+caller derived ascending and as an antichain together with their
+membership bitmap, so every family carries its bitmap from the moment
+it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +34,7 @@ _PAIR_BLOCK = 256
 
 @dataclass(frozen=True)
 class SetFamily:
-    """An upward-closed family, represented by its minimal sets."""
+    """An upward-closed family given by its minimal sets; every constructor also stores its membership ``bitmap``."""
 
     ground_size: int
     minimal_sets: tuple[int, ...]
@@ -62,11 +63,6 @@ class SetFamily:
     def contains(self, mask: int) -> bool:
         """True iff mask is a member, i.e. contains some minimal set."""
         return any(s & mask == s for s in self.minimal_sets)
-
-    @cached_property
-    def bitmap(self) -> int:
-        """Membership bitmap over all 2^n subset values."""
-        return up_closure(sum(1 << s for s in self.minimal_sets), self.ground_size)
 
     def _hitting_bitmap(self) -> int:
         """Bitmap of the sets meeting every member: {B : complement of B not in self}.
@@ -121,11 +117,7 @@ def generate_family(ground_size: int, sets) -> SetFamily:
         raise ConsistencyError("generators must be non-empty")
     if any(s >> ground_size for s in sets):
         raise ConsistencyError("member exceeds the ground set")
-    keep = []
-    for s in sorted(set(sets)):
-        if not any(t & s == t for t in keep):
-            keep.append(s)
-    return _derived(ground_size, tuple(keep))
+    return family_from_bitmap(ground_size, sum(1 << s for s in set(sets)))
 
 
 def family_from_bitmap(ground_size: int, bitmap: int) -> SetFamily:
@@ -136,11 +128,14 @@ def family_from_bitmap(ground_size: int, bitmap: int) -> SetFamily:
 
 def principal_ultrafilter(g: FiniteGroup, x: int) -> SetFamily:
     """The system of all sets containing the point x."""
-    return _derived(g.order, (1 << x,))
+    return _derived(g.order, (1 << x,), up_closure(1 << (1 << x), g.order))
 
 
-def _derived(n: int, sets: tuple[int, ...], bitmap: int | None = None) -> SetFamily:
-    """Minimal sets its caller derived ascending and as an antichain, checked for the rest as ``SetFamily`` does."""
+def _derived(n: int, sets: tuple[int, ...], bitmap: int) -> SetFamily:
+    """The one unchecked constructor: minimal sets its caller derived ascending and as an antichain, and their closure.
+
+    The sets are checked for the rest as ``SetFamily`` does; ``bitmap`` is stored as the family's membership bitmap.
+    """
     if not sets:
         raise ConsistencyError("a set family needs at least one member")
     if sets[0] == 0:  # ascending: the least and the greatest set decide
@@ -151,8 +146,7 @@ def _derived(n: int, sets: tuple[int, ...], bitmap: int | None = None) -> SetFam
     family = object.__new__(SetFamily)
     object.__setattr__(family, "ground_size", n)
     object.__setattr__(family, "minimal_sets", sets)
-    if bitmap is not None:
-        object.__setattr__(family, "bitmap", bitmap)
+    object.__setattr__(family, "bitmap", bitmap)
     return family
 
 
@@ -230,8 +224,8 @@ def _system_words(n: int) -> np.ndarray:
 def _families_of_bitmaps(words: np.ndarray, n: int) -> list[SetFamily]:
     """The families of upward-closed (m, W) membership words over n points, in their order.
 
-    Unchecked, each caching its row as ``bitmap``: the callers keep the rows closed, as every
-    enumerated pair is an up-family and invariant cliques are certified superset-closed.
+    Each is built by ``_derived`` with its row as ``bitmap``: the callers keep the rows closed, as
+    every enumerated pair is an up-family and invariant cliques are certified superset-closed.
     """
     width = max(1, (1 << n) >> 6)
     outside = ~np.uint64((1 << min(1 << n, 64)) - 2)  # the empty set, and sets past the ground of one word
@@ -240,14 +234,7 @@ def _families_of_bitmaps(words: np.ndarray, n: int) -> list[SetFamily]:
     bitmaps = [0] * len(words)
     for w in range(width):
         bitmaps = [bm | x << (64 * w) for bm, x in zip(bitmaps, words[:, w].tolist())]
-    found = []
-    for sets, bm in zip(_minimal_sets(words, n), bitmaps):
-        family = object.__new__(SetFamily)
-        object.__setattr__(family, "ground_size", n)
-        object.__setattr__(family, "minimal_sets", sets)
-        object.__setattr__(family, "bitmap", bm)
-        found.append(family)
-    return found
+    return [_derived(n, sets, bm) for sets, bm in zip(_minimal_sets(words, n), bitmaps)]
 
 
 def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:

@@ -2,10 +2,13 @@
 
 Groups are capped at order 16 so every subset fits in the bits of one
 machine word.  Element 0 is always the identity; for a cyclic group
-element i is the i-th power of the chosen generator.  The constructors
-cover the groups needed by the analysis catalog: cyclic groups, direct
-products of cyclic groups, dihedral groups, the quaternion group Q8,
-the alternating group A4 and the order-12 semidirect product C3:C4.
+element i is the i-th power of the chosen generator.  Every catalog
+group but a direct product is built one way, by ``_from_rule``: an
+ordered element list and a product rule on it fill the table cell by
+cell.  The rules give cyclic groups, dihedral groups, the quaternion
+group Q8 (the Hamilton product), the alternating group A4 and the
+order-12 semidirect product C3:C4; direct products of cyclic groups
+come from ``semigroups.direct_product``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import numpy as np
@@ -90,81 +93,52 @@ def _make_group(name: str, mul, element_names=None) -> FiniteGroup:
     return FiniteGroup(name, tuple(map(tuple, p.tolist())), inv, tuple(element_names))
 
 
+def _from_rule(name: str, elements: list, rule, element_names) -> FiniteGroup:
+    """The group on ``elements``, identity first, whose table holds index[rule(a, b)] in cell (a, b)."""
+    index = {x: i for i, x in enumerate(elements)}
+    return _make_group(name, [[index[rule(a, b)] for b in elements] for a in elements], element_names)
+
+
 def _cyclic(n: int) -> FiniteGroup:
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _make_group(f"C{n}", mul)
+    return _from_rule(f"C{n}", list(range(n)), lambda a, b: (a + b) % n, list(map(str, range(n))))
 
 
 def _dihedral(order: int) -> FiniteGroup:
-    # Elements 0..n-1 are rotations a^i, n..2n-1 are reflections b*a^i,
-    # with b*a*b = a^-1.
+    # (s, i) is b^s a^i, index s*n + i: rotations first, then reflections,
+    # with b a b = a^-1, so (s, i)(t, j) = (s xor t, j + (-1)^t i).
     n = order // 2
-    mul = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in range(n):
-            mul[i][j] = (i + j) % n
-            mul[i][n + j] = n + (j - i) % n
-            mul[n + i][j] = n + (i + j) % n
-            mul[n + i][n + j] = (j - i) % n
+    elements = [(s, i) for s in (0, 1) for i in range(n)]
     names = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
     names += ["b"] + [f"ba{i}" if i > 1 else "ba" for i in range(1, n)]
-    return _make_group(f"D{order}", mul, names)
+    return _from_rule(f"D{order}", elements, lambda a, b: (a[0] ^ b[0], (b[1] + (-1) ** b[0] * a[1]) % n), names)
 
 
-_Q8_AXES = "1ijk"
-_Q8_MUL = {  # axis products carrying signs: i*j=k, j*k=i, k*i=j
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-    ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-    ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-}
+def _hamilton(p, q):
+    """The Hamilton product of quaternions w + xi + yj + zk, given as (w, x, y, z)."""
+    (a, b, c, d), (e, f, g, h) = p, q
+    return a*e - b*f - c*g - d*h, a*f + b*e + c*h - d*g, a*g - b*h + c*e + d*f, a*h + b*g - c*f + d*e
 
 
 def _quaternion() -> FiniteGroup:
-    # Index 2u+s encodes (+ or -) axis u in the order 1, i, j, k.
-    def idx(sign, axis):
-        return 2 * _Q8_AXES.index(axis) + (0 if sign == 1 else 1)
-
-    mul = [[0] * 8 for _ in range(8)]
-    for a in range(8):
-        for b in range(8):
-            sa, ua = (1 if a % 2 == 0 else -1), _Q8_AXES[a // 2]
-            sb, ub = (1 if b % 2 == 0 else -1), _Q8_AXES[b // 2]
-            sp, up = _Q8_MUL[(ua, ub)]
-            mul[a][b] = idx(sa * sb * sp, up)
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return _make_group("Q8", mul, names)
+    # The unit quaternions +-1, +-i, +-j, +-k; index 2u+s is sign (-1)^s on axis u in the order 1, i, j, k.
+    elements = [tuple((-1) ** s if v == u else 0 for v in range(4)) for u in range(4) for s in (0, 1)]
+    names = ["-" * s + axis for axis in "1ijk" for s in (0, 1)]
+    return _from_rule("Q8", elements, _hamilton, names)
 
 
 def _alternating4() -> FiniteGroup:
-    perms = sorted(p for p in permutations(range(4)) if _parity(p) == 0)
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
+    # the even permutations of 0..3, ascending; q is applied first in p * q
+    perms = [p for p in permutations(range(4)) if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
     names = ["".join(map(str, p)) for p in perms]
-    return _make_group("A4", mul, names)
-
-
-def _parity(perm) -> int:
-    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    return inversions % 2
+    return _from_rule("A4", perms, lambda p, q: tuple(p[q[x]] for x in range(4)), names)
 
 
 def _semidirect_c3_c4() -> FiniteGroup:
-    # <a,b | a^4 = b^3 = 1, a b a^-1 = b^-1>; element a^i b^j has index 3i+j,
-    # and b^j a^k = a^k b^(j * (-1)^k).
-    def idx(i, j):
-        return 3 * (i % 4) + (j % 3)
-
-    mul = [[0] * 12 for _ in range(12)]
-    for i in range(4):
-        for j in range(3):
-            for k in range(4):
-                for l in range(3):
-                    jj = j if k % 2 == 0 else -j
-                    mul[idx(i, j)][idx(k, l)] = idx(i + k, jj + l)
-    names = [f"a{i}b{j}".replace("a0", "").replace("b0", "") or "e" for i in range(4) for j in range(3)]
-    return _make_group("C3:C4", mul, names)
+    # <a,b | a^4 = b^3 = 1, a b a^-1 = b^-1>; (i, j) is a^i b^j, index 3i+j,
+    # and b^j a^k = a^k b^(j * (-1)^k), so (i, j)(k, l) = (i + k, (-1)^k j + l).
+    elements = [(i, j) for i in range(4) for j in range(3)]
+    names = [f"a{i}b{j}".replace("a0", "").replace("b0", "") or "e" for i, j in elements]
+    return _from_rule("C3:C4", elements, lambda a, b: ((a[0] + b[0]) % 4, ((-1) ** b[0] * a[1] + b[1]) % 3), names)
 
 
 def _direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:

@@ -14,7 +14,7 @@ import random
 from functools import lru_cache
 
 from . import expected as ref
-from .c5 import c5_named_catalog, T17_NAMES
+from .c5 import T17_NAMES
 from .families import (
     SetFamily,
     enumerate_mls,
@@ -77,6 +77,12 @@ def _lambda_table(name: str) -> SemigroupTable:
     order-6 tables are read by ``_order6_facts`` instead.
     """
     return build_lambda_table(_group(name))
+
+
+@lru_cache(maxsize=None)
+def _c5_namer():
+    """How the reports name the elements of lambda(C5): canonical names, built once per process."""
+    return element_namer(_group("C5"), _lambda_table("C5"))
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +167,7 @@ def check_two_power_s() -> list[dict]:
 
 def check_c5_structure() -> list[dict]:
     table = _lambda_table("C5")
-    name = element_namer(_group("C5"), table)
+    name = _c5_namer()
     rows = [
         _row("lambda(C5) zero", "Z", name(zero(table))),
         _row(
@@ -198,21 +204,21 @@ def t17_cells() -> dict:
     match), with the computed system under its canonical name.  The
     verdict also says whether every cell matches in this orientation and
     in the reversed one, COLUMN o ROW, whether exactly one of them does,
-    and which cells mismatch.
+    and which cells mismatch.  The T17 names and every expected cell are
+    canonical names, so their indices are read off the namer.
     """
     table = _lambda_table("C5")
-    name = element_namer(_group("C5"), table)
-    catalog = c5_named_catalog()
-    index = {s.minimal_sets: i for i, s in enumerate(table.elements)}
+    name = _c5_namer()
+    index = {name(i): i for i in range(len(table.elements))}
     want = ref.expected_t17_table()
     cells = []
     col_row_match = True
     for r in T17_NAMES:
-        ri = index[catalog[r].minimal_sets]
+        ri = index[r]
         for c in T17_NAMES:
-            ci = index[catalog[c].minimal_sets]
+            ci = index[c]
             expected = want[(r, c)]
-            target = index[catalog[expected].minimal_sets]
+            target = index[expected]
             got = int(table.product[ri, ci])
             cells.append(
                 {"row": r, "col": c, "expected": expected, "computed": name(got), "match": got == target}

@@ -17,6 +17,7 @@ import pytest
 
 from superx.c5 import c5_named_catalog
 from superx.cache import cache_path, load_table, resolve_cache_dir, save_table
+import superx.c5 as c5
 import superx.cli as cli
 import superx.families as families
 import superx.superext as superext
@@ -438,6 +439,22 @@ def test_verify_all_enumerates_each_groups_invariant_systems_once(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_invariant_mls", counted)
     verify.run_verification("all")
     assert len(calls) == len(set(calls)) == 14
+
+
+def test_fast_verification_builds_the_c5_catalog_once(monkeypatch):
+    """check_c5_structure and t17_cells share one lambda(C5) namer, and only its canonical names build the catalog."""
+    calls = []
+    catalog = c5.c5_named_catalog
+
+    def counted():
+        calls.append(1)
+        return catalog()
+
+    for cached in (verify._group, verify._lambda_table, verify._c5_namer, verify._invariant_systems):
+        cached.cache_clear()
+    monkeypatch.setattr(c5, "c5_named_catalog", counted)
+    verify.run_verification("fast")
+    assert len(calls) == 1
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

@@ -331,10 +331,10 @@ def test_up_closure_and_minimal_members_match_the_oracles():
 def test_derived_families_equal_their_checked_families():
     """On 2,000 seeded bitmaps and generator lists, n <= 9, each derived family is its checked one.
 
-    family_from_bitmap, and through it transversal, generate_family and
-    principal_ultrafilter skip SetFamily's antichain check; family_from_bitmap
-    keeps the closure it computed as the family's bitmap, and SetFamily the
-    closure its antichain check computed.
+    family_from_bitmap, and through it transversal and generate_family, and
+    principal_ultrafilter skip SetFamily's antichain check; each stores its
+    closure as the family's bitmap when it builds the family, and SetFamily
+    the closure its antichain check computed.
     """
     rng = random.Random(20261021)
     for k in range(2000):
@@ -345,8 +345,10 @@ def test_derived_families_equal_their_checked_families():
         checked = SetFamily(n, tuple(minimal_members(up_closure(bitmap, n), n)))
         derived = family_from_bitmap(n, bitmap)
         assert derived == checked and vars(derived)["bitmap"] == up_closure(bitmap, n) == vars(checked)["bitmap"]
-        gen_sets = tuple(minimal_members(up_closure(sum(1 << s for s in gens), n), n))
-        assert generate_family(n, gens) == SetFamily(n, gen_sets)
+        gen_closure = up_closure(sum(1 << s for s in gens), n)
+        generated = generate_family(n, gens + gens[:1])  # a repeated generator changes nothing
+        assert generated == SetFamily(n, tuple(minimal_members(gen_closure, n)))
+        assert vars(generated)["bitmap"] == gen_closure
         hitting = sum(1 << c for c in range(1, top) if all(c & s for s in checked.minimal_sets))
         transversal = checked.transversal()
         assert transversal == SetFamily(n, tuple(minimal_members(hitting, n)))
@@ -354,16 +356,22 @@ def test_derived_families_equal_their_checked_families():
     for name in ("C1", "C5", "C2xC2xC2"):
         g = build_group(name)
         for x in g.elements():
-            assert principal_ultrafilter(g, x) == SetFamily(g.order, (1 << x,))
+            ultrafilter = principal_ultrafilter(g, x)
+            assert ultrafilter == SetFamily(g.order, (1 << x,))
+            assert vars(ultrafilter)["bitmap"] == up_closure(1 << (1 << x), g.order)
 
 
 def test_derived_families_past_twelve_points_are_a_capacity_error():
     """The derived path checks the ground after the members, as SetFamily does."""
     with pytest.raises(ConsistencyError, match="at least one member"):
-        families._derived(13, ())
-    for make in (families._derived, family_from_bitmap, generate_family):
+        families._derived(13, (), 0)
+    for make in (
+        lambda: families._derived(13, (1,), 2),
+        lambda: family_from_bitmap(13, 2),
+        lambda: generate_family(13, (1,)),
+    ):
         with pytest.raises(CapacityError, match="n <= 12"):
-            make(13, 2 if make is family_from_bitmap else (1,))
+            make()
 
 
 def test_enumerate_mls_capacity():
@@ -410,9 +418,9 @@ def test_ground_above_twelve_is_a_capacity_error():
         (lambda: family_from_bitmap(3, 0b11), "empty set cannot be a member"),
         (lambda: family_from_bitmap(3, 1 << 8), "exceeds the ground set"),
         (lambda: principal_ultrafilter(build_group("C3"), 3), "exceeds the ground set"),
-        (lambda: families._derived(3, ()), "at least one member"),
-        (lambda: families._derived(3, (0, 1)), "empty set cannot be a member"),
-        (lambda: families._derived(3, (1, 0b1000)), "exceeds the ground set"),
+        (lambda: families._derived(3, (), 0), "at least one member"),
+        (lambda: families._derived(3, (0, 1), 0b11), "empty set cannot be a member"),
+        (lambda: families._derived(3, (1, 0b1000), 0b10 | 1 << 8), "exceeds the ground set"),
     ],
     ids=[
         "no-members", "empty-set", "past-ground", "descending", "not-antichain", "shift-order", "generator-past-ground",
