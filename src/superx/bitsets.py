@@ -9,6 +9,7 @@ bitmap per point closes a family upward (the subset-lattice zeta transform).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from .errors import CapacityError
@@ -29,20 +30,9 @@ def mask_of(points) -> int:
     return out
 
 
-def subsets_of_size(n: int, k: int) -> Iterator[int]:
-    """All k-element subsets of {0..n-1} as masks, ascending (Gosper)."""
-    if k == 0:
-        yield 0
-        return
-    if k > n:
-        return
-    v = (1 << k) - 1
-    limit = 1 << n
-    while v < limit:
-        yield v
-        low = v & -v
-        ripple = v + low
-        v = ripple | ((v ^ ripple) >> 2) // low
+def subsets_of_size(n: int, k: int) -> list[int]:
+    """All k-element subsets of {0..n-1} as masks, ascending."""
+    return sorted(mask_of(c) for c in combinations(range(n), k))
 
 
 @lru_cache(maxsize=None)

@@ -86,10 +86,8 @@ def _validate_table(name: str, mul) -> tuple[np.ndarray, tuple[int, ...]]:
     return p, tuple(unit.argmax(axis=1).tolist())
 
 
-def _make_group(name: str, mul, element_names=None) -> FiniteGroup:
+def _make_group(name: str, mul, element_names) -> FiniteGroup:
     p, inv = _validate_table(name, mul)
-    if element_names is None:
-        element_names = map(str, range(len(inv)))
     return FiniteGroup(name, tuple(map(tuple, p.tolist())), inv, tuple(element_names))
 
 

@@ -4,8 +4,8 @@ Each check row compares a computed quantity against a reference value
 from :mod:`superx.expected` and carries name/expected/computed/match.
 The fast scope covers everything that does not need a Cayley table on
 a six-element ground set; the all scope builds those tables too.  The
-groups and small tables are built at most once per process, shared by
-the checks; each 14 MB order-6 table is read in one pass and released.
+rows read each tabled group's facts off one pass per process; only the
+small tables stay cached, and each 14 MB order-6 table is released.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from . import expected as ref
 from .c5 import T17_NAMES
 from .families import (
     SetFamily,
-    enumerate_mls,
     extend_to_mls,
     generate_family,
     principal_ultrafilter,
@@ -73,8 +72,8 @@ def _group(name: str) -> FiniteGroup:
 def _lambda_table(name: str) -> SemigroupTable:
     """The lambda table of a catalog group of order at most 5, built once per process.
 
-    Several checks read the same tables; none of them mutates one.  The
-    order-6 tables are read by ``_order6_facts`` instead.
+    Several checks read the same tables, and ``_table_facts`` reads each one's facts once; none mutates one.
+    Only these small tables stay cached: ``_table_facts`` builds each order-6 table and drops it.
     """
     return build_lambda_table(_group(name))
 
@@ -86,14 +85,20 @@ def _c5_namer():
 
 
 @lru_cache(maxsize=None)
-def _order6_facts(name: str) -> dict:
-    """Every fact the rows read off the lambda table of C6 or D6, in one pass that drops the table."""
-    table = build_lambda_table(_group(name))
-    facts = dict(zero=zero(table), order=table.order, right_zeros=right_zeros(table), left_zeros=left_zeros(table))
+def _table_facts(name: str) -> dict:
+    """Every fact the rows read off the lambda table of a tabled group, in one pass per process.
+
+    An order-6 table is built here and dropped once read; only the small tables are checked for commutativity.
+    """
+    small = name in TABLE_GROUPS
+    table = _lambda_table(name) if small else build_lambda_table(_group(name))
+    facts = dict(zero=zero(table), order=table.order, right_zeros=right_zeros(table))
     facts["odd"] = odd_equivalences(_group(name), _invariant_systems(name), right_zeros=facts["right_zeros"])
+    if small:
+        facts["commutative"] = is_commutative(table)[0]
     if name == "C6":
         _, orbits, quotient = orbit_quotient(table)
-        facts.update(orbit_count=len(orbits), quotient_defined=quotient is not None)
+        facts.update(left_zeros=left_zeros(table), orbit_count=len(orbits), quotient_defined=quotient is not None)
         facts["assoc"] = sampled_associative(table.product, random.Random(664))
     return facts
 
@@ -111,21 +116,14 @@ def _row(name, expected, computed):
     return {"name": name, "expected": expected, "computed": computed, "match": expected == computed}
 
 
-def check_lambda_counts() -> list[dict]:
-    rows = []
-    for n, want in ref.LAMBDA_COUNTS.items():
-        rows.append(_row(f"|lambda(C{n})|", want, len(enumerate_mls(n))))
-    rows.append(_row("|lambda(C2xC2)|", ref.LAMBDA_COUNTS[4], len(enumerate_mls(4))))
-    return rows
-
-
-def check_orbit_counts() -> list[dict]:
-    """The orbit counts, read as ``lambda --what=count`` reads them."""
-    rows = [
-        _row(f"|lambda(C{n})/C{n}|", want, system_counts(_group(f"C{n}"))[1])
-        for n, want in ref.LAMBDA_ORBIT_COUNTS.items()
-    ]
-    rows.append(_row("|lambda(C2xC2)/G|", ref.LAMBDA_ORBIT_COUNTS[4], system_counts(_group("C2xC2"))[1]))
+def check_system_counts() -> list[dict]:
+    """The |lambda(G)| rows, then the orbit rows, as ``lambda --what=count`` reads them: one count per group."""
+    names = [f"C{n}" for n in ref.LAMBDA_COUNTS] + ["C2xC2"]
+    counts = {name: system_counts(_group(name)) for name in names}
+    rows = [_row(f"|lambda({n})|", ref.LAMBDA_COUNTS[_group(n).order], counts[n][0]) for n in names]
+    for n in names:
+        quotient = "G" if n == "C2xC2" else n
+        rows.append(_row(f"|lambda({n})/{quotient}|", ref.LAMBDA_ORBIT_COUNTS[_group(n).order], counts[n][1]))
     return rows
 
 
@@ -167,9 +165,10 @@ def check_two_power_s() -> list[dict]:
 
 def check_c5_structure() -> list[dict]:
     table = _lambda_table("C5")
+    facts = _table_facts("C5")
     name = _c5_namer()
     rows = [
-        _row("lambda(C5) zero", "Z", name(zero(table))),
+        _row("lambda(C5) zero", "Z", name(facts["zero"])),
         _row(
             "lambda(C5) idempotents",
             sorted(ref.C5_IDEMPOTENT_NAMES),
@@ -191,7 +190,7 @@ def check_c5_structure() -> list[dict]:
             [1, 5],
             sorted({len(h) for h in maximal_subgroups(table).values()}),
         ),
-        _row("lambda(C5) commutative", False, is_commutative(table)[0]),
+        _row("lambda(C5) commutative", False, facts["commutative"]),
         _row("lambda(C5) transversal", None, transversal_subsemigroup_search(table)),
     ]
     return rows
@@ -276,7 +275,7 @@ def isomorphism_maps() -> list[tuple[str, SemigroupTable, SemigroupTable, list[i
     the group elements to their one-point systems and the zero to the zero.
     """
     g3, lam3 = _group("C3"), _lambda_table("C3")
-    z = zero(lam3)
+    z = _table_facts("C3")["zero"]
     phi3 = None if z is None else principal_indices(lam3.elements) + [z]
     maps = [("lambda(C3) ~ C3+zero", adjoin_zero(from_group(g3)), lam3, phi3)]
     c2_unit = adjoin_identity(from_group(_group("C2")))
@@ -300,17 +299,13 @@ def check_zero_existence(tabled: tuple[str, ...]) -> list[dict]:
     One row per tabled group, read off its Cayley table.
     """
     odd_small = ("C1", "C3", "C5")
-    zeros = [_order6_facts(n)["zero"] if n in ORDER6_GROUPS else zero(_lambda_table(n)) for n in tabled]
-    return [_row(f"zero in lambda({n})", n in odd_small, z is not None) for n, z in zip(tabled, zeros)]
+    return [_row(f"zero in lambda({n})", n in odd_small, _table_facts(n)["zero"] is not None) for n in tabled]
 
 
 def check_commutativity() -> list[dict]:
-    rows = []
-    expected = {"C1": True, "C2": True, "C3": True, "C4": True, "C2xC2": True, "C5": False}
-    for name, want in expected.items():
-        rows.append(_row(f"lambda({name}) commutative", want, is_commutative(_lambda_table(name))[0]))
-    rows.append(_row("boolean-cube witness", True, boolean_cube_noncommutativity_witness()))
-    return rows
+    """lambda(G) is commutative iff |G| <= 4; a witness shows lambda(C2^3) is not."""
+    rows = [_row(f"lambda({g}) commutative", _group(g).order <= 4, _table_facts(g)["commutative"]) for g in TABLE_GROUPS]
+    return rows + [_row("boolean-cube witness", True, boolean_cube_noncommutativity_witness())]
 
 
 def boolean_cube_noncommutativity_witness() -> bool:
@@ -350,11 +345,7 @@ def check_odd_equivalences(tabled: tuple[str, ...]) -> list[dict]:
     rows = []
     odd_names = {"C1", "C3", "C5", "C7"}
     for name in ("C1",) + ref.CATALOG_LE8:
-        if name in ORDER6_GROUPS and name in tabled:
-            odd = _order6_facts(name)["odd"]
-        else:
-            zeros = right_zeros(_lambda_table(name)) if name in tabled else None
-            odd = odd_equivalences(_group(name), _invariant_systems(name), right_zeros=zeros)
+        odd = _table_facts(name)["odd"] if name in tabled else odd_equivalences(_group(name), _invariant_systems(name))
         rows.append(_row(f"odd equivalences {name}", name in odd_names, odd))
     return rows
 
@@ -362,7 +353,7 @@ def check_odd_equivalences(tabled: tuple[str, ...]) -> list[dict]:
 def check_embedding() -> list[dict]:
     """One-point systems multiply exactly like the group elements."""
     rows = []
-    for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"):
+    for name in TABLE_GROUPS + ORDER6_GROUPS:
         g = _group(name)
         ok = True
         for x in g.elements():
@@ -393,7 +384,7 @@ def check_property_samples() -> list[dict]:
 
 def check_order6_tables() -> list[dict]:
     """The expensive block: Cayley tables on six-point grounds."""
-    c6, d6 = _order6_facts("C6"), _order6_facts("D6")
+    c6, d6 = _table_facts("C6"), _table_facts("D6")
     return [
         _row("lambda(C6) table order", ref.LAMBDA_COUNTS[6], c6["order"]),
         _row("lambda(C6) right zeros", [], c6["right_zeros"]),
@@ -411,8 +402,7 @@ def run_verification(scope: str = "fast") -> tuple[list[dict], bool]:
     if scope not in ("fast", "all"):
         raise ValueError("scope must be 'fast' or 'all'")
     rows: list[dict] = []
-    rows += check_lambda_counts()
-    rows += check_orbit_counts()
+    rows += check_system_counts()
     rows += check_sl_table()
     rows += check_invariant_counts()
     rows += check_two_power_s()

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -170,7 +171,7 @@ def test_cache_header_and_loaders(tmp_path):
 def _relabelled_c4():
     """C4 under its own name with elements 1 and 2 swapped: another layout."""
     swap = [0, 2, 1, 3]
-    return _make_group("C4", [[swap[(swap[a] + swap[b]) % 4] for b in range(4)] for a in range(4)])
+    return _make_group("C4", [[swap[(swap[a] + swap[b]) % 4] for b in range(4)] for a in range(4)], "0123")
 
 
 def test_cache_entry_for_another_group_layout_is_rebuilt(tmp_path, monkeypatch):
@@ -360,7 +361,7 @@ def test_verify_paper_fast(monkeypatch):
         return build(g)
 
     verify._lambda_table.cache_clear()
-    verify._order6_facts.cache_clear()
+    verify._table_facts.cache_clear()
     monkeypatch.setattr(verify, "build_lambda_table", build_below_order6)
     start = time.perf_counter()
     report = cmd_verify_paper("fast")
@@ -398,7 +399,7 @@ def test_verify_all_holds_one_order6_table_at_a_time(monkeypatch):
         return table
 
     verify._lambda_table.cache_clear()
-    verify._order6_facts.cache_clear()
+    verify._table_facts.cache_clear()
     monkeypatch.setattr(verify, "build_lambda_table", tracked)
     rows, all_pass = verify.run_verification("all")
     assert sorted(built) == ["C6", "D6"]
@@ -436,9 +437,22 @@ def test_verify_all_enumerates_each_groups_invariant_systems_once(monkeypatch):
         return enumerate_invariant_mls(g, **kwargs)
 
     verify._invariant_systems.cache_clear()
+    verify._table_facts.cache_clear()
     monkeypatch.setattr(verify, "enumerate_invariant_mls", counted)
     verify.run_verification("all")
     assert len(calls) == len(set(calls)) == 14
+
+
+def test_verify_all_reads_each_table_fact_once(monkeypatch):
+    """One facts pass per tabled group: zero and right zeros of all 8, left zeros of C6, commutativity of the 6 small."""
+    calls = Counter()
+    for name in ("zero", "right_zeros", "left_zeros", "is_commutative"):
+        fn = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda table, _fn=fn, _name=name: calls.update([_name]) or _fn(table))
+    verify._lambda_table.cache_clear()
+    verify._table_facts.cache_clear()
+    verify.run_verification("all")
+    assert calls == {"zero": 8, "right_zeros": 8, "left_zeros": 1, "is_commutative": 6}
 
 
 def test_fast_verification_builds_the_c5_catalog_once(monkeypatch):

@@ -207,7 +207,7 @@ def test_verify_all_enumerates_each_ground_size_once(monkeypatch):
         monkeypatch.setattr(module, "_system_words", lambda n: enumerated.update([n]) or system_words(n))
     families._shared_systems.cache_clear()
     verify._lambda_table.cache_clear()
-    verify._order6_facts.cache_clear()
+    verify._table_facts.cache_clear()
     verify.run_verification("all")
     assert enumerated == {n: 1 for n in range(1, 7)}
 
@@ -460,6 +460,13 @@ def test_majority_family_examples():
     assert majority_family(c5).minimal_sets == tuple(subsets_of_size(5, 3))
     c3 = build_group("C3")
     assert majority_family(c3) == _family(3, [0, 1], [0, 2], [1, 2])
+
+
+def test_subsets_of_size_matches_a_scan_of_every_mask():
+    """Including k = 0, which gives [0], and k > n, which gives []."""
+    for n in range(9):
+        for k in range(n + 2):
+            assert subsets_of_size(n, k) == [m for m in range(1 << n) if m.bit_count() == k], (n, k)
 
 
 def test_shift_identity_and_inverse():

@@ -120,7 +120,7 @@ def test_parse_errors():
 )
 def test_make_group_rejects_non_groups(mul):
     with pytest.raises(ConsistencyError):
-        _make_group("bad", mul)
+        _make_group("bad", mul, [str(i) for i in range(len(mul))])
 
 
 def test_subgroup_as_group_rejects_bad_masks():
