@@ -26,7 +26,7 @@ import numpy as np
 
 from .bitsets import _points_missing, iter_bits, minimal_members, subsets_of_size, up_closure
 from .errors import CapacityError, ConsistencyError
-from .groups import FiniteGroup, shift_table
+from .groups import FiniteGroup
 
 MAX_TABLE_GROUND = 6
 _PAIR_BLOCK = 256
@@ -88,12 +88,6 @@ class SetFamily:
     def is_maximal_linked(self) -> bool:
         """True iff self equals its transversal: it holds exactly one set of every complementary pair."""
         return self.bitmap == self._hitting_bitmap()
-
-    def shift(self, g: FiniteGroup, x: int) -> "SetFamily":
-        """The image family {xA : A in self} under left translation."""
-        if g.order != self.ground_size:
-            raise ConsistencyError("ground size does not match the group order")
-        return SetFamily(self.ground_size, tuple(sorted(shift_table(g)[x, list(self.minimal_sets)].tolist())))
 
     def serialize(self) -> str:
         """The minimal sets as comma-separated mask values.

@@ -42,10 +42,6 @@ class FiniteGroup:
         return len(self.mul)
 
     @property
-    def identity(self) -> int:
-        return 0
-
-    @property
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 

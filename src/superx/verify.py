@@ -1,7 +1,8 @@
 """The embedded verification suite behind the verify-paper command.
 
-Each check row compares a computed quantity against a reference value
-from :mod:`superx.expected` and carries name/expected/computed/match.
+Each check row compares a computed quantity against an expected value,
+from |G| for the abstract's ``CLAIMS`` and from :mod:`superx.expected`
+for every other row, and carries name/expected/computed/match.
 The fast scope covers everything that does not need a Cayley table on
 a six-element ground set; the all scope builds those tables too.  The
 rows read each tabled group's facts off one pass per process; only the
@@ -11,6 +12,7 @@ small tables stay cached, and each 14 MB order-6 table is released.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from functools import lru_cache
 
 from . import expected as ref
@@ -293,19 +295,28 @@ def check_isomorphisms() -> list[dict]:
     ]
 
 
-def check_zero_existence(tabled: tuple[str, ...]) -> list[dict]:
-    """lambda(G) has a zero iff |G| is odd and at most 5, so C1, C3 and C5 of the catalog.
+# The abstract's characterizations: lambda(G) has a zero iff |G| is odd and at most 5, is commutative iff
+# |G| <= 4, and has a right zero iff every element of G has odd order, that is iff |G| is odd (Cauchy's
+# theorem one way, Lagrange's the other).  A claim's label takes a group name, expected(g) is the bool the
+# statement fixes from G, and computed(name, tabled) reads the group's value given the scope's tabled groups.
+Claim = namedtuple("Claim", "label expected computed")
+ZERO_CLAIM, COMMUTATIVE_CLAIM, ODD_CLAIM = CLAIMS = (
+    Claim(
+        "zero in lambda({})",
+        lambda g: g.order % 2 == 1 and g.order <= 5,
+        lambda n, _: _table_facts(n)["zero"] is not None,
+    ),
+    Claim("lambda({}) commutative", lambda g: g.order <= 4, lambda n, _: _table_facts(n)["commutative"]),
+    Claim(
+        "odd equivalences {}",
+        lambda g: g.order % 2 == 1,
+        lambda n, tabled: _table_facts(n)["odd"] if n in tabled else odd_equivalences(_group(n), _invariant_systems(n)),
+    ),
+)
 
-    One row per tabled group, read off its Cayley table.
-    """
-    odd_small = ("C1", "C3", "C5")
-    return [_row(f"zero in lambda({n})", n in odd_small, _table_facts(n)["zero"] is not None) for n in tabled]
 
-
-def check_commutativity() -> list[dict]:
-    """lambda(G) is commutative iff |G| <= 4; a witness shows lambda(C2^3) is not."""
-    rows = [_row(f"lambda({g}) commutative", _group(g).order <= 4, _table_facts(g)["commutative"]) for g in TABLE_GROUPS]
-    return rows + [_row("boolean-cube witness", True, boolean_cube_noncommutativity_witness())]
+def check_claim(claim: Claim, names: tuple[str, ...], tabled: tuple[str, ...]) -> list[dict]:
+    return [_row(claim.label.format(n), claim.expected(_group(n)), claim.computed(n, tabled)) for n in names]
 
 
 def boolean_cube_noncommutativity_witness() -> bool:
@@ -335,19 +346,6 @@ def boolean_cube_noncommutativity_witness() -> bool:
     prod12 = circ(g, ext1, ext2)
     prod21 = circ(g, ext2, ext1)
     return prod12.contains(bc_a) and prod21.contains(b_a) and prod12 != prod21
-
-
-def check_odd_equivalences(tabled: tuple[str, ...]) -> list[dict]:
-    """The odd-order conditions agree on every catalog group of order <= 8.
-
-    The tabled groups also check the right zeros of their lambda table.
-    """
-    rows = []
-    odd_names = {"C1", "C3", "C5", "C7"}
-    for name in ("C1",) + ref.CATALOG_LE8:
-        odd = _table_facts(name)["odd"] if name in tabled else odd_equivalences(_group(name), _invariant_systems(name))
-        rows.append(_row(f"odd equivalences {name}", name in odd_names, odd))
-    return rows
 
 
 def check_embedding() -> list[dict]:
@@ -410,9 +408,10 @@ def run_verification(scope: str = "fast") -> tuple[list[dict], bool]:
     rows += check_t17_table()
     rows += check_isomorphisms()
     tabled = TABLE_GROUPS + (ORDER6_GROUPS if scope == "all" else ())
-    rows += check_zero_existence(tabled)
-    rows += check_commutativity()
-    rows += check_odd_equivalences(tabled)
+    rows += check_claim(ZERO_CLAIM, tabled, tabled)
+    rows += check_claim(COMMUTATIVE_CLAIM, TABLE_GROUPS, tabled)
+    rows.append(_row("boolean-cube witness", True, boolean_cube_noncommutativity_witness()))
+    rows += check_claim(ODD_CLAIM, ("C1",) + ref.CATALOG_LE8, tabled)
     rows += check_embedding()
     rows += check_property_samples()
     if scope == "all":

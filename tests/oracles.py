@@ -7,11 +7,12 @@ package implementations.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from superx.errors import CapacityError, ConsistencyError
+from superx.families import SetFamily
 from superx.semigroups import SemigroupTable
 
 ISO_ORDER_LIMIT = 16
@@ -172,15 +173,43 @@ def words_of(bitmaps, n):
     return np.array(rows, dtype=np.uint64).reshape(-1, width)
 
 
+def oracle_shift(system, g, x):
+    """The family {xA : A in system} under left translation: each minimal set translated point by point."""
+    return SetFamily(system.ground_size, tuple(sorted(oracle_translate(g.mul, x, s) for s in system.minimal_sets)))
+
+
+def oracle_isomorphisms(g, h):
+    """Every group isomorphism g -> h as the tuple of images of 0..n-1, by scanning the bijections fixing 0."""
+    n = g.order
+    maps = []
+    for rest in permutations(range(1, n)):
+        phi = (0, *rest)
+        if all(h.mul[phi[a]][phi[b]] == phi[g.mul[a][b]] for a in range(n) for b in range(n)):
+            maps.append(phi)
+    return maps
+
+
+def oracle_lambda_map(systems, image_systems, phi):
+    """lambda(phi): for each system A, the index of {phi(C) : C in A} among image_systems.
+
+    phi is a bijection of the points, so it maps the minimal sets of A
+    onto the minimal sets of the image; each set is mapped point by point.
+    """
+    index = {s.minimal_sets: i for i, s in enumerate(image_systems)}
+    return [
+        index[tuple(sorted(sum(1 << phi[a] for a in bits_of(c)) for c in s.minimal_sets))] for s in systems
+    ]
+
+
 def oracle_translation_indices(g, systems):
     """sigma[x][i], the list index of x * systems[i], through a dict of minimal-set tuples."""
     index = {s.minimal_sets: i for i, s in enumerate(systems)}
-    return [[index[s.shift(g, x).minimal_sets] for s in systems] for x in g.elements()]
+    return [[index[oracle_shift(s, g, x).minimal_sets] for s in systems] for x in g.elements()]
 
 
 def is_invariant_mls(g, system):
     """True iff every left translate of the family is the family itself."""
-    return all(system.shift(g, x) == system for x in g.elements())
+    return all(oracle_shift(system, g, x) == system for x in g.elements())
 
 
 def quotient_table(orbits, product):

@@ -38,8 +38,9 @@ from superx.cli import (
     main,
 )
 from superx.errors import ConsistencyError
+from superx.expected import SL_TABLE
 from superx.families import SetFamily, enumerate_mls
-from superx.groups import _make_group, build_group
+from superx.groups import _make_group, build_group, is_odd_group
 from superx.invariants import enumerate_invariant_mls, odd_equivalences
 from superx.semigroups import SemigroupTable, left_zeros, right_zeros, sampled_associative, zero
 from superx.superext import build_lambda_table, orbit_quotient
@@ -453,6 +454,47 @@ def test_verify_all_reads_each_table_fact_once(monkeypatch):
     verify._table_facts.cache_clear()
     verify.run_verification("all")
     assert calls == {"zero": 8, "right_zeros": 8, "left_zeros": 1, "is_commutative": 6}
+
+
+# Catalog groups up to order 16: C1, the sl reference groups (orders 2 to 13), and one of each group of order
+# 14 to 16 the catalog grammar builds.
+CATALOG_16 = ["C1", *SL_TABLE, "C14", "D14", "C15", "C16", "C2xC8", "C4xC4", "C2xC2xC4", "C2xC2xC2xC2", "D16"]
+
+
+def test_claims_expect_what_their_statements_say():
+    """Each claim's expected value, a bool, against the groups this test lists for it and against is_odd_group."""
+    zero_groups = {"C1", "C3", "C5"}
+    commutative_groups = {"C1", "C2", "C3", "C4", "C2xC2"}
+    assert verify.CLAIMS == (verify.ZERO_CLAIM, verify.COMMUTATIVE_CLAIM, verify.ODD_CLAIM)
+    for name in CATALOG_16:
+        g = build_group(name)
+        for claim, want in (
+            (verify.ZERO_CLAIM, name in zero_groups),
+            (verify.COMMUTATIVE_CLAIM, name in commutative_groups),
+            (verify.ODD_CLAIM, is_odd_group(g)),
+        ):
+            got = claim.expected(g)
+            assert type(got) is bool and got == want, (claim.label, name)
+
+
+@pytest.mark.parametrize(
+    "group, fact, value, row",
+    [
+        ("C4", "zero", 0, "zero in lambda(C4)"),
+        ("C2", "commutative", False, "lambda(C2) commutative"),
+        ("C3", "odd", False, "odd equivalences C3"),
+    ],
+)
+def test_a_changed_fact_turns_only_its_claim_row_into_a_mismatch(monkeypatch, group, fact, value, row):
+    """The claim rows compute from the table facts: their expected values do not follow the facts."""
+    rows, _ = verify.run_verification("fast")
+    facts = verify._table_facts
+    monkeypatch.setattr(verify, "_table_facts", lambda n: {**facts(n), fact: value} if n == group else facts(n))
+    changed, _ = verify.run_verification("fast")
+    assert len(changed) == len(rows)
+    [(before, after)] = [(a, b) for a, b in zip(rows, changed) if a != b]
+    assert before["name"] == row and before["match"]
+    assert after == {**before, "computed": not before["computed"], "match": False}
 
 
 def test_fast_verification_builds_the_c5_catalog_once(monkeypatch):

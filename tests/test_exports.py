@@ -56,26 +56,35 @@ def test_unused_import_check_flags_a_dead_import():
 
 
 def _names_read(node: ast.AST) -> set[str]:
-    """Every name a node reads, as a variable or as an attribute."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
+    """Every name a node reads: a variable or attribute as ``name``, an attribute also as ``.name``."""
+    attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | attrs | {"." + a for a in attrs}
 
 
 def _unreached(trees: list[ast.Module]) -> set[str]:
-    """Top-level functions and classes that no root reaches by name.
+    """Top-level functions and classes, and methods as ``Class.name``, that no root reaches.
 
     The roots are ``main``, the names in ``__all__`` and every name read
     by module-level code outside a definition.  A reached definition
-    reaches every name it reads, in any module.  Matching bare names
-    across modules can only over-count what is reached.
+    reaches every name it reads, in any module.  A method is reached only
+    by a reached definition reading ``.name`` as an attribute, so a local
+    variable of the same name does not reach it; a class reaches its own
+    dunder methods.  Matching names across modules and classes can only
+    over-count what is reached.
     """
-    defs: dict[str, list[ast.AST]] = {}
+    defs: dict[str, list[tuple[str, list[ast.AST]]]] = {}  # key -> (label, the nodes it reads)
     roots = {"main"}
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
+                own = [node]
+                if isinstance(node, ast.ClassDef):
+                    dunder = lambda name: name.startswith("__") and name.endswith("__")
+                    methods = [m for m in node.body if isinstance(m, ast.FunctionDef) and not dunder(m.name)]
+                    own = [*node.bases, *node.decorator_list, *(s for s in node.body if s not in methods)]
+                    for m in methods:
+                        defs.setdefault("." + m.name, []).append((f"{node.name}.{m.name}", [m]))
+                defs.setdefault(node.name, []).append((node.name, own))
             elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 roots |= set(ast.literal_eval(node.value))
             else:
@@ -83,12 +92,13 @@ def _unreached(trees: list[ast.Module]) -> set[str]:
     reached: set[str] = set()
     todo = list(roots)
     while todo:
-        name = todo.pop()
-        if name in defs and name not in reached:
-            reached.add(name)
-            for node in defs[name]:
-                todo.extend(_names_read(node))
-    return set(defs) - reached
+        key = todo.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            for _, nodes in defs[key]:
+                for node in nodes:
+                    todo.extend(_names_read(node))
+    return {label for key, entries in defs.items() if key not in reached for label, _ in entries}
 
 
 def test_every_src_definition_is_reached():
@@ -96,7 +106,8 @@ def test_every_src_definition_is_reached():
 
     ``check_slbound_composite`` reads ``coset_space_sl`` and
     ``subgroup_as_group``, which builds its subgroup with ``subtable``; no
-    command reaches them until the sl rows land.  Any other unreached name fails.
+    command reaches them until the sl rows land.  Any other unreached name
+    or method fails.
     """
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     assert _unreached(trees) == {
@@ -113,4 +124,15 @@ def test_reachability_check_flags_a_dead_definition():
         "__all__ = ['api']\nTABLE = {'k': listed}\n"
         "def api():\n    pass\ndef listed():\n    pass\ndef orphan():\n    api()\nclass Unused:\n    pass\n"
     )
-    assert _unreached([cli, lib]) == {"dead", "orphan", "Unused"}
+    # a method is reached by an attribute read in reached code: not by a bare name, nor from unreached code
+    shapes = ast.parse(
+        "class Shape:\n"
+        "    def __init__(self):\n        self.size = 1\n"
+        "    @property\n    def area(self):\n        return self._scale()\n"
+        "    def _scale(self):\n        return 2\n"
+        "    def shift(self):\n        pass\n"
+        "    def unused(self):\n        pass\n"
+        "SHAPE = Shape()\nshift = SHAPE.area\n"
+        "def caller():\n    SHAPE.unused()\n"
+    )
+    assert _unreached([cli, lib, shapes]) == {"dead", "orphan", "Unused", "Shape.shift", "Shape.unused", "caller"}

@@ -24,7 +24,7 @@ from superx.families import (
 )
 from superx.groups import build_group, translate_set
 from superx.invariants import enumerate_invariant_mls
-from superx.semigroups import from_group, right_zeros
+from superx.semigroups import from_group, is_isomorphism, right_zeros
 from superx.superext import (
     build_lambda_table,
     circ,
@@ -35,7 +35,16 @@ from superx.superext import (
     system_counts,
     transversal_subsemigroup_search,
 )
-from oracles import find_isomorphism, is_invariant_mls, oracle_translation_indices, quotient_table, words_of
+from oracles import (
+    find_isomorphism,
+    is_invariant_mls,
+    oracle_isomorphisms,
+    oracle_lambda_map,
+    oracle_shift,
+    oracle_translation_indices,
+    quotient_table,
+    words_of,
+)
 
 SMALL = ("C1", "C2", "C3", "C4", "C2xC2", "C5")
 
@@ -112,7 +121,7 @@ def test_left_translation_commutes_with_the_product():
             assert a.is_maximal_linked() and b.is_maximal_linked()
             ab = circ(g, a, b)
             for x in g.elements():
-                assert circ(g, a.shift(g, x), b) == ab.shift(g, x), (name, x)
+                assert circ(g, oracle_shift(a, g, x), b) == oracle_shift(ab, g, x), (name, x)
 
 
 def _opposite(g):
@@ -131,7 +140,43 @@ def test_right_translation_commutes_with_the_product():
             assert a.is_maximal_linked() and b.is_maximal_linked()
             ab = circ(g, a, b)
             for y in g.elements():
-                assert circ(g, a, b.shift(op, y)) == ab.shift(op, y), (name, y)
+                assert circ(g, a, oracle_shift(b, op, y)) == oracle_shift(ab, op, y), (name, y)
+
+
+@pytest.mark.parametrize(
+    "source, target, count",
+    [("C3", "C3", 2), ("C4", "C4", 2), ("C2xC2", "C2xC2", 6), ("C5", "C5", 4), ("C6", "C6", 2), ("D6", "D6", 6),
+     ("C6", "C2xC3", 2)],
+)
+def test_group_isomorphisms_map_lambda_tables_isomorphically(lam_table, source, target, count):
+    """lambda is a functor: every isomorphism phi: G -> H gives an isomorphism A -> {phi(C) : C in A}.
+
+    The tables are built on different layouts and generators (C6 and C2xC3
+    differ in both), so this also shows the build does not depend on them.
+    """
+    g, h = build_group(source), build_group(target)
+    lam_g, lam_h = lam_table(source), lam_table(target)
+    maps = oracle_isomorphisms(g, h)
+    assert len(maps) == count
+    points_g, points_h = principal_indices(lam_g.elements), principal_indices(lam_h.elements)
+    for phi in maps:
+        image = oracle_lambda_map(lam_g.elements, lam_h.elements, phi)
+        assert [image[i] for i in points_g] == [points_h[y] for y in phi]  # it extends phi to lambda(G)
+        assert is_isomorphism(lam_g, lam_h, image), phi
+
+
+def test_lambda_map_check_rejects_a_changed_core_cell(lam_table):
+    """Changing the product of two systems that are not one-point, in a copy of lambda(C2xC3), breaks the map."""
+    lam_g, lam_h = lam_table("C6"), lam_table("C2xC3")
+    phi = oracle_isomorphisms(build_group("C6"), build_group("C2xC3"))[0]
+    image = oracle_lambda_map(lam_g.elements, lam_h.elements, phi)
+    assert is_isomorphism(lam_g, lam_h, image)
+    core = sorted(set(range(lam_h.order)) - set(principal_indices(lam_h.elements)))
+    tampered = copy.copy(lam_h)
+    tampered.product = lam_h.product.copy()
+    a, b = core[0], core[-1]
+    tampered.product[a, b] = (int(lam_h.product[a, b]) + 1) % lam_h.order
+    assert not is_isomorphism(lam_g, tampered, image)
 
 
 def test_lambda_table_matches_scalar_circ_exhaustively():
@@ -294,7 +339,7 @@ def _seven_point_systems(g):
     triangles = ([0, 1], [0, 2], [1, 2]), ([0, 1], [1, 3], [0, 3])
     seeds = [extend_to_mls(generate_family(7, [mask_of(p) for p in t])) for t in triangles]
     seeds.append(majority_family(g))
-    return sorted({s.shift(g, x) for s in seeds for x in g.elements()}, key=lambda s: s.minimal_sets)
+    return sorted({oracle_shift(s, g, x) for s in seeds for x in g.elements()}, key=lambda s: s.minimal_sets)
 
 
 def test_translated_word_zero_on_seven_points():
@@ -609,7 +654,7 @@ def test_orbit_quotient_noncentral_group_has_no_product(lam_table):
     seen: set[tuple] = set()
     count = 0
     for s in systems:
-        key = tuple(sorted(s.shift(g, x).minimal_sets for x in g.elements()))
+        key = tuple(sorted(oracle_shift(s, g, x).minimal_sets for x in g.elements()))
         if key not in seen:
             seen.add(key)
             count += 1
