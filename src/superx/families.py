@@ -60,10 +60,6 @@ class SetFamily:
             raise ConsistencyError("minimal sets must form an antichain")
         object.__setattr__(self, "bitmap", up)
 
-    def contains(self, mask: int) -> bool:
-        """True iff mask is a member, i.e. contains some minimal set."""
-        return any(s & mask == s for s in self.minimal_sets)
-
     def _hitting_bitmap(self) -> int:
         """Bitmap of the sets meeting every member: {B : complement of B not in self}.
 

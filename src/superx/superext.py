@@ -23,28 +23,34 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 
 from .c5 import canonical_names
 from .errors import CapacityError, ConsistencyError
-from .families import MAX_TABLE_GROUND, SetFamily, _shared_systems, _system_words, _up_families, family_from_bitmap
+from .families import (
+    MAX_TABLE_GROUND,
+    SetFamily,
+    _shared_systems,
+    _system_words,
+    _up_families,
+    family_from_bitmap,
+    generate_family,
+)
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
 _ROW_CHUNK = 64
 _BUILD_ROWS = 32  # the build's block: intp rows and their sigma gather, 16 x 32 x m bytes; orbit_quotient keeps 64
-_BITMAP_GROUND_LIMIT = 10
 _TRANSLATE_ROWS = 1 << 14  # rows per block of _translated: their bytes, gather indices and output fit a 2 MB L2
 
 
 def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
-    """The product family, membership decided for every candidate set."""
+    """The product family, membership decided for every candidate set; up to order 12, the families' own limit."""
     n = g.order
     if fam_a.ground_size != n or fam_b.ground_size != n:
         raise ConsistencyError("families must live on the group's ground set")
-    if n > _BITMAP_GROUND_LIMIT:
-        raise CapacityError(f"the product is supported for |G| <= {_BITMAP_GROUND_LIMIT}")
     members = 0
     bm_a, bm_b = fam_a.bitmap, fam_b.bitmap
     tabs = shift_table(g)[list(g.inv)].tolist()  # tabs[x][c] = x^-1 c
@@ -57,6 +63,22 @@ def circ(g: FiniteGroup, fam_a: SetFamily, fam_b: SetFamily) -> SetFamily:
     if not members:
         raise ConsistencyError("product family is empty")
     return family_from_bitmap(n, members)
+
+
+def noncommuting_pair(g: FiniteGroup) -> tuple[SetFamily, SetFamily] | None:
+    """The first pair of triangle systems (A, B) with A o B != B o A, or None if every pair commutes.
+
+    The triangle system on points a < b < c, the sets holding at least two of them, is maximal linked on
+    any ground: two such sets share a point, and of a set and its complement one holds two of the three.
+    Triangles come in ``combinations(range(n), 3)`` order, and pairs (i, j), i < j, in ``combinations`` order.
+    """
+    n = g.order
+    triples = combinations(range(n), 3)
+    triangles = [generate_family(n, (1 << a | 1 << b, 1 << a | 1 << c, 1 << b | 1 << c)) for a, b, c in triples]
+    for fam_a, fam_b in combinations(triangles, 2):
+        if circ(g, fam_a, fam_b) != circ(g, fam_b, fam_a):
+            return fam_a, fam_b
+    return None
 
 
 def lambda_table(g: FiniteGroup, systems: list[SetFamily], product) -> SemigroupTable:

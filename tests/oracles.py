@@ -173,6 +173,11 @@ def words_of(bitmaps, n):
     return np.array(rows, dtype=np.uint64).reshape(-1, width)
 
 
+def oracle_contains(system, mask):
+    """True iff mask is a member of the family: it contains some minimal set."""
+    return any(s & mask == s for s in system.minimal_sets)
+
+
 def oracle_shift(system, g, x):
     """The family {xA : A in system} under left translation: each minimal set translated point by point."""
     return SetFamily(system.ground_size, tuple(sorted(oracle_translate(g.mul, x, s) for s in system.minimal_sets)))

@@ -56,10 +56,11 @@ from superx.semigroups import (
 )
 from superx.superext import (
     circ,
+    noncommuting_pair,
     system_counts,
     transversal_subsemigroup_search,
 )
-from superx.verify import boolean_cube_noncommutativity_witness, run_verification
+from superx.verify import run_verification
 from oracles import (
     find_isomorphism,
     is_invariant_mls,
@@ -223,7 +224,7 @@ def test_criterion_9_zero_commutativity_odd_equivalences(lam_table):
         "C2xC2": True, "C5": False, "C6": False, "D6": False,
     }
     commut_got = {name: is_commutative(lam_table(name))[0] for name in commut_expect}
-    witness_ok = boolean_cube_noncommutativity_witness()
+    witness_ok = noncommuting_pair(build_group("C2xC2xC2")) is not None
     odd_names = {"C1", "C3", "C5", "C7"}
     odd_ok = True
     for name in ("C1",) + tuple(INVARIANT_COUNTS):

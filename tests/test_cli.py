@@ -497,6 +497,17 @@ def test_a_changed_fact_turns_only_its_claim_row_into_a_mismatch(monkeypatch, gr
     assert after == {**before, "computed": not before["computed"], "match": False}
 
 
+def test_a_missing_certificate_turns_only_the_boolean_cube_row_into_a_mismatch(monkeypatch):
+    """The boolean-cube row computes from noncommuting_pair: its expected value does not follow the certificate."""
+    rows, _ = verify.run_verification("fast")
+    monkeypatch.setattr(verify, "noncommuting_pair", lambda g: None)
+    changed, _ = verify.run_verification("fast")
+    assert len(changed) == len(rows)
+    [(before, after)] = [(a, b) for a, b in zip(rows, changed) if a != b]
+    assert before == {"name": "boolean-cube witness", "expected": True, "computed": True, "match": True}
+    assert after == {**before, "computed": False, "match": False}
+
+
 def test_fast_verification_builds_the_c5_catalog_once(monkeypatch):
     """check_c5_structure and t17_cells share one lambda(C5) namer, and only its canonical names build the catalog."""
     calls = []

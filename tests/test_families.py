@@ -22,6 +22,7 @@ from superx.groups import build_group
 from oracles import (
     is_invariant_mls,
     oracle_all_mls,
+    oracle_contains,
     oracle_extend_to_mls,
     oracle_hitting_family,
     oracle_minimal_members,
@@ -39,13 +40,16 @@ def _family(n, *point_lists):
 
 
 def test_family_contains():
+    """Membership by the minimal sets, and the bitmap agrees with it on every mask."""
     fam = _family(3, [0, 2])
-    assert fam.contains(0b111)
-    assert fam.contains(0b101)
-    assert not fam.contains(0b011)
-    assert not fam.contains(0)
+    assert oracle_contains(fam, 0b111)
+    assert oracle_contains(fam, 0b101)
+    assert not oracle_contains(fam, 0b011)
+    assert not oracle_contains(fam, 0)
     delta = _family(5, [0, 2], [0, 3], [2, 3])
-    assert not delta.contains(mask_of([1, 4]))
+    assert not oracle_contains(delta, mask_of([1, 4]))
+    for f in (fam, delta):
+        assert all(oracle_contains(f, m) == bool(f.bitmap >> m & 1) for m in range(1 << f.ground_size))
 
 
 def test_generate_family_absorption():
@@ -452,7 +456,7 @@ def test_principal_ultrafilter():
     assert u.minimal_sets == (1,)
     c5 = build_group("C5")
     u0 = principal_ultrafilter(c5, 0)
-    assert u0.contains(0b00001) and not u0.contains(0b00010)
+    assert oracle_contains(u0, 0b00001) and not oracle_contains(u0, 0b00010)
 
 
 def test_majority_family_examples():
@@ -506,7 +510,7 @@ def test_extend_to_mls():
     fam = _family(4, [0, 1])
     ext = extend_to_mls(fam)
     assert ext.is_maximal_linked()
-    assert all(ext.contains(m) for m in fam.minimal_sets)
+    assert all(oracle_contains(ext, m) for m in fam.minimal_sets)
     with pytest.raises(ConsistencyError):
         extend_to_mls(_family(4, [0], [1]))
     # deterministic

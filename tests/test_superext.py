@@ -14,6 +14,7 @@ from superx.bitsets import iter_bits, mask_of
 from superx.c5 import c5_named_catalog, canonical_names
 from superx.cache import load_table, save_table
 from superx.errors import CapacityError, ConsistencyError
+from superx.expected import SL_TABLE
 from superx.families import (
     enumerate_mls,
     extend_to_mls,
@@ -24,12 +25,13 @@ from superx.families import (
 )
 from superx.groups import build_group, translate_set
 from superx.invariants import enumerate_invariant_mls
-from superx.semigroups import from_group, is_isomorphism, right_zeros
+from superx.semigroups import from_group, is_commutative, is_isomorphism, right_zeros
 from superx.superext import (
     build_lambda_table,
     circ,
     element_namer,
     is_transversal_subsemigroup,
+    noncommuting_pair,
     orbit_quotient,
     principal_indices,
     system_counts,
@@ -67,9 +69,34 @@ def test_circ_ground_mismatch():
 
 
 def test_circ_capacity():
-    g = build_group("C11")
+    """The families' 12-point cap is circ's one limit: a 13-point family is refused before circ is reached."""
+    g13 = build_group("C13")
     with pytest.raises(CapacityError):
-        circ(g, majority_family(g), principal_ultrafilter(g, 0))
+        principal_ultrafilter(g13, 0)
+    with pytest.raises(CapacityError):
+        SetFamily(13, (1,))
+    g = build_group("C12")
+    for x, y in ((1, 1), (5, 11)):
+        assert circ(g, principal_ultrafilter(g, x), principal_ultrafilter(g, y)) == principal_ultrafilter(g, g.mul[x][y])
+
+
+def test_noncommuting_pair_certifies_non_commutativity(lam_table):
+    """The first non-commuting pair of triangle systems exists exactly where lambda(G) is not commutative."""
+    for name in SL_TABLE:
+        g = build_group(name)
+        if 5 <= g.order <= 12:
+            a, b = noncommuting_pair(g)
+            assert a.is_maximal_linked() and b.is_maximal_linked(), name
+            assert circ(g, a, b) != circ(g, b, a), name
+    for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"):
+        assert (noncommuting_pair(build_group(name)) is None) == is_commutative(lam_table(name))[0], name
+    for name in ("C5", "C6", "D6"):
+        g, table = build_group(name), lam_table(name)
+        a, b = noncommuting_pair(g)
+        i, j = table.elements.index(a), table.elements.index(b)
+        p = table.product
+        assert p[i, j] != p[j, i], name
+        assert table.elements[p[i, j]] == circ(g, a, b) and table.elements[p[j, i]] == circ(g, b, a), name
 
 
 def test_circ_named_c5_products():
