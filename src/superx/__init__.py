@@ -8,7 +8,6 @@ from .errors import CapacityError, ConsistencyError, GroupParseError, SuperxErro
 from .families import (
     SetFamily,
     enumerate_mls,
-    extend_to_mls,
     generate_family,
     majority_family,
     principal_ultrafilter,
@@ -16,11 +15,9 @@ from .families import (
 from .groups import (
     FiniteGroup,
     build_group,
-    difference_set,
     element_order,
     enumerate_subgroups,
     is_odd_group,
-    translate_set,
 )
 from .semigroups import SemigroupTable
 from .superext import build_lambda_table, circ, orbit_quotient
@@ -38,16 +35,13 @@ __all__ = [
     "build_group",
     "build_lambda_table",
     "circ",
-    "difference_set",
     "element_order",
     "enumerate_mls",
     "enumerate_subgroups",
-    "extend_to_mls",
     "generate_family",
     "is_odd_group",
     "majority_family",
     "orbit_quotient",
     "principal_ultrafilter",
-    "translate_set",
     "__version__",
 ]

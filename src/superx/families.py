@@ -76,11 +76,6 @@ class SetFamily:
         """The family of minimal sets meeting every member of self."""
         return family_from_bitmap(self.ground_size, self._hitting_bitmap())
 
-    def is_linked(self) -> bool:
-        """True iff every two members intersect."""
-        sets = self.minimal_sets
-        return all(a & b for i, a in enumerate(sets) for b in sets[i:])
-
     def is_maximal_linked(self) -> bool:
         """True iff self equals its transversal: it holds exactly one set of every complementary pair."""
         return self.bitmap == self._hitting_bitmap()
@@ -248,22 +243,3 @@ def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
     cols = cols.tolist()
     return [tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
-
-def extend_to_mls(family: SetFamily) -> SetFamily:
-    """Greedy completion of a linked family to a maximal linked system.
-
-    Scans subsets in ascending mask order and adds every set that meets
-    all current members, keeping the bitmap upward closed.  A set meets
-    every member iff its complement is not a member.  The scan order makes
-    the result deterministic, and being unextendable it equals its
-    transversal.
-    """
-    if not family.is_linked():
-        raise ConsistencyError("can only extend a linked family")
-    n = family.ground_size
-    full = (1 << n) - 1
-    bitmap = family.bitmap
-    for cand in range(1, 1 << n):
-        if not (bitmap >> cand | bitmap >> (full ^ cand)) & 1:
-            bitmap = up_closure(bitmap | 1 << cand, n)
-    return family_from_bitmap(n, bitmap)

@@ -45,9 +45,6 @@ class FiniteGroup:
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
-    def product(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -191,15 +188,6 @@ def is_odd_group(g: FiniteGroup) -> bool:
     return all(element_order(g, x) % 2 == 1 for x in g.elements())
 
 
-def translate_set(g: FiniteGroup, x: int, mask: int) -> int:
-    """The left translate xA = {x*a : a in A} as a mask."""
-    row = g.mul[x]
-    out = 0
-    for a in iter_bits(mask):
-        out |= 1 << row[a]
-    return out
-
-
 @lru_cache(maxsize=32)
 def shift_table(g: FiniteGroup) -> np.ndarray:
     """shifts[x, A] = xA for every element x and subset mask A, as uint16.
@@ -216,18 +204,6 @@ def shift_table(g: FiniteGroup) -> np.ndarray:
         shifts[:, half : 2 * half] = shifts[:, :half] | points[:, b, None]
     shifts.flags.writeable = False
     return shifts
-
-
-def difference_set(g: FiniteGroup, a_mask: int, b_mask: int) -> int:
-    """AB^-1 = {a*b^-1 : a in A, b in B} as a mask."""
-    mul = g.mul
-    inv = g.inv
-    out = 0
-    for b in iter_bits(b_mask):
-        bi = inv[b]
-        for a in iter_bits(a_mask):
-            out |= 1 << mul[a][bi]
-    return out
 
 
 def enumerate_subgroups(g: FiniteGroup) -> list[int]:

@@ -329,7 +329,7 @@ def check_embedding() -> list[dict]:
             fx = principal_ultrafilter(g, x)
             for y in g.elements():
                 fy = principal_ultrafilter(g, y)
-                if circ(g, fx, fy) != principal_ultrafilter(g, g.product(x, y)):
+                if circ(g, fx, fy) != principal_ultrafilter(g, g.mul[x][y]):
                     ok = False
         rows.append(_row(f"embedding {name}", True, ok))
     return rows

@@ -12,7 +12,6 @@ from superx.errors import CapacityError, ConsistencyError
 from superx.families import (
     SetFamily,
     enumerate_mls,
-    extend_to_mls,
     family_from_bitmap,
     generate_family,
     majority_family,
@@ -23,7 +22,6 @@ from oracles import (
     is_invariant_mls,
     oracle_all_mls,
     oracle_contains,
-    oracle_extend_to_mls,
     oracle_hitting_family,
     oracle_minimal_members,
     oracle_shift,
@@ -129,22 +127,9 @@ def test_transversal_involution_random():
         assert fam.transversal().transversal() == fam
 
 
-def test_is_linked():
-    assert _family(3, [0, 1], [1, 2]).is_linked()
-    assert not _family(3, [0], [1]).is_linked()
-    assert majority_family(build_group("C5")).is_linked()
-    # linked iff contained in own transversal
-    rng = random.Random(13)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        gens = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 5))]
-        fam = generate_family(n, gens)
-        trans_bitmap = fam.transversal().bitmap
-        assert fam.is_linked() == (fam.bitmap & ~trans_bitmap == 0)
-
-
 def test_is_maximal_linked():
     assert majority_family(build_group("C5")).is_maximal_linked()
+    assert _family(5, [0, 2], [0, 3], [2, 3]).is_maximal_linked()  # a triangle system
     four = majority_family(build_group("C4"))
     assert not four.is_maximal_linked()
     assert oracle_hitting_family(four.minimal_sets, 4) != four.minimal_sets
@@ -259,8 +244,9 @@ def test_words_of_packs_the_bitmaps():
         generate_family(7, [0b1000001, 0b0111110]),
         principal_ultrafilter(c7, 6),
         majority_family(c7),
-        extend_to_mls(_family(7, [0, 1], [1, 6], [0, 6])),
+        _family(7, [0, 1], [1, 6], [0, 6]),  # a triangle system, maximal linked as it stands
     ]
+    assert seven[-1].is_maximal_linked()
     words = words_of([s.bitmap for s in seven], 7)
     assert [int(lo) | int(hi) << 64 for lo, hi in words] == [s.bitmap for s in seven]
     assert families._minimal_sets(words, 7) == [s.minimal_sets for s in seven]
@@ -406,7 +392,7 @@ def test_ground_above_twelve_is_a_capacity_error():
         with pytest.raises(CapacityError, match="n <= 12"):
             operator(1, 13)
     with pytest.raises(CapacityError, match="n <= 12"):
-        extend_to_mls(generate_family(13, [1]))
+        generate_family(13, [1])
 
 
 @pytest.mark.parametrize(
@@ -473,22 +459,6 @@ def test_subsets_of_size_matches_a_scan_of_every_mask():
             assert subsets_of_size(n, k) == [m for m in range(1 << n) if m.bit_count() == k], (n, k)
 
 
-def test_shift_identity_and_inverse():
-    g = build_group("C5")
-    systems = enumerate_mls(5)
-    for s in systems[:20]:
-        assert oracle_shift(s, g, 0) == s
-        for x in g.elements():
-            assert oracle_shift(oracle_shift(s, g, x), g, g.inv[x]) == s
-
-
-def test_shift_example_on_c5():
-    g = build_group("C5")
-    delta = _family(5, [0, 2], [0, 3], [2, 3])
-    assert delta.is_maximal_linked()
-    assert oracle_shift(delta, g, 1) == _family(5, [1, 3], [1, 4], [3, 4])
-
-
 def test_shift_is_bijection():
     for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5"):
         g = build_group(name)
@@ -503,31 +473,3 @@ def test_is_invariant_mls():
     c3 = build_group("C3")
     assert is_invariant_mls(c3, majority_family(c3))
     assert not is_invariant_mls(c3, principal_ultrafilter(c3, 0))
-
-
-def test_extend_to_mls():
-    g = build_group("C4")
-    fam = _family(4, [0, 1])
-    ext = extend_to_mls(fam)
-    assert ext.is_maximal_linked()
-    assert all(oracle_contains(ext, m) for m in fam.minimal_sets)
-    with pytest.raises(ConsistencyError):
-        extend_to_mls(_family(4, [0], [1]))
-    # deterministic
-    assert extend_to_mls(fam) == extend_to_mls(fam)
-
-
-def test_extend_to_mls_matches_the_member_scan():
-    """On 2,000 seeded linked families the bitmap scan completes to the member scan's system."""
-    rng = random.Random(20261020)
-    for _ in range(2000):
-        n = rng.randint(1, 9)
-        point, gens = rng.randrange(n), []
-        for _ in range(rng.randint(1, 6)):
-            s = rng.randrange(1, 1 << n) | (1 << point if rng.random() < 0.7 else 0)
-            if all(s & t for t in gens):
-                gens.append(s)
-        fam = generate_family(n, gens)
-        ext = extend_to_mls(fam)
-        assert ext.bitmap == oracle_extend_to_mls(fam.minimal_sets, n), (n, fam.minimal_sets)
-        assert ext.is_maximal_linked()

@@ -10,14 +10,13 @@ from superx.expected import SL_TABLE
 from superx.groups import (
     _make_group,
     build_group,
-    difference_set,
     element_order,
     enumerate_subgroups,
     is_odd_group,
     shift_table,
     subgroup_as_group,
-    translate_set,
 )
+from superx.invariants import self_linked_subsets
 from superx.semigroups import from_group, is_commutative
 from oracles import (
     oracle_element_order,
@@ -172,58 +171,45 @@ def test_is_odd_group():
 def test_translate_identity_and_size():
     for name in ("C4", "D6", "Q8"):
         g = build_group(name)
-        for mask in range(1 << g.order):
-            assert translate_set(g, 0, mask) == mask
+        assert shift_table(g)[0].tolist() == list(range(1 << g.order))
     g = build_group("C5")
+    shifts = shift_table(g)
     for x in g.elements():
         for mask in range(32):
-            assert translate_set(g, x, mask).bit_count() == mask.bit_count()
+            assert int(shifts[x, mask]).bit_count() == mask.bit_count()
 
 
 def test_translate_examples():
     c4 = build_group("C4")  # elements are powers of i: 0=1, 1=i, 2=-1, 3=-i
-    assert translate_set(c4, 1, 0b0011) == oracle_translate(c4.mul, 1, 0b0011) == 0b0110
+    assert shift_table(c4)[1, 0b0011] == oracle_translate(c4.mul, 1, 0b0011) == 0b0110
     c5 = build_group("C5")
-    assert translate_set(c5, 1, 0b00101) == 0b01010  # {0,2} -> {1,3}
+    assert shift_table(c5)[1, 0b00101] == 0b01010  # {0,2} -> {1,3}
 
 
 def test_translate_round_trip():
     for name in ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D6"):
         g = build_group(name)
+        shifts = shift_table(g)
         for x in g.elements():
             xi = g.inv[x]
             for mask in range(1 << g.order):
-                assert translate_set(g, x, translate_set(g, xi, mask)) == mask
+                assert shifts[x, shifts[xi, mask]] == mask
     rng = random.Random(7)
     for name in ("Q8", "C12", "A4", "C3:C4"):
         g = build_group(name)
+        shifts = shift_table(g)
         for _ in range(200):
             x = rng.randrange(g.order)
             mask = rng.randrange(1 << g.order)
-            assert translate_set(g, x, translate_set(g, g.inv[x], mask)) == mask
+            assert shifts[x, shifts[g.inv[x], mask]] == mask
 
 
 def test_difference_set_examples():
-    g = build_group("C4")
-    assert difference_set(g, 0, 0b1111) == 0
+    """A set A is self-linked, meeting each of its left translates, iff its difference set AA^-1 is the group."""
     c8 = build_group("C8")
-    mask = 0b00011011  # {e, a, a3, a4}
-    assert difference_set(c8, mask, mask) == c8.full_mask
+    assert 0b00011011 in self_linked_subsets(c8)  # {e, a, a3, a4}
     cube = build_group("C2xC2xC2")
-    a, b, c = 4, 2, 1
-    mask = 1 | (1 << a) | (1 << b) | (1 << c)
-    diff = difference_set(cube, mask, mask)
-    want = 1 | (1 << a) | (1 << b) | (1 << c) | (1 << (a ^ b)) | (1 << (a ^ c)) | (1 << (b ^ c))
-    assert diff == want != cube.full_mask
-
-
-def test_difference_set_contains_identity():
-    rng = random.Random(11)
-    for name in ("C6", "D8", "Q8", "A4"):
-        g = build_group(name)
-        for _ in range(100):
-            mask = rng.randrange(1, 1 << g.order)
-            assert difference_set(g, mask, mask) & 1
+    assert 0b10111 not in self_linked_subsets(cube)  # {0, 1, 2, 4} misses its translate by 7
 
 
 def test_enumerate_subgroups():
@@ -251,5 +237,5 @@ def test_shift_table_is_left_translation():
         subsets = range(1 << g.order)
         inverse_rows = shifts[list(g.inv)].tolist()  # as circ and build_lambda_table read them
         for x in g.elements():
-            assert shifts[x].tolist() == [translate_set(g, x, m) for m in subsets]
-            assert inverse_rows[x] == [translate_set(g, g.inv[x], m) for m in subsets]
+            assert shifts[x].tolist() == [oracle_translate(g.mul, x, m) for m in subsets]
+            assert inverse_rows[x] == [oracle_translate(g.mul, g.inv[x], m) for m in subsets]

@@ -15,12 +15,10 @@ from superx.expected import INVARIANT_COUNTS, SIM_CLASS_COUNTS, SL_TABLE
 from superx.families import SetFamily, majority_family
 from superx.groups import (
     build_group,
-    difference_set,
     enumerate_subgroups,
     is_odd_group,
     shift_table,
     subgroup_as_group,
-    translate_set,
 )
 from superx.invariants import (
     _closed_families,
@@ -68,8 +66,9 @@ def test_self_linked_subsets_match_direct_definition():
     for name in ("C5", "C6", "D6", "Q8"):
         g = build_group(name)
         linked = set(self_linked_subsets(g))
+        compatible = oracle_compatible(g.mul)
         for mask in range(1, 1 << g.order):
-            assert (mask in linked) == oracle_self_linked(g.mul, mask) == (difference_set(g, mask, mask) == g.full_mask)
+            assert (mask in linked) == oracle_self_linked(g.mul, mask) == compatible[mask, mask]
 
 
 def test_sl_lower_bound():
@@ -275,8 +274,8 @@ def test_half_self_linked_c6():
     t = mask_of([0, 1, 3])
     expected = set()
     for x in g.elements():
-        expected.add(translate_set(g, x, t))
-        expected.add(translate_set(g, x, g.full_mask ^ t))
+        expected.add(oracle_translate(g.mul, x, t))
+        expected.add(oracle_translate(g.mul, x, g.full_mask ^ t))
     assert sorted(expected) == sets
     assert len(sets) == 12
 
@@ -325,7 +324,7 @@ def test_sim_relation_is_an_equivalence():
 
         def related(a, b):
             for x in g.elements():
-                xb = translate_set(g, x, b)
+                xb = oracle_translate(g.mul, x, b)
                 if a == xb or (full ^ a) == xb:
                     return True
             return False
@@ -440,8 +439,8 @@ def test_partition_condition():
     assert not ok
     a, b = witness
     assert a | b == g4.full_mask and a & b == 0
-    assert difference_set(g4, a, a) != g4.full_mask
-    assert difference_set(g4, b, b) != g4.full_mask
+    assert not oracle_self_linked(g4.mul, a)
+    assert not oracle_self_linked(g4.mul, b)
 
 
 def test_partition_condition_matches_oddness():
@@ -490,7 +489,8 @@ def test_compatibility_graph_matches_difference_sets():
     """The vertices are the self-linked sets, and compatibility is all or nothing between orbits.
 
     The relation comes from the multiplication-table oracle, which is
-    checked against difference_set on every vertex pair up to order 6.
+    checked against the definition, A meeting every translate xB, on
+    every vertex pair up to order 6.
     Orbits are found by translating through the multiplication table;
     between two orbits every member pair or none is compatible, and
     which one is decided by the least members, the keys.
@@ -500,13 +500,15 @@ def test_compatibility_graph_matches_difference_sets():
         g = build_group(name)
         full = g.full_mask
         vertices = self_linked_subsets(g)
-        assert vertices == [m for m in range(1, full + 1) if difference_set(g, m, m) == full]
+        assert vertices == [m for m in range(1, full + 1) if oracle_self_linked(g.mul, m)]
         compatible = oracle_compatible(g.mul)
         assert np.flatnonzero(compatible.diagonal()).tolist() == vertices, name
         relation = compatible[np.ix_(vertices, vertices)]
         assert (relation == relation.T).all(), name
         if g.order <= 6:
-            assert relation.tolist() == [[difference_set(g, a, b) == full for b in vertices] for a in vertices]
+            assert relation.tolist() == [
+                [all(a & oracle_translate(g.mul, x, b) for x in g.elements()) for b in vertices] for a in vertices
+            ]
         keys, orbit_of = np.unique(
             [min(oracle_translate(g.mul, x, v) for x in g.elements()) for v in vertices], return_inverse=True
         )
@@ -533,7 +535,7 @@ def test_closure_certificates_reject_open_cliques():
             assert _closed_families(g, shifts, vertices, [clique]) == [family]
             # a minimal set with another translate: dropping it keeps the
             # clique superset-closed but loses one translate
-            m = next(m for m in family.minimal_sets if any(translate_set(g, x, m) != m for x in g.elements()))
+            m = next(m for m in family.minimal_sets if any(oracle_translate(g.mul, x, m) != m for x in g.elements()))
             with pytest.raises(ConsistencyError, match="not shift-closed"):
                 _closed_families(g, shifts, vertices, [clique & ~(1 << index[m])])
             # the whole group is its only translate: dropping it keeps the
@@ -564,7 +566,7 @@ def test_batched_certificates_reject_one_open_clique():
     assert len(cliques) == 70
     assert _closed_families(g, shifts, vertices, cliques) == systems
     for k, family in enumerate(systems):
-        m = next(m for m in family.minimal_sets if any(translate_set(g, x, m) != m for x in g.elements()))
+        m = next(m for m in family.minimal_sets if any(oracle_translate(g.mul, x, m) != m for x in g.elements()))
         for dropped, match in ((m, "not shift-closed"), (g.full_mask, "not superset-closed")):
             opened = cliques[:k] + [cliques[k] & ~(1 << index[dropped])] + cliques[k + 1 :]
             with pytest.raises(ConsistencyError, match=match):

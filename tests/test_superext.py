@@ -17,13 +17,13 @@ from superx.errors import CapacityError, ConsistencyError
 from superx.expected import SL_TABLE
 from superx.families import (
     enumerate_mls,
-    extend_to_mls,
+    family_from_bitmap,
     generate_family,
     majority_family,
     principal_ultrafilter,
     SetFamily,
 )
-from superx.groups import build_group, translate_set
+from superx.groups import build_group
 from superx.invariants import enumerate_invariant_mls
 from superx.semigroups import from_group, is_commutative, is_isomorphism, right_zeros
 from superx.superext import (
@@ -40,9 +40,11 @@ from superx.superext import (
 from oracles import (
     find_isomorphism,
     is_invariant_mls,
+    oracle_extend_to_mls,
     oracle_isomorphisms,
     oracle_lambda_map,
     oracle_shift,
+    oracle_translate,
     oracle_translation_indices,
     quotient_table,
     words_of,
@@ -135,7 +137,7 @@ def _random_mls(g, rng):
         s = rng.randrange(1, 1 << g.order)
         if all(s & t for t in chosen):
             chosen.append(s)
-    return extend_to_mls(generate_family(g.order, chosen))
+    return family_from_bitmap(g.order, oracle_extend_to_mls(chosen, g.order))
 
 
 def test_left_translation_commutes_with_the_product():
@@ -364,7 +366,8 @@ def test_translation_indices_translate_only_a_generating_set(lam_table, monkeypa
 def _seven_point_systems(g):
     """A translation-closed list of 15 systems on C7: two orbits of 7 and the invariant majority."""
     triangles = ([0, 1], [0, 2], [1, 2]), ([0, 1], [1, 3], [0, 3])
-    seeds = [extend_to_mls(generate_family(7, [mask_of(p) for p in t])) for t in triangles]
+    seeds = [generate_family(7, [mask_of(p) for p in t]) for t in triangles]  # maximal linked as they stand
+    assert all(s.is_maximal_linked() for s in seeds)
     seeds.append(majority_family(g))
     return sorted({oracle_shift(s, g, x) for s in seeds for x in g.elements()}, key=lambda s: s.minimal_sets)
 
@@ -379,7 +382,7 @@ def test_translated_word_zero_on_seven_points():
     for x in g.elements():
         want = []
         for s in systems:
-            moved = [(c, t) for c in iter_bits(s.bitmap) if (t := translate_set(g, x, c)) < 64]
+            moved = [(c, t) for c in iter_bits(s.bitmap) if (t := oracle_translate(g.mul, x, c)) < 64]
             from_word_one += sum(c >= 64 for c, _ in moved)
             want.append(sum(1 << t for _, t in moved))
         assert superext._translated(g, x, words).tolist() == want, x
