@@ -6,17 +6,21 @@ so the lambda(C6) payload is 2,646^2 * 2 bytes (14.0 MB).  A load accepts
 any integer dtype the digest covers, the int32 of older entries included;
 the table constructor range-checks and casts it.  The sha256 covers the
 group's multiplication table, the serialized system list from
-``enumerate_mls`` in order, and the NPY bytes.  A load recomputes it
-from the current group and enumerator, so a corrupt byte, a changed group
-layout and a changed enumerator all read as a miss, and the table is
-rebuilt and the entry overwritten.  The systems are not stored: the
-digest pins their order, so they come from the enumerator.  Writes go to
-a temp file first and are moved into place atomically.
+``enumerate_mls`` in order, and the NPY bytes.  A save hashes the NPY
+header and the table's buffer in memory, then writes them; a load reads
+the file once, the NPY header and then the array, and recomputes the
+digest over those bytes from the current group and enumerator.  So a
+corrupt byte, a changed group layout and a changed enumerator all read as
+a miss, and the table is rebuilt and the entry overwritten.  The systems
+are not stored: the digest pins their order, so they come from the
+enumerator.  Writes go to a temp file first and are moved into place
+atomically.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -31,7 +35,6 @@ from .superext import lambda_table
 
 FORMAT_VERSION = "v2"
 ENV_VAR = "SUPERX_CACHE_DIR"
-_READ_CHUNK = 1 << 20
 
 
 def resolve_cache_dir(flag_value: str | None = None) -> Path:
@@ -53,29 +56,29 @@ def _header(group_name: str, digest: str) -> bytes:
     return f"superx-cache {FORMAT_VERSION} {group_name} {digest}\n".encode()
 
 
-def _digest(g: FiniteGroup, systems, payload) -> str:
-    """sha256 of the group table, the system list and the rest of the open payload file."""
+def _digest(g: FiniteGroup, systems, npy_header: bytes, data: np.ndarray) -> str:
+    """sha256 of the group table, the system list and the NPY bytes: the header, then the array's buffer."""
     h = hashlib.sha256(repr(g.mul).encode())
     h.update("\n".join(s.serialize() for s in systems).encode() + b"\n")
-    for chunk in iter(lambda: payload.read(_READ_CHUNK), b""):
-        h.update(chunk)
+    h.update(npy_header)
+    h.update(data)
     return h.hexdigest()
 
 
 def save_table(cache_dir: Path, g: FiniteGroup, table: SemigroupTable) -> Path:
-    """Write the entry for lambda(g); the digest is filled in once the payload is on disk."""
+    """Write the entry for lambda(g): the NPY bytes are hashed from memory, then written after the header line."""
+    data = np.ascontiguousarray(table.product)
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, np.lib.format.header_data_from_array_1_0(data))
+    npy_header = buf.getvalue()
+    digest = _digest(g, table.elements, npy_header, data)
     path = cache_path(cache_dir, g.name)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w+b", buffering=0) as fh:  # a FileIO, so write_array uses tofile
-            placeholder = _header(g.name, "0" * 64)
-            fh.write(placeholder)
-            np.lib.format.write_array(fh, table.product, allow_pickle=False)
-            fh.seek(len(placeholder))
-            digest = _digest(g, table.elements, fh)
-            fh.seek(0)
-            fh.write(_header(g.name, digest))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_header(g.name, digest) + npy_header)
+            data.tofile(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -85,20 +88,33 @@ def save_table(cache_dir: Path, g: FiniteGroup, table: SemigroupTable) -> Path:
 
 
 def load_table(cache_dir: Path, g: FiniteGroup) -> SemigroupTable | None:
-    """The cached lambda(g) table, or None when the entry is missing, corrupt or stale."""
+    """The cached lambda(g) table, or None when the entry is missing, corrupt or stale.
+
+    The file is read once: the NPY header, then the array, whose bytes must end the file.  A
+    save writes NPY format 1.0; another format version, an object dtype, a Fortran-order payload
+    or a shape other than the system count's square reads as a miss before any payload byte is
+    read, so nothing is unpickled.
+    """
     try:
         with open(cache_path(cache_dir, g.name), "rb") as fh:
             head = fh.readline().split()
             if head[:3] != _header(g.name, "").split() or len(head) != 4:
                 return None
             start = fh.tell()
-            systems = enumerate_mls(g.order)
-            if _digest(g, systems, fh).encode() != head[3]:
+            if np.lib.format.read_magic(fh) != (1, 0):
                 return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            systems = enumerate_mls(g.order)
+            if dtype.hasobject or fortran_order or shape != (len(systems), len(systems)):
+                return None
+            npy_header_size = fh.tell() - start
             fh.seek(start)
-            product = np.lib.format.read_array(fh, allow_pickle=False)
-        if product.shape != (len(systems), len(systems)):
-            return None
-        return lambda_table(g, systems, product)
+            npy_header = fh.read(npy_header_size)
+            data = np.fromfile(fh, dtype=dtype, count=len(systems) ** 2)
+            if data.size != len(systems) ** 2 or fh.read(1):
+                return None
+            if _digest(g, systems, npy_header, data).encode() != head[3]:
+                return None
+        return lambda_table(g, systems, data.reshape(shape))
     except (OSError, ValueError, ConsistencyError):
         return None

@@ -127,7 +127,7 @@ def cmd_lambda(group_name: str, what: str, *, allow_large: bool = False, cache_d
             "witness": [name(i) for i in witness] if witness else None,
             "minimal_ideal_size": len(ideal),
             "minimal_ideal": [name(i) for i in ideal] if len(ideal) <= 16 else None,
-            "central_count": len(central_elements(table)),
+            "central_count": table.order if commutative else len(central_elements(table)),
             "subgroup_orders": dict(zip(idem_names, map(len, subgroups.values()))),
         }
         if g.order <= 5:

@@ -91,16 +91,19 @@ def idempotents(t: SemigroupTable) -> list[int]:
     return np.flatnonzero(d == np.arange(t.order)).tolist()
 
 
-def _filtered(n: int, keep) -> list[int]:
-    """The c < n that keep(cands, tile) passes on every slice of _TILE indices, _TILE candidates at a time."""
-    found = []
+def _filtered_tiles(n: int, keep):
+    """Each tile of _TILE candidates c < n in order, with those keep(cands, tile) passes on every _TILE-index slice."""
     for start in range(0, n, _TILE):
-        cands = np.arange(start, min(start + _TILE, n))
+        cands = tile = np.arange(start, min(start + _TILE, n))
         for a in range(0, n, _TILE):
             if cands.size:
                 cands = cands[keep(cands, slice(a, a + _TILE))]
-        found += cands.tolist()
-    return found
+        yield tile, cands
+
+
+def _filtered(n: int, keep) -> list[int]:
+    """The c < n that keep(cands, tile) passes on every slice of _TILE indices, _TILE candidates at a time."""
+    return [c for _, kept in _filtered_tiles(n, keep) for c in kept.tolist()]
 
 
 def _fixed_columns(p: np.ndarray) -> list[int]:
@@ -144,22 +147,27 @@ def is_commutative(t: SemigroupTable) -> tuple[bool, tuple[int, int] | None]:
     """Symmetry of the table, with the lexicographically least witness pair on failure.
 
     Row i is non-central exactly when some j has p[i, j] != p[j, i], so the
-    witness row i is the least index central_elements leaves out.  Every
-    row before it is central, so the least such j over the whole row is > i.
+    witness row i is the least non-central row.  The centrality scan stops
+    after the first tile of rows that holds one.  Every row before i is
+    central, so the least such j over the whole row is > i.
     """
-    central = central_elements(t)
-    if len(central) == t.order:
-        return True, None
-    i = next((k for k, c in enumerate(central) if k != c), len(central))
     p = t.product
-    j = i + 1 + int(np.argmax(p[i, i + 1 :] != p[i + 1 :, i]))
-    return False, (i, j)
+    for rows, central in _filtered_tiles(t.order, _row_is_column(p)):
+        if len(central) < len(rows):
+            i = min(set(rows.tolist()) - set(central.tolist()))  # not np.setdiff1d: it imports numpy.ma, 2 MB
+            j = i + 1 + int(np.argmax(p[i, i + 1 :] != p[i + 1 :, i]))
+            return False, (i, j)
+    return True, None
+
+
+def _row_is_column(p: np.ndarray):
+    """The keep of a centrality scan: rows c of p equal to columns c on the slice cols."""
+    return lambda c, cols: (p[c, cols] == p[cols, c].T).all(axis=1)
 
 
 def central_elements(t: SemigroupTable) -> list[int]:
     """All c with c*x = x*c for every x: row c equals column c, checked one tile at a time."""
-    p = t.product
-    return _filtered(t.order, lambda c, cols: (p[c, cols] == p[cols, c].T).all(axis=1))
+    return _filtered(t.order, _row_is_column(t.product))
 
 
 def sqrt_of_idempotents(t: SemigroupTable) -> list[int]:

