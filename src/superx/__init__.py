@@ -4,6 +4,16 @@ Enumerate maximal linked systems, evaluate the extended product, build
 Cayley tables, and analyze self-linked sets and invariant systems.
 """
 
+import os
+import sys
+
+# BLAS on one thread: OpenBLAS reads this once, as numpy loads, and with the
+# default pool its idle workers spin through every start-up for a GEMM that
+# is faster on one thread.  A value the caller set wins; once numpy is
+# loaded, setting it would change nothing, so the environment is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import CapacityError, ConsistencyError, GroupParseError, SuperxError
 from .families import (
     SetFamily,

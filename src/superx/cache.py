@@ -57,9 +57,13 @@ def _header(group_name: str, digest: str) -> bytes:
 
 
 def _digest(g: FiniteGroup, systems, npy_header: bytes, data: np.ndarray) -> str:
-    """sha256 of the group table, the system list and the NPY bytes: the header, then the array's buffer."""
+    """sha256 of the group table, the system list and the NPY bytes: the header, then the array's buffer.
+
+    Each system is hashed in turn, its ``serialize()`` text and a newline, so no string of the whole list is built.
+    """
     h = hashlib.sha256(repr(g.mul).encode())
-    h.update("\n".join(s.serialize() for s in systems).encode() + b"\n")
+    for s in systems:
+        h.update(s.serialize().encode() + b"\n")
     h.update(npy_header)
     h.update(data)
     return h.hexdigest()

@@ -128,7 +128,9 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     The product bitmaps of a block of core cells are the rows' membership
     matrix ("W in A", rows x 2^n) times the fibre matrix whose cell (W, B)
     is the mask of candidates C >= 1 with witness W in B, one float32 GEMM
-    per exact 16-bit limb of the mask.  Supported up to |G| =
+    per exact 16-bit limb of the mask.  The GEMMs run on the one BLAS
+    thread that importing superx sets up, no slower there than on a pool,
+    and their sums are exact on any pool.  Supported up to |G| =
     MAX_TABLE_GROUND; larger groups are refused before anything is
     enumerated.  Every system here is one 64-bit word.  Product bitmaps are
     resolved to element indices by ``_SystemIndex`` over those words, which

@@ -2,14 +2,21 @@
 
 Everything here recomputes results from first principles with the
 dumbest algorithm available, deliberately sharing no code path with the
-package implementations.  ``traced_peak`` measures instead: the memory
-budgets of the table passes are checked with it.
+package implementations.  ``traced_peak`` and ``table_digest`` measure
+instead: the memory budgets of the table passes are checked with the
+first, the pinned order-6 tables with the second.  ``fresh_interpreter``
+runs code in a new Python process that imports superx from this checkout.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 
@@ -487,3 +494,28 @@ def traced_peak(f) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def table_digest(product) -> str:
+    """sha256 of str(shape), then the rows as little-endian int32."""
+    h = hashlib.sha256(str(product.shape).encode())
+    h.update(np.ascontiguousarray(product, dtype="<i4").tobytes())
+    return h.hexdigest()
+
+
+def fresh_interpreter(args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run of a new interpreter on args, with this checkout's src and tests first on PYTHONPATH.
+
+    So the code can import superx and these oracles.  env maps variable
+    names to the values that replace this process's ones; a value of None
+    removes the variable.  kwargs go to subprocess.run.
+    """
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    child = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for name, value in (env or {}).items():
+        if value is None:
+            child.pop(name, None)
+        else:
+            child[name] = value
+    return subprocess.run([sys.executable, *args], env=child, **kwargs)

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +44,7 @@ from superx.groups import _make_group, build_group, is_odd_group
 from superx.invariants import enumerate_invariant_mls, odd_equivalences
 from superx.semigroups import SemigroupTable, left_zeros, right_zeros, sampled_associative, zero
 from superx.superext import build_lambda_table, orbit_quotient
-from oracles import traced_peak
+from oracles import fresh_interpreter, traced_peak
 
 
 def test_report_json_round_trip():
@@ -133,14 +132,36 @@ def test_closed_pipe_keeps_the_exit_code(tmp_path):
     """A reader that is gone before the output is written leaves exit 0 and no traceback."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-m", "superx.cli", "lambda", "C3", "--what=table", f"--cache-dir={tmp_path}"]
+    argv = ["-m", "superx.cli", "lambda", "C3", "--what=table", f"--cache-dir={tmp_path}"]
     try:
-        proc = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        proc = fresh_interpreter(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
+def _blas_start_up(threads, code):
+    """What a fresh interpreter prints after code, started with OPENBLAS_NUM_THREADS set to threads (None: unset)."""
+    proc = fresh_interpreter(["-c", code], {"OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_superx_starts_its_blas_on_one_thread():
+    """Importing superx.cli sets OPENBLAS_NUM_THREADS to 1 before numpy loads, so the process starts no BLAS worker."""
+    code = "import os\nimport superx.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    want = ["1"]
+    if sys.platform.startswith("linux"):  # one entry per thread of the process
+        code += "print(len(os.listdir('/proc/self/task')))\n"
+        want.append("1")
+    assert _blas_start_up(None, code) == want
+
+
+def test_superx_leaves_a_caller_set_or_numpy_first_blas_alone():
+    """A value the caller set wins, and once numpy is loaded superx sets nothing."""
+    show = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    assert _blas_start_up("2", "import superx.cli\n" + show) == ["2"]
+    assert _blas_start_up(None, "import numpy\nimport superx.cli\n" + show) == ["None"]
 
 
 def test_lambda_table_cache_round_trip(tmp_path):
@@ -330,6 +351,14 @@ def test_cache_save_keeps_its_scratch_below_1_mb(tmp_path, lam_table):
     save_table(tmp_path, g, table)
     peak = traced_peak(lambda: save_table(tmp_path, g, table))
     assert peak < 2**20, peak
+
+
+def test_cache_save_hashes_the_systems_one_at_a_time(tmp_path, lam_table):
+    """A warm save of lambda(C6) builds no string of its 2,646 serialized systems: its tracemalloc peak stays under 0.1 MB."""
+    g, table = build_group("C6"), lam_table("C6")
+    save_table(tmp_path, g, table)
+    peak = traced_peak(lambda: save_table(tmp_path, g, table))
+    assert peak < 100_000, peak
 
 
 def test_resolve_cache_dir_priority(tmp_path, monkeypatch):

@@ -1,10 +1,6 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +34,7 @@ from superx.invariants import (
 )
 from superx.semigroups import right_zeros
 from oracles import (
+    fresh_interpreter,
     oracle_compatible,
     oracle_contains,
     oracle_coset_space_sl,
@@ -262,9 +259,7 @@ def test_check_slbound_composite_imports_no_masked_arrays():
         "check_slbound_composite(build_group('C6'), 0b1001)\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = fresh_interpreter(["-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

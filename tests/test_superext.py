@@ -39,6 +39,7 @@ from superx.superext import (
 )
 from oracles import (
     find_isomorphism,
+    fresh_interpreter,
     is_invariant_mls,
     oracle_extend_to_mls,
     oracle_isomorphisms,
@@ -47,6 +48,7 @@ from oracles import (
     oracle_translate,
     oracle_translation_indices,
     quotient_table,
+    table_digest,
     traced_peak,
     words_of,
 )
@@ -228,18 +230,11 @@ ORDER6_DIGESTS = {
 }
 
 
-def _table_digest(product):
-    """sha256 of str(shape), then the rows as little-endian int32."""
-    h = hashlib.sha256(str(product.shape).encode())
-    h.update(np.ascontiguousarray(product, dtype="<i4").tobytes())
-    return h.hexdigest()
-
-
 def test_order6_tables_pinned_and_match_scalar_circ(lam_table):
     for name, digest in ORDER6_DIGESTS.items():
         g = build_group(name)
         table = lam_table(name)
-        assert _table_digest(table.product) == digest, name
+        assert table_digest(table.product) == digest, name
         systems = table.elements
         index = {s.minimal_sets: i for i, s in enumerate(systems)}
         rng = random.Random(6)
@@ -247,6 +242,23 @@ def test_order6_tables_pinned_and_match_scalar_circ(lam_table):
             i, j = rng.randrange(table.order), rng.randrange(table.order)
             want = circ(g, systems[i], systems[j])
             assert int(table.product[i, j]) == index[want.minimal_sets], (name, i, j)
+
+
+def test_order6_tables_are_exact_on_a_two_thread_blas():
+    """The limb sums are exact whatever order the BLAS adds in: a two-thread OpenBLAS pool builds the pinned tables.
+
+    The session's own tables run on the one thread superx defaults to, so
+    the pool is set in a fresh interpreter, before numpy loads.
+    """
+    code = (
+        "from superx import build_group, build_lambda_table\n"
+        "from oracles import table_digest\n"
+        f"for name in {sorted(ORDER6_DIGESTS)!r}:\n"
+        "    print(name, table_digest(build_lambda_table(build_group(name)).product))\n"
+    )
+    proc = fresh_interpreter(["-c", code], {"OPENBLAS_NUM_THREADS": "2"}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert dict(line.split() for line in proc.stdout.splitlines()) == ORDER6_DIGESTS
 
 
 def test_lambda_table_closure_and_mls_products():
