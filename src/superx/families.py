@@ -157,16 +157,16 @@ def enumerate_mls(ground_size: int) -> list[SetFamily]:
 
 @lru_cache(maxsize=None)
 def _shared_systems(n: int) -> tuple[tuple[SetFamily, ...], np.ndarray]:
-    """The enumerated systems and their read-only (m, W) words, both ordered by minimal sets in one sort.
+    """The enumerated systems and their read-only (m, 1) words, sorted by minimal sets before any family is built.
 
-    Row i of the words is system i's bitmap; the table build and the orbit counts index these words.
+    Two systems' bitmaps first differ at a set minimal in the one holding it, below which they share minimal sets;
+    the other's go on past it, or they would close to a smaller linked system inside it.  So the words sort as
+    their complements read from bit 0 down.  Row i is system i's bitmap; the table build and orbit counts index it.
     """
     words = _system_words(n)
-    families = _families_of_bitmaps(words, n)
-    order = sorted(range(len(families)), key=lambda i: families[i].minimal_sets)
-    words = words[order]
+    words = words[np.argsort(np.packbits(_bits(~words[:, 0]), axis=1, bitorder="big").view(">u8")[:, 0])]
     words.flags.writeable = False
-    return tuple(families[i] for i in order), words
+    return tuple(_families_of_bitmaps(words, n)), words
 
 
 def _up_families(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,10 +216,15 @@ def _families_of_bitmaps(words: np.ndarray, n: int) -> list[SetFamily]:
     outside = ~np.uint64((1 << min(1 << n, 64)) - 2)  # the empty set, and sets past the ground of one word
     if words.shape[1:] != (width,) or (words[:, 0] & outside).any() or not words.any(axis=1).all():
         raise ConsistencyError("a family bitmap needs a member, and no empty set or set past the ground")
-    bitmaps = [0] * len(words)
-    for w in range(width):
+    bitmaps = words[:, 0].tolist()
+    for w in range(1, width):
         bitmaps = [bm | x << (64 * w) for bm, x in zip(bitmaps, words[:, w].tolist())]
     return [_derived(n, sets, bm) for sets, bm in zip(_minimal_sets(words, n), bitmaps)]
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """(k, 64) uint8: bit c of each of k 64-bit words in its column c."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
 
 
 def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
@@ -238,8 +243,9 @@ def _minimal_sets(words: np.ndarray, n: int) -> list[tuple[int, ...]]:
         holds_b = np.flatnonzero(np.arange(words.shape[1]) & step)
         below[:, holds_b] |= words[:, holds_b - step]
     minimal = np.ascontiguousarray(words & ~below, dtype="<u8")
-    rows, cols = np.nonzero(np.unpackbits(minimal.view(np.uint8), axis=1, bitorder="little"))
-    ends = np.cumsum(np.bincount(rows, minlength=len(minimal))).tolist()
-    cols = cols.tolist()
-    return [tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    row = 64 * words.shape[1]  # bits per family
+    flat = np.flatnonzero(np.unpackbits(minimal.view(np.uint8), bitorder="little").view(np.bool_))
+    ends = np.searchsorted(flat, np.arange(row, row * len(words) + 1, row)).tolist()  # each family's members end here
+    cols = (flat % row).tolist()
+    return list(map(tuple, map(cols.__getitem__, map(slice, [0] + ends[:-1], ends))))
 

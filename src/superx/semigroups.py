@@ -126,7 +126,7 @@ def _product_of_all(t: SemigroupTable) -> int:
     p = t.product
     x = 0
     for s in range(1, t.order):
-        x = int(p[x, s])
+        x = p.item(x, s)
     return x
 
 

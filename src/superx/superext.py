@@ -11,7 +11,11 @@ of the enumerator's own word array.  As (xA) o (By) = x(A o B)y, it
 computes only the cells of a left- and a right-translation orbit
 representative (447 x 447 of the 2,646 x 2,646 on C6 and on D6), and
 resolves bitmaps to element indices through an exact index on their two
-low quarters.  ``system_counts`` counts orbits with no index at all.
+low quarters, read as one flat key.  Each computed row then spreads over
+its right orbit and its left translates with two takes, through an
+inverse column map of rho and a uint16 copy of sigma, so every cell of
+the table costs one take and no cast.  ``system_counts`` counts orbits
+with no index at all.
 
 The one-point systems delta_x are a copy of the group in the table,
 delta_x o A = xA and A o delta_y = Ay, so the build's translation maps
@@ -21,6 +25,7 @@ analyses read them there and take no group.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import replace
 from itertools import combinations
@@ -32,6 +37,7 @@ from .errors import CapacityError, ConsistencyError
 from .families import (
     MAX_TABLE_GROUND,
     SetFamily,
+    _bits,
     _shared_systems,
     _system_words,
     _up_families,
@@ -42,8 +48,7 @@ from .groups import FiniteGroup, shift_table
 from .semigroups import SemigroupTable
 
 _ROW_CHUNK = 16  # orbit_quotient's check: an intp copy of 16 rows and two uint16 gathers, 12 x 16 x m bytes
-_BUILD_ROWS = 32  # the build's GEMM block of representative rows
-_SPREAD_ROWS = 8  # rows of a block spread at a time: intp rows and their sigma gather, 12 x 8 x m bytes
+_BUILD_ROWS = 16  # the build's GEMM block of representative rows
 _TRANSLATE_ROWS = 1 << 14  # rows per block of _translated: their bytes, gather indices and output fit a 2 MB L2
 
 
@@ -127,74 +132,77 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
 
     The product bitmaps of a block of core cells are the rows' membership
     matrix ("W in A", rows x 2^n) times the fibre matrix whose cell (W, B)
-    is the mask of candidates C >= 1 with witness W in B, one float32 GEMM
-    per exact 16-bit limb of the mask.  The GEMMs run on the one BLAS
-    thread that importing superx sets up, no slower there than on a pool,
-    and their sums are exact on any pool.  Supported up to |G| =
-    MAX_TABLE_GROUND; larger groups are refused before anything is
-    enumerated.  Every system here is one 64-bit word.  Product bitmaps are
-    resolved to element indices by ``_SystemIndex`` over those words, which
-    also resolves sigma and rho; every computed product is checked to land
-    in the system list, and so do its translates, as sigma and rho are
-    compositions of checked generator rows.
+    holds the mask of candidates C >= 1 with witness W in B as four exact
+    16-bit float32 limbs: one GEMM per block, cast to uint16, reads as the
+    uint64 bitmaps.  The GEMMs run on the one BLAS thread that importing
+    superx sets up, and their sums are exact on any pool.  ``_SystemIndex``
+    resolves the bitmaps, as it resolved sigma and rho, and a block with a
+    product outside the system list raises before any of its rows is read.
+
+    The spread fills the np.empty table by takes, with no dtype cast.
+    Column j is rho[y_j, rreps[k_j]], so row r holds rho[y_j, core[r, k_j]]
+    there: rho_t[core[r]] (rho transposed, R x n) read at code[j] = k_j n +
+    y_j.  One take of sigma_t (each system's n translates in 16 uint16
+    bytes) at that row gives the n rows sigma[:, r] at once.  sigma[:, reps]
+    covers every row and rho[:, rreps] every column, so every cell is
+    written, and the clip-mode takes read only core cells checked >= 0 and
+    entries of sigma and rho, so none clips.  The first touch of the fresh
+    14.0 MB table of lambda(C6), about 350 page faults and 3-9 ms in a new
+    process on a 2-vCPU host, is a floor no source change removes.
+    Supported up to |G| = MAX_TABLE_GROUND, every system one 64-bit word;
+    larger groups are refused before anything is enumerated.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
     systems, words = _shared_systems(n)
-    b = words[:, 0]
+    return lambda_table(g, systems, _product(g, words[:, 0]))
+
+
+def _product(g: FiniteGroup, b: np.ndarray) -> np.ndarray:
+    """The product table over the systems whose word 0s are b; its scratch is freed before the table's checks run."""
+    n, m = g.order, len(b)
     index = _SystemIndex(b, n)
-    sigma = _translation_indices(g, index)
-    rho = _translation_indices(replace(g, mul=tuple(zip(*g.mul))), index)  # x.y = yx: right shifts
-    m = len(systems)
-    reps = np.flatnonzero(sigma.min(axis=0) == np.arange(m))  # each orbit's least member
-    rreps = np.flatnonzero(rho.min(axis=0) == np.arange(m))  # and each right orbit's
+    sigma_t = np.zeros((m, 8), dtype=np.uint16)  # sigma_t[i, x] = sigma[x, i]: a system's translates in 16 bytes
+    sigma_t[:, :n] = _translation_indices(g, index).T  # m <= 2,646
+    rho_t = _translation_indices(replace(g, mul=tuple(zip(*g.mul))), index).T.copy()  # rho_t[j, y] = rho[y, j]
+    reps = np.flatnonzero(sigma_t[:, :n].min(axis=1) == np.arange(m))  # each orbit's least member
+    rreps = np.flatnonzero(rho_t.min(axis=1) == np.arange(m))  # and each right orbit's
     size = 1 << n
-    one = np.uint64(1)
-    subsets = np.arange(size, dtype=np.uint64)
 
-    # witness[c, j] = {x : x^-1 c in system rreps[j]} for every candidate
-    # subset c.  x^-1 c is in B iff c is in xB, so bit x of witness[c, j]
-    # is bit c of b[sigma[x, rreps[j]]].
-    witness = np.zeros((size, len(rreps)), dtype=np.uint64)
+    # witness[k, c] = {x : x^-1 c in system rreps[k]} for every candidate
+    # subset c.  x^-1 c is in B iff c is in xB, so bit x of witness[k, c]
+    # is bit c of b[sigma[x, rreps[k]]].
+    witness = np.zeros((len(rreps), 64), dtype=np.uint8)
     for x in range(n):
-        witness |= ((b[sigma[x, rreps]] >> subsets[:, None]) & one) << np.uint64(x)
+        witness |= _bits(b[sigma_t[rreps, x]]) << x
 
-    # fibre[limb, w, j] holds one 16-bit limb of the mask of candidates
-    # c >= 1 whose witness in system rreps[j] is w.  For fixed j the fibres
+    # fibre[w, 4 k + limb] holds one 16-bit limb of the mask of candidates
+    # c >= 1 whose witness in system rreps[k] is w.  For fixed k the fibres
     # are disjoint, so row a of products is the 0/1 row "w in a" times
     # fibre: each limb sum is a sum of distinct powers of two below 2^16
-    # and so is exact in float32 whatever order the BLAS adds in.
-    limbs = (size + 15) // 16
-    cols = np.arange(len(rreps))
-    fibre = np.zeros((limbs, size, len(rreps)), dtype=np.float32)
-    for c in range(1, size):
-        fibre[c >> 4, witness[c], cols] += np.float32(1 << (c & 15))
-    del witness
+    # and so is exact in float32 whatever order the BLAS adds in.  A cell's
+    # limbs sit in the order of a native uint64's 16-bit quarters.
+    c = np.arange(1, size)
+    limb = c >> 4 if sys.byteorder == "little" else 3 - (c >> 4)
+    fibre = np.zeros((size, 4 * len(rreps)), dtype=np.float32)
+    np.add.at(fibre, (witness[:, 1:size], 4 * np.arange(len(rreps))[:, None] + limb), (1 << (c & 15)).astype(np.float32))
 
-    # One block of representative rows at a time: its core cells are
-    # computed, then _SPREAD_ROWS of its rows at a time are spread along
-    # each row by rho and copied into the table by sigma.  On lambda(C6)
-    # the build's tracemalloc peak is 1.6 MB above the 14.0 MB table, and
-    # tests/test_superext.py holds it under 2 MB.
+    right = rho_t[rreps]
+    code = np.empty(m, dtype=np.intp)  # code[j] = k n + y for some column j = rho[y, rreps[k]]
+    code[right] = np.arange(right.size).reshape(right.shape)
+    spread = np.empty((m, 8), dtype=np.uint16)
     product = np.empty((m, m), dtype=np.uint16)
-    spread = rho[:, rreps]
     for start in range(0, len(reps), _BUILD_ROWS):
         block = reps[start : start + _BUILD_ROWS]
-        member = ((b[block, None] >> subsets) & one).astype(np.float32)
-        result = np.zeros((len(block), len(rreps)), dtype=np.uint64)
-        for limb in range(limbs):
-            result |= (member @ fibre[limb]).astype(np.uint64) << np.uint64(16 * limb)
-        core = index.find(result)
+        member = _bits(b[block])[:, :size].astype(np.float32)
+        core = index.find((member @ fibre).astype(np.uint16).view(np.uint64))
         if (core < 0).any():
             raise ConsistencyError("a product left the enumerated system space")
-        for part in range(0, len(block), _SPREAD_ROWS):
-            cells = core[part : part + _SPREAD_ROWS]
-            rows = np.empty((len(cells), m), dtype=np.intp)  # intp: the sigma gathers need no index cast
-            rows[:, spread] = rho[:, cells].transpose(1, 0, 2)  # rows[r, rho[y, rreps[k]]] = rho[y, cells[r, k]]
-            for shift in sigma:
-                product[shift[block[part : part + _SPREAD_ROWS]]] = shift[rows]
-    return lambda_table(g, systems, product)
+        for cells, r in zip(core, block):
+            sigma_t.take(rho_t.take(cells, axis=0, mode="clip").take(code), axis=0, out=spread, mode="clip")
+            product[sigma_t[r, :n]] = spread[:, :n].T
+    return product
 
 
 class _SystemIndex:
@@ -203,29 +211,33 @@ class _SystemIndex:
     A system holds one set of each complementary pair, so its bitmap is fixed
     by its two low 2^(n-2)-bit quarters G0 and G1, up-families on n - 2 points
     (see ``_system_words``).  ``pos`` maps a quarter to its position among
-    those u up-families, u for any other value, and ``rows[pos(G0), pos(G1)]``
-    is the row of the listed system with those quarters, -1 where there is
-    none.  Only equal bitmaps return the row: a bitmap not in the list, 0
-    included, gets -1.
+    those up-families, one more for any other value, u in all, and the flat
+    ``rows[pos(G0) + u pos(G1)]`` is the row of the system with those
+    quarters, -1 where there is none.  Only equal bitmaps return the row: a
+    bitmap not in the list, 0 included, gets -1.
     """
 
     def __init__(self, bitmaps: np.ndarray, n: int):
         self.bitmaps = bitmaps
         self.h = max(1, (1 << n) >> 2)  # ground 1: G0 and G1 are the bits of {} and {0}
         up = _up_families(max(0, n - 2))[0]
+        self.u = len(up) + 1
         self.pos = np.full(1 << self.h, len(up), dtype=np.int16)
         self.pos[up] = np.arange(len(up))
-        self.rows = np.full((len(up) + 1, len(up) + 1), -1, dtype=np.int16)
-        self.rows[self._quarters(bitmaps)] = np.arange(len(bitmaps))
+        self.rows = np.full(self.u * self.u, -1, dtype=np.intp)
+        self.rows[self._keys(bitmaps)] = np.arange(len(bitmaps))
 
-    def _quarters(self, bitmaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        quarter = (1 << self.h) - 1
-        return self.pos[bitmaps & quarter], self.pos[bitmaps >> self.h & quarter]
+    def _keys(self, bitmaps: np.ndarray) -> np.ndarray:
+        """pos(G0) + u pos(G1), cut from an intp view of the words: every take is on intp indices."""
+        words, quarter = bitmaps.view(np.intp), (1 << self.h) - 1
+        key = np.multiply(self.pos.take(words >> self.h & quarter), self.u, dtype=np.intp)
+        key += self.pos.take(words & quarter)
+        return key
 
     def find(self, bitmaps: np.ndarray) -> np.ndarray:
         """The row of each query bitmap, in the queries' shape, -1 where it is absent."""
-        row = self.rows[self._quarters(bitmaps)]
-        return np.where(self.bitmaps[row] == bitmaps, row, -1)  # row -1 reads the last bitmap; masked
+        row = self.rows.take(self._keys(bitmaps))
+        return np.where(self.bitmaps.take(row) == bitmaps, row, -1)  # row -1 reads the last bitmap; masked
 
 
 def principal_indices(systems: list[SetFamily]) -> list[int]:
@@ -241,7 +253,7 @@ def _translation_indices(g: FiniteGroup, index: _SystemIndex) -> np.ndarray:
     least element outside the subgroup of those before it) is translated bitwise, and
     the other rows are gathers.  A translate missing from the list raises ConsistencyError.
     """
-    sigma = np.empty((g.order, len(index.bitmaps)), dtype=np.int32)
+    sigma = np.empty((g.order, len(index.bitmaps)), dtype=np.intp)
     sigma[0], filled, generators = np.arange(len(index.bitmaps)), [0], []
     for x in g.elements():
         if x in filled:

@@ -293,6 +293,65 @@ def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
             build_lambda_table(g)
 
 
+
+def test_the_spread_writes_every_cell_of_the_empty_table():
+    """On every tabled group sigma[:, reps] covers all m rows and rho[:, rreps] all m columns.
+
+    reps and rreps are the column minima of sigma and rho, as the build picks
+    them, so the rows it writes, whole, are every row of the np.empty table,
+    and the column map it reads them through is defined on every column.
+    """
+    for name in SMALL + ("C6", "D6"):
+        g = build_group(name)
+        systems = enumerate_mls(g.order)
+        for side in (g, _opposite(g)):
+            shifts = _sigma(side, systems)
+            reps = np.flatnonzero(shifts.min(axis=0) == np.arange(len(systems)))
+            assert np.array_equal(np.unique(shifts[:, reps]), np.arange(len(systems))), name
+
+
+class _Unread(np.ndarray):
+    """A block of core cells that fails the test if the build iterates or indexes it."""
+
+    def __iter__(self):
+        raise AssertionError("a core row was read before the range check")
+
+    def __getitem__(self, key):
+        raise AssertionError("a core row was read before the range check")
+
+
+def test_lambda_table_checks_a_core_block_before_reading_it(monkeypatch):
+    """_SystemIndex.find returning -1 for one core product raises ConsistencyError before any row of its block is read."""
+    find = superext._SystemIndex.find
+
+    def faulty(index, bitmaps):
+        rows = find(index, bitmaps)
+        if rows.ndim == 1:  # sigma and rho
+            return rows
+        rows[-1, -1] = -1
+        return rows.view(_Unread)
+
+    monkeypatch.setattr(superext._SystemIndex, "find", faulty)
+    for name in ("C6", "D6"):
+        with pytest.raises(ConsistencyError, match="a product left the enumerated system space"):
+            build_lambda_table(build_group(name))
+
+
+def test_a_cold_build_of_both_order6_tables_derives_each_system_once():
+    """A fresh process that builds lambda(C6) and then lambda(D6) calls families._derived exactly 2,646 times on ground 6."""
+    code = (
+        "from collections import Counter\n"
+        "from superx import build_group, build_lambda_table, families\n"
+        "calls, derived = Counter(), families._derived\n"
+        "families._derived = lambda n, *rest: calls.update([n]) or derived(n, *rest)\n"
+        "for name in ('C6', 'D6'):\n"
+        "    build_lambda_table(build_group(name))\n"
+        "print(calls[6])\n"
+    )
+    proc = fresh_interpreter(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2646"]
+
 def _generators(g):
     """Each least element outside the subgroup generated by those before it, closed by brute force."""
     reached, gens = {0}, []
