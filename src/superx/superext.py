@@ -141,8 +141,8 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
 
     The spread fills the np.empty table by takes, with no dtype cast.
     Column j is rho[y_j, rreps[k_j]], so row r holds rho[y_j, core[r, k_j]]
-    there: rho_t[core[r]] (rho transposed, R x n) read at code[j] = k_j n +
-    y_j.  One take of sigma_t (each system's n translates in 16 uint16
+    there: rho_t[core[r]] (rho transposed, one row per k) read at code[j] =
+    k_j n + y_j.  One take of sigma_t (each system's n translates in 16
     bytes) at that row gives the n rows sigma[:, r] at once.  sigma[:, reps]
     covers every row and rho[:, rreps] every column, so every cell is
     written, and the clip-mode takes read only core cells checked >= 0 and
@@ -228,8 +228,8 @@ class _SystemIndex:
         self.rows[self._keys(bitmaps)] = np.arange(len(bitmaps))
 
     def _keys(self, bitmaps: np.ndarray) -> np.ndarray:
-        """pos(G0) + u pos(G1), cut from an intp view of the words: every take is on intp indices."""
-        words, quarter = bitmaps.view(np.intp), (1 << self.h) - 1
+        """pos(G0) + u pos(G1), cut from an int64 view of the words: on 64-bit hosts no take casts its indices."""
+        words, quarter = bitmaps.view(np.int64), (1 << self.h) - 1
         key = np.multiply(self.pos.take(words >> self.h & quarter), self.u, dtype=np.intp)
         key += self.pos.take(words & quarter)
         return key

@@ -293,7 +293,6 @@ def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
             build_lambda_table(g)
 
 
-
 def test_the_spread_writes_every_cell_of_the_empty_table():
     """On every tabled group sigma[:, reps] covers all m rows and rho[:, rreps] all m columns.
 
@@ -351,6 +350,7 @@ def test_a_cold_build_of_both_order6_tables_derives_each_system_once():
     proc = fresh_interpreter(["-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2646"]
+
 
 def _generators(g):
     """Each least element outside the subgroup generated by those before it, closed by brute force."""
