@@ -22,13 +22,7 @@ from .families import (
     majority_family,
     principal_ultrafilter,
 )
-from .groups import (
-    FiniteGroup,
-    build_group,
-    element_order,
-    enumerate_subgroups,
-    is_odd_group,
-)
+from .groups import FiniteGroup, build_group, element_order, is_odd_group
 from .semigroups import SemigroupTable
 from .superext import build_lambda_table, circ, orbit_quotient
 
@@ -47,7 +41,6 @@ __all__ = [
     "circ",
     "element_order",
     "enumerate_mls",
-    "enumerate_subgroups",
     "generate_family",
     "is_odd_group",
     "majority_family",

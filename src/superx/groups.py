@@ -21,9 +21,8 @@ from math import prod
 
 import numpy as np
 
-from .bitsets import iter_bits
 from .errors import CapacityError, ConsistencyError, GroupParseError
-from .semigroups import SemigroupTable, direct_product, from_group, subtable
+from .semigroups import SemigroupTable, direct_product, from_group
 
 MAX_ORDER = 16
 
@@ -204,26 +203,3 @@ def shift_table(g: FiniteGroup) -> np.ndarray:
         shifts[:, half : 2 * half] = shifts[:, :half] | points[:, b, None]
     shifts.flags.writeable = False
     return shifts
-
-
-def enumerate_subgroups(g: FiniteGroup) -> list[int]:
-    """All subgroups of g as subset masks, sorted by (size, mask value).
-
-    A finite subset closed under products is a subgroup, and H is closed
-    iff xH = H for every x in H, as a translate has |H| elements; every
-    mask holding the identity is tested at once through the shift table.
-    """
-    shifts = shift_table(g)
-    masks = np.arange(1, 1 << g.order, 2)
-    closed = np.ones(len(masks), dtype=bool)
-    for x in g.elements():
-        closed &= (masks >> x & 1 == 0) | (shifts[x, masks] == masks)
-    return sorted(masks[closed].tolist(), key=lambda m: (m.bit_count(), m))
-
-
-def subgroup_as_group(g: FiniteGroup, h_mask: int) -> FiniteGroup:
-    """Reindex a subgroup mask as a standalone group (identity first)."""
-    if not h_mask & 1:
-        raise ConsistencyError("subgroup mask does not contain the identity")
-    t = subtable(from_group(g), list(iter_bits(h_mask)))
-    return _make_group(f"{g.name}|{h_mask:#x}", t.product, t.elements)

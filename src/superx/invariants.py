@@ -9,8 +9,8 @@ are shift- and superset-closed and correspond one-to-one to the maximal
 invariant linked systems.
 
 Everything here reads one translation table, ``shifts[x, A] = xA`` for
-every element x and subset mask A: the self-linked flags, the cosets of
-a subgroup and the orbit graph all come from it.  A maximal clique is a
+every element x and subset mask A: the self-linked flags and the orbit
+graph of the clique search both come from it.  A maximal clique is a
 union of translation orbits of self-linked sets, and two orbits are
 compatible exactly when their least members, the keys, are, so the
 clique search runs on the graph of the keys alone (the proofs are in
@@ -30,13 +30,7 @@ import numpy as np
 from .bitsets import iter_bits
 from .errors import CapacityError, ConsistencyError
 from .families import SetFamily, _families_of_bitmaps, majority_family
-from .groups import (
-    FiniteGroup,
-    enumerate_subgroups,
-    is_odd_group,
-    shift_table,
-    subgroup_as_group,
-)
+from .groups import FiniteGroup, is_odd_group, shift_table
 
 MAX_INVARIANT_ORDER = 8
 MAX_INVARIANT_ORDER_LARGE = 10
@@ -76,43 +70,6 @@ def sl(g: FiniteGroup) -> int:
 def self_linked_subsets(g: FiniteGroup) -> list[int]:
     """All non-empty self-linked subsets, ascending by mask."""
     return np.flatnonzero(_self_linked_flags(shift_table(g))).tolist()
-
-
-def coset_space_sl(g: FiniteGroup, h_mask: int) -> int:
-    """Smallest self-linked subset of the coset space G/H.
-
-    A subset S of cosets is self-linked when it meets each of its
-    translates under the action g.(xH) = (gx)H.  Translates of cosets are
-    cosets, so S meets gS iff the union of S meets g times that union:
-    the answer is the least |S| whose union is a self-linked subset of G.
-    """
-    shifts = shift_table(g)
-    # the distinct left cosets xH; the plain np.unique call imports numpy.ma
-    cosets, _ = np.unique(shifts[:, h_mask], return_index=True)
-    unions = np.zeros(1 << cosets.size, dtype=np.uint16)  # unions[S] = union of the cosets in S
-    for i, coset in enumerate(cosets):
-        unions[1 << i : 2 << i] = unions[: 1 << i] | coset
-    linked = _self_linked_flags(shifts)[unions]
-    return int(np.bitwise_count(np.flatnonzero(linked)).min())
-
-
-def check_slbound_composite(g: FiniteGroup, h_mask: int) -> tuple[bool, bool, bool]:
-    """The subgroup bounds on sl for H < G, as (product, sum, coset_half) verdicts.
-
-    product: sl(G) <= sl(H) * sl(G/H); sum: sl(G) < |H| + |G : H|;
-    coset_half: sl(G/H) <= (|G : H| + 2) // 2.  A failing bound is a
-    False verdict; a mask that is not a subgroup raises ConsistencyError.
-    """
-    if h_mask not in enumerate_subgroups(g):
-        raise ConsistencyError("mask is not a subgroup")
-    sl_g, h_order = sl(g), h_mask.bit_count()
-    index = g.order // h_order
-    sl_cosets = coset_space_sl(g, h_mask)
-    return (
-        sl_g <= sl(subgroup_as_group(g, h_mask)) * sl_cosets,
-        sl_g < h_order + index,
-        sl_cosets <= (index + 2) // 2,
-    )
 
 
 def enumerate_half_self_linked(g: FiniteGroup) -> list[int]:

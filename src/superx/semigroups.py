@@ -214,18 +214,6 @@ def minimal_ideal(t: SemigroupTable) -> frozenset[int]:
     return kernel
 
 
-def subtable(t: SemigroupTable, indices) -> SemigroupTable:
-    """The induced table on a product-closed subset of elements."""
-    order = sorted(indices)
-    prod = t.product[np.ix_(order, order)]
-    pos = np.zeros(t.order, dtype=np.uint16)
-    pos[order] = np.arange(len(order))
-    sub = pos[prod]
-    if not np.array_equal(np.asarray(order)[sub], prod):  # a product outside the subset maps to order[0]
-        raise ConsistencyError("subset is not closed under products")
-    return SemigroupTable(sub, elements=[t.elements[v] for v in order], name=f"{t.name}|sub")
-
-
 def maximal_subgroups(t: SemigroupTable) -> dict[int, list[int]]:
     """Each maximal subgroup H_e, the units of eSe, by idempotent e: {e: members of H_e}.
 

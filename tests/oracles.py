@@ -381,26 +381,14 @@ def oracle_direct_product(p1, p2):
     return out
 
 
-def oracle_coset_space_sl(mul, h_mask):
-    """Smallest set S of left cosets of H meeting every translate xS.
+def oracle_induced_table(product, members):
+    """The product table on a closed subset, its members renumbered 0, 1, ... in ascending order.
 
-    The cosets xH are built element by element from the multiplication
-    table, and every subset of them is tried in order of size.
+    A product outside the subset has no number, so it raises KeyError.
     """
-    n = len(mul)
-    h = bits_of(h_mask)
-    cosets = []
-    for x in range(n):
-        coset = frozenset(mul[x][y] for y in h)
-        if coset not in cosets:
-            cosets.append(coset)
-    for k in range(1, len(cosets) + 1):
-        for picked in combinations(cosets, k):
-            chosen = set(picked)
-            translates = [{frozenset(mul[x][c] for c in coset) for coset in picked} for x in range(n)]
-            if all(chosen & moved for moved in translates):
-                return k
-    raise AssertionError("the whole coset space is always self-linked")
+    order = sorted(members)
+    pos = {v: i for i, v in enumerate(order)}
+    return [[pos[int(product[a][b])] for b in order] for a in order]
 
 
 def _refine_colors(t) -> list[int]:

@@ -140,6 +140,34 @@ def test_closed_pipe_keeps_the_exit_code(tmp_path):
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
+def test_no_command_imports_masked_arrays(tmp_path):
+    """No command imports numpy.ma (about 2 MB), which np.setdiff1d and a plain np.unique load; is_commutative relies on this."""
+    runs = [
+        ["lambda", "C4", "--what=structure"],
+        ["lambda", "C6", "--what=structure"],
+        ["lambda", "C6", "--what=table", f"--cache-dir={tmp_path}"],
+        ["lambda", "C5", "--what=count"],
+        ["invariant", "C6"],
+        ["invariant", "D10", "--allow-large"],
+        ["verify-paper", "--scope=all"],
+        ["sl-table"],
+        ["explore-sl", "--max-n", "8"],
+        ["c5-t17"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from superx.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = fresh_interpreter(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # verify-paper and sl-table hold the D10 reference row
+    codes = [EXIT_MISMATCH if argv[0] in ("verify-paper", "sl-table") else EXIT_OK for argv in runs]
+    assert proc.stdout == f"{codes} False\n"
+
+
 def _blas_start_up(threads, code):
     """What a fresh interpreter prints after code, started with OPENBLAS_NUM_THREADS set to threads (None: unset)."""
     proc = fresh_interpreter(["-c", code], {"OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True)

@@ -102,22 +102,13 @@ def _unreached(trees: list[ast.Module]) -> set[str]:
 
 
 def test_every_src_definition_is_reached():
-    """Only the sl subgroup bounds and the helpers they read wait for their verify rows.
+    """Every top-level definition and method in src feeds a command or a verify row.
 
-    ``check_slbound_composite`` reads ``coset_space_sl`` and
-    ``subgroup_as_group``, which builds its subgroup with ``subtable``;
-    ``enumerate_subgroups`` is read by those alone.  No command reaches
-    them until the sl rows land, and being listed in ``__all__`` does not
-    reach them either.  Any other unreached name or method fails.
+    Being listed in ``__all__`` does not reach a name, so any unreached
+    name or method fails.
     """
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    assert _unreached(trees) == {
-        "check_slbound_composite",
-        "coset_space_sl",
-        "enumerate_subgroups",
-        "subgroup_as_group",
-        "subtable",
-    }
+    assert _unreached(trees) == set()
 
 
 def test_reachability_check_flags_a_dead_definition():

@@ -7,19 +7,13 @@ import pytest
 
 from superx.errors import CapacityError, ConsistencyError, GroupParseError
 from superx.expected import SL_TABLE
-from superx.groups import (
-    _make_group,
-    build_group,
-    element_order,
-    enumerate_subgroups,
-    is_odd_group,
-    shift_table,
-    subgroup_as_group,
-)
+from superx.groups import _make_group, build_group, element_order, is_odd_group, shift_table
 from superx.invariants import self_linked_subsets
 from superx.semigroups import from_group, is_commutative
 from oracles import (
+    bits_of,
     oracle_element_order,
+    oracle_induced_table,
     oracle_subgroups,
     oracle_translate,
 )
@@ -47,7 +41,7 @@ def test_q8_has_one_involution():
 def test_c3_c4_is_nonabelian_with_normal_c3():
     g = build_group("C3:C4")
     assert not is_commutative(from_group(g))[0]
-    order3 = [h for h in enumerate_subgroups(g) if h.bit_count() == 3]
+    order3 = [h for h in oracle_subgroups(g.mul) if h.bit_count() == 3]
     assert len(order3) == 1
     h = order3[0]
     # normality: xHx^-1 = H for all x
@@ -60,7 +54,8 @@ def test_c3_c4_is_nonabelian_with_normal_c3():
 
 
 # Every group of the sl table, the largest orders and the odd spellings;
-# the digest covers each group and the standalone group of each subgroup.
+# the digest covers each group and the standalone group of each subgroup,
+# named "<group>|<mask>" and renumbered in ascending element order.
 PINNED_NAMES = [
     "C1", *SL_TABLE, "C14", "D14", "C15", "C3xC5", "C16", "C2xC8", "C4xC4",
     "C2xC2xC4", "C2xC2xC2xC2", "D16", "C1xC7", " C5 ", "C01", "C2xC1",
@@ -72,7 +67,11 @@ def test_catalog_and_subgroups_pinned():
     digest = hashlib.sha256()
     for name in PINNED_NAMES:
         g = build_group(name)
-        groups = [g] + [subgroup_as_group(g, h) for h in enumerate_subgroups(g)]
+        groups = [g]
+        for h in oracle_subgroups(g.mul):
+            members = bits_of(h)
+            names = [g.element_names[v] for v in members]
+            groups.append(_make_group(f"{g.name}|{h:#x}", oracle_induced_table(g.mul, members), names))
         for x in groups:
             digest.update(repr((x.name, x.mul, x.inv, x.element_names)).encode())
     assert len(PINNED_NAMES) == 39
@@ -120,15 +119,6 @@ def test_parse_errors():
 def test_make_group_rejects_non_groups(mul):
     with pytest.raises(ConsistencyError):
         _make_group("bad", mul, [str(i) for i in range(len(mul))])
-
-
-def test_subgroup_as_group_rejects_bad_masks():
-    g = build_group("C6")
-    assert subgroup_as_group(g, 0b001001).mul == ((0, 1), (1, 0))
-    with pytest.raises(ConsistencyError):
-        subgroup_as_group(g, 0b001010)  # no identity
-    with pytest.raises(ConsistencyError):
-        subgroup_as_group(g, 0b000011)  # {0, 1} is not closed
 
 
 def test_identity_is_zero_and_axioms_hold():
@@ -210,21 +200,6 @@ def test_difference_set_examples():
     assert 0b00011011 in self_linked_subsets(c8)  # {e, a, a3, a4}
     cube = build_group("C2xC2xC2")
     assert 0b10111 not in self_linked_subsets(cube)  # {0, 1, 2, 4} misses its translate by 7
-
-
-def test_enumerate_subgroups():
-    c5 = build_group("C5")
-    assert enumerate_subgroups(c5) == [1, c5.full_mask]
-    assert len(enumerate_subgroups(build_group("C4"))) == 3
-    q8 = build_group("Q8")
-    subs = enumerate_subgroups(q8)
-    assert subs == oracle_subgroups(q8.mul)
-    assert len(subs) == 6
-    for name in ("C6", "D6", "C2xC4", "A4", "C3:C4"):
-        g = build_group(name)
-        assert enumerate_subgroups(g) == oracle_subgroups(g.mul)
-        assert enumerate_subgroups(g)[0] == 1
-        assert enumerate_subgroups(g)[-1] == g.full_mask
 
 
 def test_shift_table_is_left_translation():

@@ -9,19 +9,11 @@ from superx.bitsets import mask_of
 from superx.errors import CapacityError, ConsistencyError
 from superx.expected import INVARIANT_COUNTS, SIM_CLASS_COUNTS, SL_TABLE
 from superx.families import SetFamily, majority_family
-from superx.groups import (
-    build_group,
-    enumerate_subgroups,
-    is_odd_group,
-    shift_table,
-    subgroup_as_group,
-)
+from superx.groups import build_group, is_odd_group, shift_table
 from superx.invariants import (
     _closed_families,
     _invariant_cliques,
     _maximal_cliques,
-    check_slbound_composite,
-    coset_space_sl,
     enumerate_half_self_linked,
     enumerate_invariant_mls,
     odd_equivalences,
@@ -34,10 +26,8 @@ from superx.invariants import (
 )
 from superx.semigroups import right_zeros
 from oracles import (
-    fresh_interpreter,
     oracle_compatible,
     oracle_contains,
-    oracle_coset_space_sl,
     oracle_element_order,
     oracle_self_linked,
     oracle_shift,
@@ -216,51 +206,6 @@ def test_d12_witness_slip_but_correct_value():
     assert not oracle_self_linked(g.mul, mask_of([0, 1, 3, 6, 11]))
     assert oracle_self_linked(g.mul, mask_of([0, 1, 2, 6, 9]))  # {e, a, a2, b, ba3}
     assert sl(g) == 5 == SL_TABLE["D12"]
-
-
-def test_check_slbound_composite():
-    """The (product, sum, coset_half) verdicts on three subgroups, with the numbers they compare."""
-    c9 = build_group("C9")
-    h3 = [h for h in enumerate_subgroups(c9) if h.bit_count() == 3][0]
-    assert sl(c9) == 4
-    assert sl(subgroup_as_group(c9, h3)) * coset_space_sl(c9, h3) == 4  # the product bound
-    assert check_slbound_composite(c9, h3) == (True, True, True)
-    # trivial subgroup
-    g = build_group("C6")
-    assert sl(subgroup_as_group(g, 1)) == 1
-    assert check_slbound_composite(g, 1) == (True, True, True)
-    q8 = build_group("Q8")
-    h4 = [h for h in enumerate_subgroups(q8) if h.bit_count() == 4][0]
-    assert sl(q8) == 4
-    assert h4.bit_count() + q8.order // h4.bit_count() == 6  # the sum bound
-    assert check_slbound_composite(q8, h4) == (True, True, True)
-    with pytest.raises(ConsistencyError, match="not a subgroup"):
-        check_slbound_composite(q8, 0b1011)
-
-
-def test_slbound_composite_holds_on_every_catalog_subgroup():
-    """All three bounds hold on each of the 97 proper non-trivial subgroups of the sl catalog groups."""
-    checked = 0
-    for name in SL_TABLE:
-        g = build_group(name)
-        for h_mask in enumerate_subgroups(g):
-            if h_mask not in (1, g.full_mask):
-                assert check_slbound_composite(g, h_mask) == (True, True, True), (name, h_mask)
-                checked += 1
-    assert len(SL_TABLE) == 24 and checked == 97
-
-
-def test_check_slbound_composite_imports_no_masked_arrays():
-    """The coset list comes from np.unique with return_index: the plain call imports numpy.ma on first use."""
-    code = (
-        "import sys\n"
-        "from superx.groups import build_group\n"
-        "from superx.invariants import check_slbound_composite\n"
-        "check_slbound_composite(build_group('C6'), 0b1001)\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
-    )
-    proc = fresh_interpreter(["-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_half_self_linked_c6():
@@ -566,13 +511,6 @@ def test_batched_certificates_reject_one_open_clique():
             opened = cliques[:k] + [cliques[k] & ~(1 << index[dropped])] + cliques[k + 1 :]
             with pytest.raises(ConsistencyError, match=match):
                 _closed_families(g, shifts, vertices, opened)
-
-
-def test_coset_space_sl_matches_oracle():
-    for name in CATALOG_LE10:
-        g = build_group(name)
-        for h_mask in enumerate_subgroups(g):
-            assert coset_space_sl(g, h_mask) == oracle_coset_space_sl(g.mul, h_mask), (name, h_mask)
 
 
 def test_is_maximal_linked_matches_transversal_on_invariant_systems():
