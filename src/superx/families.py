@@ -14,11 +14,13 @@ elsewhere test the predicate.
 built by one unchecked constructor, ``_derived``, from minimal sets its
 caller derived ascending and as an antichain together with their
 membership bitmap, so every family carries its bitmap from the moment
-it is built.
+it is built.  The enumerated systems of a ground are kept as membership
+words, and each system's family is built only when something reads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,26 +149,69 @@ def enumerate_mls(ground_size: int) -> list[SetFamily]:
     Results are sorted lexicographically by their minimal-set tuples,
     independent of search order.  The systems of each ground size up to
     MAX_TABLE_GROUND are enumerated once per process and shared: each
-    call returns a fresh list over the same immutable values.  Larger
-    ground sizes are refused; ``superext.system_counts`` counts ground 7.
+    call returns a fresh list over the same immutable values, building
+    every family the first time.  Larger ground sizes are refused;
+    ``superext.system_counts`` counts ground 7.
     """
     if not 1 <= ground_size <= MAX_TABLE_GROUND:
         raise CapacityError(f"enumeration supports ground sizes 1..{MAX_TABLE_GROUND}")
-    return list(_shared_systems(ground_size)[0])
+    return list(_shared_systems(ground_size))
 
 
 @lru_cache(maxsize=None)
-def _shared_systems(n: int) -> tuple[tuple[SetFamily, ...], np.ndarray]:
-    """The enumerated systems and their read-only (m, 1) words, sorted by minimal sets before any family is built.
+def _shared_systems(n: int) -> _SystemList:
+    """The enumerated systems as one shared read-only sequence over their (m, 1) words, sorted before any is built.
 
     Two systems' bitmaps first differ at a set minimal in the one holding it, below which they share minimal sets;
     the other's go on past it, or they would close to a smaller linked system inside it.  So the words sort as
-    their complements read from bit 0 down.  Row i is system i's bitmap; the table build and orbit counts index it.
+    their complements read from bit 0 down.  Row i is system i's bitmap; the table build and the orbit counts read
+    only ``.words``, so they build no family.
     """
     words = _system_words(n)
     words = words[np.argsort(np.packbits(_bits(~words[:, 0]), axis=1, bitorder="big").view(">u8")[:, 0])]
     words.flags.writeable = False
-    return tuple(_families_of_bitmaps(words, n)), words
+    return _SystemList(words, n)
+
+
+class _SystemList(Sequence):
+    """The maximal linked systems of read-only (m, 1) membership words on n <= 6 points, each family built when read.
+
+    Item i builds system i by ``family_from_bitmap`` and keeps it; iterating builds every family not yet built in
+    one ``_families_of_bitmaps`` pass and keeps them.  So each family is built once and passes ``_derived``'s
+    checks as it is.  Two threads reading one unbuilt family may both build it; they keep equal values.
+    ``index`` finds a family's bitmap among the words, building nothing.
+    """
+
+    def __init__(self, words: np.ndarray, n: int):
+        self.words = words
+        self.ground_size = n
+        self._built: list[SetFamily | None] = [None] * len(words)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        family = self._built[i]
+        if family is None:
+            family = self._built[i] = family_from_bitmap(self.ground_size, int(self.words[i, 0]))
+        return family
+
+    def __iter__(self):
+        missing = [i for i, family in enumerate(self._built) if family is None]
+        if missing:
+            for i, family in zip(missing, _families_of_bitmaps(self.words[missing], self.ground_size)):
+                self._built[i] = family
+        return iter(self._built)
+
+    def index(self, family: SetFamily) -> int:
+        """The position of a family among the systems; ValueError when it is not one of them."""
+        if family.ground_size == self.ground_size:
+            hits = np.flatnonzero(self.words[:, 0] == family.bitmap)
+            if hits.size:
+                return int(hits[0])
+        raise ValueError(f"{family} is not a maximal linked system on {self.ground_size} points")
 
 
 def _up_families(k: int) -> tuple[np.ndarray, np.ndarray]:

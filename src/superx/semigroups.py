@@ -1,7 +1,9 @@
 """Finite semigroups as index tables, with structure analyses.
 
-A SemigroupTable is an element list plus an n x n product table of
-element indices; element i prints as ``str(elements[i])``.  The table is
+A SemigroupTable is an element sequence plus an n x n product table of
+element indices; element i prints as ``str(elements[i])``.  The
+sequence is kept as given: a lambda table keeps the shared system
+sequence, whose families are built only when read.  The table is
 stored as uint16 whatever the input's integer dtype, so orders 1..MAX_ORDER
 (65,536) fit; a larger order is a CapacityError before any cell is read,
 and the range check runs on the input as given, so a negative cell or
@@ -12,6 +14,7 @@ exhaustively up to order 100 and on sampled triples above that.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -31,7 +34,7 @@ _TILE = 256
 @dataclass(eq=False)
 class SemigroupTable:
     product: np.ndarray
-    elements: list = field(default_factory=list)
+    elements: Sequence = field(default_factory=list)
     name: str = ""
 
     def __post_init__(self):

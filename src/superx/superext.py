@@ -7,7 +7,9 @@ For families A, B on a group X the product is
 which restricted to one-point systems is the group operation itself.
 ``build_lambda_table`` builds the Cayley table of the full system space
 with numpy, each system a membership bitmap over all 2^n subsets, a row
-of the enumerator's own word array.  As (xA) o (By) = x(A o B)y, it
+of the enumerator's own word array; it builds no ``SetFamily``, and the
+table keeps the shared system sequence, whose families are built only
+when a report reads them.  As (xA) o (By) = x(A o B)y, it
 computes only the cells of a left- and a right-translation orbit
 representative (447 x 447 of the 2,646 x 2,646 on C6 and on D6), and
 resolves bitmaps to element indices through an exact index on their two
@@ -26,7 +28,7 @@ analyses read them there and take no group.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import replace
 from itertools import combinations
 
@@ -87,9 +89,9 @@ def noncommuting_pair(g: FiniteGroup) -> tuple[SetFamily, SetFamily] | None:
     return None
 
 
-def lambda_table(g: FiniteGroup, systems: list[SetFamily], product) -> SemigroupTable:
-    """The lambda(g) table over the given systems, whether built or loaded."""
-    return SemigroupTable(product, elements=list(systems), name=f"lambda({g.name})")
+def lambda_table(g: FiniteGroup, systems: Sequence[SetFamily], product) -> SemigroupTable:
+    """The lambda(g) table over the given systems, whether built or loaded; the sequence is kept as it is."""
+    return SemigroupTable(product, elements=systems, name=f"lambda({g.name})")
 
 
 def element_namer(g: FiniteGroup, table: SemigroupTable) -> Callable[[int], str]:
@@ -150,13 +152,15 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     14.0 MB table of lambda(C6), about 350 page faults and 3-9 ms in a new
     process on a 2-vCPU host, is a floor no source change removes.
     Supported up to |G| = MAX_TABLE_GROUND, every system one 64-bit word;
-    larger groups are refused before anything is enumerated.
+    larger groups are refused before anything is enumerated.  The build
+    reads only the words of the shared system sequence, which becomes the
+    table's elements, so it builds no family.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
-    systems, words = _shared_systems(n)
-    return lambda_table(g, systems, _product(g, words[:, 0]))
+    systems = _shared_systems(n)
+    return lambda_table(g, systems, _product(g, systems.words[:, 0]))
 
 
 def _product(g: FiniteGroup, b: np.ndarray) -> np.ndarray:
@@ -240,10 +244,10 @@ class _SystemIndex:
         return np.where(self.bitmaps.take(row) == bitmaps, row, -1)  # row -1 reads the last bitmap; masked
 
 
-def principal_indices(systems: list[SetFamily]) -> list[int]:
-    """Indices of the one-point systems, in group-element order."""
-    index = {s.minimal_sets: i for i, s in enumerate(systems)}
-    return [index[(1 << x,)] for x in range(systems[0].ground_size)]
+def principal_indices(systems: Sequence[SetFamily]) -> list[int]:
+    """Indices of the one-point systems, in group-element order, each looked up by ``systems.index``."""
+    n = systems[0].ground_size
+    return [systems.index(family_from_bitmap(n, 1 << (1 << x))) for x in range(n)]
 
 
 def _translation_indices(g: FiniteGroup, index: _SystemIndex) -> np.ndarray:
@@ -331,7 +335,7 @@ def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, in
         raise CapacityError("enumeration supports ground sizes 1..7")
     if n == 7 and not allow_large:
         raise CapacityError("ground size 7 is gated behind allow_large")
-    words = _system_words(n) if n > MAX_TABLE_GROUND else _shared_systems(n)[1]
+    words = _system_words(n) if n > MAX_TABLE_GROUND else _shared_systems(n).words
     first = words[:, 0]
     ordered = np.sort(first)
     least = np.ones(len(words), dtype=bool)

@@ -215,6 +215,11 @@ def oracle_lambda_map(systems, image_systems, phi):
     ]
 
 
+def oracle_relabel(sigma, mask):
+    """The sigma-image of a mask, each point a moved to sigma[a]."""
+    return sum(1 << sigma[a] for a in bits_of(mask))
+
+
 def oracle_translation_indices(g, systems):
     """sigma[x][i], the list index of x * systems[i], through a dict of minimal-set tuples."""
     index = {s.minimal_sets: i for i, s in enumerate(systems)}

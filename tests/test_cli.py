@@ -229,7 +229,7 @@ def test_cache_header_and_loaders(tmp_path):
     loaded = load_table(tmp_path, g)
     assert loaded is not None
     assert (loaded.product == table.product).all()
-    assert (loaded.elements, loaded.name) == (table.elements, table.name)
+    assert (list(loaded.elements), loaded.name) == (list(table.elements), table.name)
     assert load_table(tmp_path / "missing", g) is None
 
 
@@ -251,8 +251,8 @@ def test_cache_entry_for_another_group_layout_is_rebuilt(tmp_path, monkeypatch):
 
 def test_cache_entry_from_another_enumerator_is_rebuilt(tmp_path, monkeypatch):
     first = cmd_lambda("C4", "table", cache_dir=str(tmp_path)).payload
-    systems, words = families._shared_systems(4)
-    reordered = systems[::-1], words[::-1]  # families and words together, as one source
+    systems = families._shared_systems(4)
+    reordered = families._SystemList(systems.words[::-1], 4)  # families and words together, as one source
     for module in (superext, families):  # the builder reads it directly, the loader through enumerate_mls
         monkeypatch.setattr(module, "_shared_systems", lambda n: reordered)
     report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -189,6 +191,53 @@ def test_enumerate_mls_returns_a_fresh_list_each_call():
     assert [s.minimal_sets for s in enumerate_mls(4)] == oracle_all_mls(4)
 
 
+def test_shared_systems_build_each_family_when_read():
+    """On a cleared cache, every ground 1-6 (2,746 systems): a family read by index equals the bulk-built one at
+    its position, iterating afterwards builds none again, and ``index`` finds each family by its bitmap."""
+    families._shared_systems.cache_clear()
+    seen = 0
+    for n in range(1, 7):
+        lazy = families._shared_systems(n)
+        assert lazy._built == [None] * len(lazy)  # nothing built before it is read
+        read = [lazy[i] for i in range(len(lazy))]
+        bulk = list(families._SystemList(lazy.words, n))
+        assert read == bulk and [vars(s)["bitmap"] for s in read] == [vars(s)["bitmap"] for s in bulk], n
+        assert all(a is b for a, b in zip(lazy, read)), n  # kept, not rebuilt by the bulk pass
+        assert lazy[-1] is read[-1] and lazy[1:3] == read[1:3], n
+        assert [lazy.index(s) for s in bulk] == list(range(len(bulk))), n
+        seen += len(bulk)
+    assert seen == 2746
+    six, five = families._shared_systems(6), families._shared_systems(5)
+    for outside in (majority_family(build_group("C6")), five[0]):  # not maximal linked on 6 points; on 5 points
+        with pytest.raises(ValueError):
+            six.index(outside)
+
+
+def test_shared_systems_read_from_threads_are_one_list():
+    """Threads reading one unbuilt sequence, by index and by iteration, on a short switch interval, all see
+    the bulk-built families."""
+    words = families._shared_systems(6).words
+    want = list(families._SystemList(words, 6))
+    shared = families._SystemList(words, 6)
+    reads = []
+
+    def read(k):
+        reads.append(list(shared) if k % 2 else [shared[i] for i in range(len(words))])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reads) == 4 and all(r == want for r in reads) and list(shared) == want
+
+
 def test_verify_all_enumerates_each_ground_size_once(monkeypatch):
     """Every call counts: superext binds its own _system_words, for the ground-7 count."""
     enumerated = Counter()
@@ -234,7 +283,8 @@ def test_up_family_counts():
 def test_words_of_packs_the_bitmaps():
     """Row i of the shared words is the bitmap of system i, read-only; the minimal-set pass reads packed sets back."""
     for n in range(1, 7):
-        systems, words = families._shared_systems(n)
+        systems = families._shared_systems(n)
+        words = systems.words
         assert list(systems) == enumerate_mls(n)
         bitmaps = [s.bitmap for s in systems]
         assert [int(w) for w in words[:, 0]] == bitmaps == [int(w) for w in words_of(bitmaps, n)[:, 0]]

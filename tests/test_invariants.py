@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,7 @@ from superx.bitsets import mask_of
 from superx.errors import CapacityError, ConsistencyError
 from superx.expected import INVARIANT_COUNTS, SIM_CLASS_COUNTS, SL_TABLE
 from superx.families import SetFamily, majority_family
-from superx.groups import build_group, is_odd_group, shift_table
+from superx.groups import _make_group, build_group, is_odd_group, shift_table
 from superx.invariants import (
     _closed_families,
     _invariant_cliques,
@@ -25,10 +26,12 @@ from superx.invariants import (
     up_majority_count,
 )
 from superx.semigroups import right_zeros
+from superx.superext import circ, noncommuting_pair, system_counts
 from oracles import (
     oracle_compatible,
     oracle_contains,
     oracle_element_order,
+    oracle_relabel,
     oracle_self_linked,
     oracle_shift,
     oracle_shift_closed_maximal_linked_families,
@@ -521,3 +524,73 @@ def test_is_maximal_linked_matches_transversal_on_invariant_systems():
             flags.setdefault(name, []).append(s.is_maximal_linked())
     assert flags["D6"] == [False]
     assert flags["C7"] == [True] * 3
+
+
+def _relabelled(g, sigma):
+    """g with each element a renamed sigma[a], its table rebuilt and checked by _make_group."""
+    mul, names = [[0] * g.order for _ in g.elements()], [""] * g.order
+    for a in g.elements():
+        names[sigma[a]] = g.element_names[a]
+        for b in g.elements():
+            mul[sigma[a]][sigma[b]] = sigma[g.mul[a][b]]
+    return _make_group(g.name, mul, names)
+
+
+def _relabelling_differences(g, h, sigma):
+    """The table-free analyses whose results on g, mapped through sigma, differ from their results on h.
+
+    Sizes and verdicts are compared as they are, sets of masks and families as sorted sigma-images.
+    """
+    image = [oracle_relabel(sigma, mask) for mask in range(1 << g.order)].__getitem__
+    family = lambda f: SetFamily(f.ground_size, tuple(sorted(map(image, f.minimal_sets))))
+    linked = self_linked_subsets(h)
+    differ = [] if sl(h) == sl(g) else ["sl"]
+    if linked != sorted(map(image, self_linked_subsets(g))):
+        differ.append("self_linked_subsets")
+    holds, witness = partition_condition(g)
+    if partition_condition(h)[0] != holds or (witness and set(map(image, witness)) & set(linked)):
+        differ.append("partition_condition")
+    if g.order <= 12:
+        pair = noncommuting_pair(g)
+        if pair is None:
+            same = noncommuting_pair(h) is None
+        else:  # h's verdict is certified by the image pair: its product is the image's, and it does not commute
+            a, b = map(family, pair)
+            same = circ(h, a, b) == family(circ(g, *pair)) != circ(h, b, a)
+        if not same:
+            differ.append("noncommuting_pair")
+    if g.order <= 10:
+        systems = sorted(map(family, enumerate_invariant_mls(g, allow_large=True)), key=lambda f: f.minimal_sets)
+        if enumerate_invariant_mls(h, allow_large=True) != systems:
+            differ.append("enumerate_invariant_mls")
+        if g.order % 2 == 0:
+            classes = tuple(sorted(tuple(sorted(map(image, c))) for c in sim_classes(g)))
+            if sim_classes(h) != classes:
+                differ.append("sim_classes")
+    if g.order <= 6 and system_counts(h) != system_counts(g):
+        differ.append("system_counts")
+    return differ
+
+
+def test_table_free_analyses_do_not_depend_on_the_labelling():
+    """One seeded relabelling per catalog group of order <= 13: every result maps onto the relabelled group's."""
+    rng = random.Random(15)
+    for name in SL_TABLE:
+        g = build_group(name)
+        sigma = [0, *rng.sample(range(1, g.order), g.order - 1)]
+        assert _relabelling_differences(g, _relabelled(g, sigma), sigma) == [], name
+
+
+def test_a_relabelling_read_through_the_wrong_map_differs():
+    """Results read through a map that is not the relabelling fail the comparison, so the test above can fail.
+
+    The wrong map is sigma after swapping elements 1 and 2, which is no automorphism of these groups.
+    """
+    mapped = ["self_linked_subsets", "noncommuting_pair", "enumerate_invariant_mls", "sim_classes"]
+    for name, want in (("C6", mapped), ("D6", ["noncommuting_pair"]), ("C8", mapped), ("D10", mapped)):
+        g = build_group(name)
+        sigma = [0, *random.Random(name).sample(range(1, g.order), g.order - 1)]
+        wrong = [sigma[a] for a in (0, 2, 1, *range(3, g.order))]
+        h = _relabelled(g, sigma)
+        assert _relabelling_differences(g, h, sigma) == [], name
+        assert _relabelling_differences(g, h, wrong) == want, name

@@ -287,7 +287,7 @@ def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
         assert len(removed) == size
         kept = [s for i, s in enumerate(full) if i not in removed]
         _sigma(g, kept), _sigma(_opposite(g), kept)  # still closed under translation on both sides
-        shared = tuple(kept), words_of([s.bitmap for s in kept], g.order)
+        shared = families._SystemList(words_of([s.bitmap for s in kept], g.order), g.order)
         monkeypatch.setattr(superext, "_shared_systems", lambda _n, shared=shared: shared)
         with pytest.raises(ConsistencyError, match="a product left the enumerated system space"):
             build_lambda_table(g)
@@ -336,20 +336,47 @@ def test_lambda_table_checks_a_core_block_before_reading_it(monkeypatch):
             build_lambda_table(build_group(name))
 
 
-def test_a_cold_build_of_both_order6_tables_derives_each_system_once():
-    """A fresh process that builds lambda(C6) and then lambda(D6) calls families._derived exactly 2,646 times on ground 6."""
-    code = (
-        "from collections import Counter\n"
-        "from superx import build_group, build_lambda_table, families\n"
-        "calls, derived = Counter(), families._derived\n"
-        "families._derived = lambda n, *rest: calls.update([n]) or derived(n, *rest)\n"
+_COUNTED = (
+    "import sys\n"
+    "from collections import Counter\n"
+    "from superx import build_group, build_lambda_table, cli, families\n"
+    "derived, bulk, _derived, _bulk = Counter(), Counter(), families._derived, families._families_of_bitmaps\n"
+    "families._derived = lambda n, *rest: derived.update([n]) or _derived(n, *rest)\n"
+    "families._families_of_bitmaps = lambda words, n: bulk.update([n]) or _bulk(words, n)\n"
+)
+
+
+def _cold_counts(code, *args):
+    """The ground-6 counts a fresh interpreter prints after running code: families._derived calls, then the
+    shared sequence's bulk builds.  superx.cli is imported first, so invariants keeps its own binding of
+    _families_of_bitmaps for its closure pass and only the system sequence's bulk builds are counted."""
+    script = _COUNTED + code + "print(derived[6], bulk[6])\n"
+    proc = fresh_interpreter(["-c", script, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [int(v) for v in proc.stdout.split()]
+
+
+def test_cold_commands_derive_only_the_systems_they_read(tmp_path):
+    """Exact ground-6 counts, each in a fresh interpreter.
+
+    Building lambda(C6) and lambda(D6) reads only the words: no family.  A
+    ``lambda C6 --what=table`` miss then builds all 2,646 families in one
+    bulk pass, as the cache digest serializes every system, and the hit
+    after it builds none again.  ``lambda C6 --what=structure`` builds the
+    51 systems it names or looks up, and ``verify-paper --scope=all`` never
+    builds the ground-6 sequence in bulk.
+    """
+    table_code = (
         "for name in ('C6', 'D6'):\n"
         "    build_lambda_table(build_group(name))\n"
-        "print(calls[6])\n"
+        "print(derived[6], bulk[6])\n"
+        "hits = [cli.cmd_lambda('C6', 'table', cache_dir=sys.argv[1]).payload['cache_hit'] for _ in range(2)]\n"
+        "assert hits == [False, True], hits\n"
     )
-    proc = fresh_interpreter(["-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2646"]
+    assert _cold_counts(table_code, str(tmp_path)) == [0, 0, 2646, 1]
+    assert _cold_counts("cli.cmd_lambda('C6', 'structure')\n") == [51, 0]
+    verify_code = "assert not cli.cmd_verify_paper('all').payload['all_pass']\n"  # the sl(D10) row
+    assert _cold_counts(verify_code)[1] == 0
 
 
 def _generators(g):
