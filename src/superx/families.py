@@ -13,9 +13,8 @@ elsewhere test the predicate.
 ``SetFamily(n, sets)`` checks its minimal sets.  Every other family is
 built by one unchecked constructor, ``_derived``, from minimal sets its
 caller derived ascending and as an antichain together with their
-membership bitmap, so every family carries its bitmap from the moment
-it is built.  The enumerated systems of a ground are kept as membership
-words, and each system's family is built only when something reads it.
+membership bitmap, so every family carries its bitmap.  An enumerated
+system's family is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -149,9 +148,8 @@ def enumerate_mls(ground_size: int) -> list[SetFamily]:
     Results are sorted lexicographically by their minimal-set tuples,
     independent of search order.  The systems of each ground size up to
     MAX_TABLE_GROUND are enumerated once per process and shared: each
-    call returns a fresh list over the same immutable values, building
-    every family the first time.  Larger ground sizes are refused;
-    ``superext.system_counts`` counts ground 7.
+    call returns a fresh list over the same immutable values.  Larger
+    ground sizes are refused; ``superext.system_counts`` counts ground 7.
     """
     if not 1 <= ground_size <= MAX_TABLE_GROUND:
         raise CapacityError(f"enumeration supports ground sizes 1..{MAX_TABLE_GROUND}")
@@ -160,12 +158,11 @@ def enumerate_mls(ground_size: int) -> list[SetFamily]:
 
 @lru_cache(maxsize=None)
 def _shared_systems(n: int) -> _SystemList:
-    """The enumerated systems as one shared read-only sequence over their (m, 1) words, sorted before any is built.
+    """The enumerated systems as one shared sequence over their read-only (m, 1) words, sorted by minimal sets.
 
     Two systems' bitmaps first differ at a set minimal in the one holding it, below which they share minimal sets;
     the other's go on past it, or they would close to a smaller linked system inside it.  So the words sort as
-    their complements read from bit 0 down.  Row i is system i's bitmap; the table build and the orbit counts read
-    only ``.words``, so they build no family.
+    their complements read from bit 0 down.  Row i is system i's bitmap; the table build and orbit counts read it.
     """
     words = _system_words(n)
     words = words[np.argsort(np.packbits(_bits(~words[:, 0]), axis=1, bitorder="big").view(">u8")[:, 0])]
@@ -174,12 +171,10 @@ def _shared_systems(n: int) -> _SystemList:
 
 
 class _SystemList(Sequence):
-    """The maximal linked systems of read-only (m, 1) membership words on n <= 6 points, each family built when read.
+    """The systems of read-only (m, 1) words on n <= 6 points; each family is built when first read, and kept.
 
-    Item i builds system i by ``family_from_bitmap`` and keeps it; iterating builds every family not yet built in
-    one ``_families_of_bitmaps`` pass and keeps them.  So each family is built once and passes ``_derived``'s
-    checks as it is.  Two threads reading one unbuilt family may both build it; they keep equal values.
-    ``index`` finds a family's bitmap among the words, building nothing.
+    Item i is built by ``family_from_bitmap``, and iterating builds the rest in one ``_families_of_bitmaps`` pass.
+    Threads racing on one family build equal values.
     """
 
     def __init__(self, words: np.ndarray, n: int):
@@ -206,7 +201,7 @@ class _SystemList(Sequence):
         return iter(self._built)
 
     def index(self, family: SetFamily) -> int:
-        """The position of a family among the systems; ValueError when it is not one of them."""
+        """The position of a system, found by its bitmap; ValueError if it is not one."""
         if family.ground_size == self.ground_size:
             hits = np.flatnonzero(self.words[:, 0] == family.bitmap)
             if hits.size:

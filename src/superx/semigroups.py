@@ -1,9 +1,7 @@
 """Finite semigroups as index tables, with structure analyses.
 
 A SemigroupTable is an element sequence plus an n x n product table of
-element indices; element i prints as ``str(elements[i])``.  The
-sequence is kept as given: a lambda table keeps the shared system
-sequence, whose families are built only when read.  The table is
+element indices; element i prints as ``str(elements[i])``.  The table is
 stored as uint16 whatever the input's integer dtype, so orders 1..MAX_ORDER
 (65,536) fit; a larger order is a CapacityError before any cell is read,
 and the range check runs on the input as given, so a negative cell or

@@ -7,9 +7,8 @@ For families A, B on a group X the product is
 which restricted to one-point systems is the group operation itself.
 ``build_lambda_table`` builds the Cayley table of the full system space
 with numpy, each system a membership bitmap over all 2^n subsets, a row
-of the enumerator's own word array; it builds no ``SetFamily``, and the
-table keeps the shared system sequence, whose families are built only
-when a report reads them.  As (xA) o (By) = x(A o B)y, it
+of the enumerator's own word array, so it builds no family.  As
+(xA) o (By) = x(A o B)y, it
 computes only the cells of a left- and a right-translation orbit
 representative (447 x 447 of the 2,646 x 2,646 on C6 and on D6), and
 resolves bitmaps to element indices through an exact index on their two
@@ -90,7 +89,7 @@ def noncommuting_pair(g: FiniteGroup) -> tuple[SetFamily, SetFamily] | None:
 
 
 def lambda_table(g: FiniteGroup, systems: Sequence[SetFamily], product) -> SemigroupTable:
-    """The lambda(g) table over the given systems, whether built or loaded; the sequence is kept as it is."""
+    """The lambda(g) table over the given systems, whether built or loaded."""
     return SemigroupTable(product, elements=systems, name=f"lambda({g.name})")
 
 
@@ -108,7 +107,7 @@ def element_namer(g: FiniteGroup, table: SemigroupTable) -> Callable[[int], str]
 
 
 def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
-    """Cayley table of the extended product over all systems on g.
+    """Cayley table of the extended product over all systems on g, read off their words alone.
 
     Only the core cells (r, s), r a left-translation orbit representative
     (a column minimum of sigma, see ``_orbits``) and s a
@@ -152,9 +151,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     14.0 MB table of lambda(C6), about 350 page faults and 3-9 ms in a new
     process on a 2-vCPU host, is a floor no source change removes.
     Supported up to |G| = MAX_TABLE_GROUND, every system one 64-bit word;
-    larger groups are refused before anything is enumerated.  The build
-    reads only the words of the shared system sequence, which becomes the
-    table's elements, so it builds no family.
+    larger groups are refused before anything is enumerated.
     """
     n = g.order
     if n > MAX_TABLE_GROUND:
@@ -245,7 +242,7 @@ class _SystemIndex:
 
 
 def principal_indices(systems: Sequence[SetFamily]) -> list[int]:
-    """Indices of the one-point systems, in group-element order, each looked up by ``systems.index``."""
+    """Indices of the one-point systems, in group-element order."""
     n = systems[0].ground_size
     return [systems.index(family_from_bitmap(n, 1 << (1 << x))) for x in range(n)]
 
