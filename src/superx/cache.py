@@ -1,20 +1,18 @@
-"""On-disk cache of lambda tables, one ``<group>-table-v2.npy`` entry per group.
+"""On-disk cache of lambda tables, one ``<group>-table-v3.npy`` entry per group.
 
-File layout: one header line ``superx-cache v2 <group> <sha256>`` followed
-by the product table in numpy's NPY format, as the table stores it: uint16,
-so the lambda(C6) payload is 2,646^2 * 2 bytes (14.0 MB).  A load accepts
-any integer dtype the digest covers, the int32 of older entries included;
-the table constructor range-checks and casts it.  The sha256 covers the
-group's multiplication table, the serialized system list from
-``enumerate_mls`` in order, and the NPY bytes.  A save hashes the NPY
-header and the table's buffer in memory, then writes them; a load reads
-the file once, the NPY header and then the array, and recomputes the
-digest over those bytes from the current group and enumerator.  So a
-corrupt byte, a changed group layout and a changed enumerator all read as
-a miss, and the table is rebuilt and the entry overwritten.  The systems
-are not stored: the digest pins their order, so they come from the
-enumerator.  Writes go to a temp file first and are moved into place
-atomically.
+File layout: one header line ``superx-cache v3 <group> <sha256>`` followed
+by the product table in numpy's NPY format, as the table stores it:
+little-endian uint16, so the lambda(C6) payload is 2,646^2 * 2 bytes
+(14.0 MB).  The sha256 covers the group's multiplication table, the
+enumerator's sorted system words as little-endian uint64, and the NPY
+bytes.  A save hashes the NPY header and the table's buffer in memory,
+then writes them; a load reads the file once, the NPY header and then the
+array, and recomputes the digest over those bytes from the current group
+and enumerator.  So a corrupt byte, a changed group layout and a changed
+enumerator all read as a miss, and the table is rebuilt and the entry
+overwritten.  The systems are not stored: the digest pins their order, so
+they come from the enumerator.  Writes go to a temp file first and are
+moved into place atomically.
 """
 
 from __future__ import annotations
@@ -33,8 +31,9 @@ from .groups import FiniteGroup
 from .semigroups import SemigroupTable
 from .superext import lambda_table
 
-FORMAT_VERSION = "v2"
+FORMAT_VERSION = "v3"
 ENV_VAR = "SUPERX_CACHE_DIR"
+_PAYLOAD = np.dtype("<u2")
 
 
 def resolve_cache_dir(flag_value: str | None = None) -> Path:
@@ -56,14 +55,10 @@ def _header(group_name: str, digest: str) -> bytes:
     return f"superx-cache {FORMAT_VERSION} {group_name} {digest}\n".encode()
 
 
-def _digest(g: FiniteGroup, systems, npy_header: bytes, data: np.ndarray) -> str:
-    """sha256 of the group table, the system list and the NPY bytes: the header, then the array's buffer.
-
-    Each system is hashed in turn, its ``serialize()`` text and a newline, so no string of the whole list is built.
-    """
+def _digest(g: FiniteGroup, npy_header: bytes, data: np.ndarray) -> str:
+    """sha256 of the group table, the enumerator's words as little-endian uint64, the NPY header and the array's buffer."""
     h = hashlib.sha256(repr(g.mul).encode())
-    for s in systems:
-        h.update(s.serialize().encode() + b"\n")
+    h.update(np.ascontiguousarray(enumerate_mls(g.order).words, dtype="<u8"))
     h.update(npy_header)
     h.update(data)
     return h.hexdigest()
@@ -71,11 +66,11 @@ def _digest(g: FiniteGroup, systems, npy_header: bytes, data: np.ndarray) -> str
 
 def save_table(cache_dir: Path, g: FiniteGroup, table: SemigroupTable) -> Path:
     """Write the entry for lambda(g): the NPY bytes are hashed from memory, then written after the header line."""
-    data = np.ascontiguousarray(table.product)
+    data = np.ascontiguousarray(table.product, dtype=_PAYLOAD)
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(buf, np.lib.format.header_data_from_array_1_0(data))
     npy_header = buf.getvalue()
-    digest = _digest(g, table.elements, npy_header, data)
+    digest = _digest(g, npy_header, data)
     path = cache_path(cache_dir, g.name)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -95,9 +90,9 @@ def load_table(cache_dir: Path, g: FiniteGroup) -> SemigroupTable | None:
     """The cached lambda(g) table, or None when the entry is missing, corrupt or stale.
 
     The file is read once: the NPY header, then the array, whose bytes must end the file.  A
-    save writes NPY format 1.0; another format version, an object dtype, a Fortran-order payload
-    or a shape other than the system count's square reads as a miss before any payload byte is
-    read, so nothing is unpickled.
+    save writes NPY format 1.0 and ``<u2``; another format version or dtype, a Fortran-order
+    payload or a shape other than the system count's square reads as a miss before any payload
+    byte is read, so nothing is unpickled.
     """
     try:
         with open(cache_path(cache_dir, g.name), "rb") as fh:
@@ -109,7 +104,7 @@ def load_table(cache_dir: Path, g: FiniteGroup) -> SemigroupTable | None:
                 return None
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
             systems = enumerate_mls(g.order)
-            if dtype.hasobject or fortran_order or shape != (len(systems), len(systems)):
+            if dtype != _PAYLOAD or fortran_order or shape != (len(systems), len(systems)):
                 return None
             npy_header_size = fh.tell() - start
             fh.seek(start)
@@ -117,7 +112,7 @@ def load_table(cache_dir: Path, g: FiniteGroup) -> SemigroupTable | None:
             data = np.fromfile(fh, dtype=dtype, count=len(systems) ** 2)
             if data.size != len(systems) ** 2 or fh.read(1):
                 return None
-            if _digest(g, systems, npy_header, data).encode() != head[3]:
+            if _digest(g, npy_header, data).encode() != head[3]:
                 return None
         return lambda_table(g, systems, data.reshape(shape))
     except (OSError, ValueError, ConsistencyError):

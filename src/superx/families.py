@@ -142,18 +142,18 @@ def majority_family(g: FiniteGroup) -> SetFamily:
     return SetFamily(g.order, tuple(subsets_of_size(g.order, k)))
 
 
-def enumerate_mls(ground_size: int) -> list[SetFamily]:
+def enumerate_mls(ground_size: int) -> _SystemList:
     """All maximal linked systems on {0..n-1} in canonical order.
 
     Results are sorted lexicographically by their minimal-set tuples,
     independent of search order.  The systems of each ground size up to
-    MAX_TABLE_GROUND are enumerated once per process and shared: each
-    call returns a fresh list over the same immutable values.  Larger
+    MAX_TABLE_GROUND are enumerated once per process: each call returns
+    the same read-only sequence, its sorted words as ``.words``.  Larger
     ground sizes are refused; ``superext.system_counts`` counts ground 7.
     """
     if not 1 <= ground_size <= MAX_TABLE_GROUND:
         raise CapacityError(f"enumeration supports ground sizes 1..{MAX_TABLE_GROUND}")
-    return list(_shared_systems(ground_size))
+    return _shared_systems(ground_size)
 
 
 @lru_cache(maxsize=None)

@@ -39,9 +39,9 @@ from .families import (
     MAX_TABLE_GROUND,
     SetFamily,
     _bits,
-    _shared_systems,
     _system_words,
     _up_families,
+    enumerate_mls,
     family_from_bitmap,
     generate_family,
 )
@@ -156,7 +156,7 @@ def build_lambda_table(g: FiniteGroup) -> SemigroupTable:
     n = g.order
     if n > MAX_TABLE_GROUND:
         raise CapacityError(f"lambda tables are supported for |G| <= {MAX_TABLE_GROUND}")
-    systems = _shared_systems(n)
+    systems = enumerate_mls(n)
     return lambda_table(g, systems, _product(g, systems.words[:, 0]))
 
 
@@ -332,7 +332,7 @@ def system_counts(g: FiniteGroup, *, allow_large: bool = False) -> tuple[int, in
         raise CapacityError("enumeration supports ground sizes 1..7")
     if n == 7 and not allow_large:
         raise CapacityError("ground size 7 is gated behind allow_large")
-    words = _system_words(n) if n > MAX_TABLE_GROUND else _shared_systems(n).words
+    words = _system_words(n) if n > MAX_TABLE_GROUND else enumerate_mls(n).words
     first = words[:, 0]
     ordered = np.sort(first)
     least = np.ones(len(words), dtype=bool)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from superx.errors import CapacityError, ConsistencyError
-from superx.families import SetFamily
+from superx.families import SetFamily, enumerate_mls
 from superx.semigroups import SemigroupTable
 
 ISO_ORDER_LIMIT = 16
@@ -180,6 +180,16 @@ def words_of(bitmaps, n):
     width = max(1, (1 << n) >> 6)
     rows = [[bm >> (64 * w) & (1 << 64) - 1 for w in range(width)] for bm in bitmaps]
     return np.array(rows, dtype=np.uint64).reshape(-1, width)
+
+
+def cache_digest(g, npy_bytes):
+    """The sha256 a cache entry's header carries: g's table, then each enumerated system's membership bitmap,
+    closed up from its minimal sets, as 8 little-endian bytes in enumeration order, then the NPY bytes."""
+    h = hashlib.sha256(repr(g.mul).encode())
+    for s in enumerate_mls(g.order):
+        h.update(sum(1 << t for t in oracle_upward_closure(s.minimal_sets, g.order)).to_bytes(8, "little"))
+    h.update(npy_bytes)
+    return h.hexdigest()
 
 
 def oracle_contains(system, mask):

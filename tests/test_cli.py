@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from superx.c5 import c5_named_catalog
-from superx.cache import cache_path, load_table, resolve_cache_dir, save_table
+from superx.cache import FORMAT_VERSION, cache_path, load_table, resolve_cache_dir, save_table
 import superx.c5 as c5
+import superx.cache as cache
 import superx.cli as cli
 import superx.families as families
 import superx.semigroups as semigroups
@@ -44,7 +45,7 @@ from superx.groups import _make_group, build_group, is_odd_group
 from superx.invariants import enumerate_invariant_mls, odd_equivalences
 from superx.semigroups import SemigroupTable, left_zeros, right_zeros, sampled_associative, zero
 from superx.superext import build_lambda_table, orbit_quotient
-from oracles import fresh_interpreter, traced_peak
+from oracles import cache_digest, fresh_interpreter, traced_peak
 
 
 def test_report_json_round_trip():
@@ -196,7 +197,7 @@ def test_lambda_table_cache_round_trip(tmp_path):
     report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
     assert not report.payload["cache_hit"]
     path = cache_path(tmp_path, "C4")
-    assert report.payload["cache_file"] == str(tmp_path / "C4-table-v2.npy") == str(path)
+    assert report.payload["cache_file"] == str(tmp_path / f"C4-table-{FORMAT_VERSION}.npy") == str(path)
     first = path.read_bytes()
     report2 = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
     assert report2.payload["cache_hit"]
@@ -224,12 +225,13 @@ def test_cache_header_and_loaders(tmp_path):
     path = save_table(tmp_path, g, table)
     head, _, payload = path.read_bytes().partition(b"\n")
     fields = head.split()
-    assert fields[:3] == [b"superx-cache", b"v2", b"C3"] and len(fields[3]) == 64
+    assert fields[:3] == [b"superx-cache", FORMAT_VERSION.encode(), b"C3"] and len(fields[3]) == 64
     assert payload.startswith(b"\x93NUMPY")
     loaded = load_table(tmp_path, g)
     assert loaded is not None
     assert (loaded.product == table.product).all()
-    assert (list(loaded.elements), loaded.name) == (list(table.elements), table.name)
+    assert (loaded.elements, loaded.name) == (table.elements, table.name)
+    assert loaded.elements is table.elements  # the enumerator's one shared sequence
     assert load_table(tmp_path / "missing", g) is None
 
 
@@ -251,10 +253,10 @@ def test_cache_entry_for_another_group_layout_is_rebuilt(tmp_path, monkeypatch):
 
 def test_cache_entry_from_another_enumerator_is_rebuilt(tmp_path, monkeypatch):
     first = cmd_lambda("C4", "table", cache_dir=str(tmp_path)).payload
-    systems = families._shared_systems(4)
+    systems = enumerate_mls(4)
     reordered = families._SystemList(systems.words[::-1], 4)  # families and words together, as one source
-    for module in (superext, families):  # the builder reads it directly, the loader through enumerate_mls
-        monkeypatch.setattr(module, "_shared_systems", lambda n: reordered)
+    for module in (superext, cache):  # the builder and the loader with its digest
+        monkeypatch.setattr(module, "enumerate_mls", lambda n: reordered)
     report = cmd_lambda("C4", "table", cache_dir=str(tmp_path))
     assert not report.payload["cache_hit"]
     assert report.payload["elements"] == first["elements"][::-1]
@@ -284,10 +286,8 @@ def test_cache_never_unpickles_a_payload(tmp_path):
     buf = io.BytesIO()
     np.lib.format.write_array(buf, np.array([[_Tripwire()] * 2] * 2, dtype=object), allow_pickle=True)
     npy = buf.getvalue()
-    h = hashlib.sha256(repr(g.mul).encode())
-    h.update("\n".join(s.serialize() for s in enumerate_mls(2)).encode() + b"\n" + npy)
     path = cache_path(tmp_path, "C2")
-    path.write_bytes(f"superx-cache v2 C2 {h.hexdigest()}\n".encode() + npy)
+    path.write_bytes(f"superx-cache {FORMAT_VERSION} C2 {cache_digest(g, npy)}\n".encode() + npy)
     assert load_table(tmp_path, g) is None
     assert _UNPICKLED == []
     report = cmd_lambda("C2", "table", cache_dir=str(tmp_path))
@@ -297,33 +297,32 @@ def test_cache_never_unpickles_a_payload(tmp_path):
     assert _UNPICKLED  # the payload does run code when unpickled
 
 
-def test_cache_loads_an_int32_entry_as_a_hit(tmp_path):
-    """An entry with an int32 payload and a valid digest, as older versions wrote it, is still served."""
+def test_cache_rebuilds_an_int32_entry(tmp_path):
+    """An entry with an int32 payload and a valid digest is a miss, as a save writes only uint16, and is rebuilt."""
     g = build_group("C3")
     table = build_lambda_table(g)
     buf = io.BytesIO()
     np.lib.format.write_array(buf, table.product.astype(np.int32), allow_pickle=False)
     npy = buf.getvalue()
-    h = hashlib.sha256(repr(g.mul).encode())
-    h.update("\n".join(s.serialize() for s in enumerate_mls(3)).encode() + b"\n" + npy)
     path = cache_path(tmp_path, "C3")
-    path.write_bytes(f"superx-cache v2 C3 {h.hexdigest()}\n".encode() + npy)
-    loaded = load_table(tmp_path, g)
-    assert loaded.product.dtype == np.uint16 and np.array_equal(loaded.product, table.product)
+    written = f"superx-cache {FORMAT_VERSION} C3 {cache_digest(g, npy)}\n".encode() + npy
+    path.write_bytes(written)
+    assert load_table(tmp_path, g) is None
     report = cmd_lambda("C3", "table", cache_dir=str(tmp_path))
-    assert report.payload["cache_hit"]
+    assert not report.payload["cache_hit"]
     assert report.payload["matrix"] == table.product.tolist()
-    assert path.read_bytes().endswith(npy)  # a hit leaves the entry as it is
+    assert path.read_bytes() != written
+    assert cmd_lambda("C3", "table", cache_dir=str(tmp_path)).payload["cache_hit"]
 
 
 @pytest.mark.parametrize(
     "header, shape, npy_version",
     [
-        ("superx-cache v2 C4 {digest}", None, None),
+        (f"superx-cache {FORMAT_VERSION} C4 {{digest}}", None, None),
         ("superx-cache v1 C3 {digest}", None, None),
-        ("superx-cache v2 C3", None, None),
-        ("superx-cache v2 C3 {digest}", (2, 2), None),
-        ("superx-cache v2 C3 {digest}", None, (2, 0)),
+        (f"superx-cache {FORMAT_VERSION} C3", None, None),
+        (f"superx-cache {FORMAT_VERSION} C3 {{digest}}", (2, 2), None),
+        (f"superx-cache {FORMAT_VERSION} C3 {{digest}}", None, (2, 0)),
     ],
     ids=["other-group", "other-version", "no-digest", "wrong-shape", "npy-2.0"],
 )
@@ -338,10 +337,8 @@ def test_cache_rejects_a_foreign_header_or_a_misshapen_payload(tmp_path, header,
     buf = io.BytesIO()
     np.lib.format.write_array(buf, product, version=npy_version, allow_pickle=False)
     npy = buf.getvalue()
-    h = hashlib.sha256(repr(g.mul).encode())
-    h.update("\n".join(s.serialize() for s in enumerate_mls(3)).encode() + b"\n" + npy)
     path = cache_path(tmp_path, "C3")
-    written = f"{header.format(digest=h.hexdigest())}\n".encode() + npy
+    written = f"{header.format(digest=cache_digest(g, npy))}\n".encode() + npy
     path.write_bytes(written)
     assert load_table(tmp_path, g) is None
     report = cmd_lambda("C3", "table", cache_dir=str(tmp_path))
@@ -362,15 +359,13 @@ def test_cache_payload_is_two_bytes_per_cell(tmp_path, lam_table):
 
 
 def test_cache_digest_covers_the_group_the_systems_and_the_npy_file(tmp_path, lam_table):
-    """A saved entry is the v2 header line, then numpy's own NPY file of the table; the digest covers all three."""
+    """A saved entry is the header line, then numpy's own NPY file of the table; the digest covers all three."""
     g, table = build_group("C6"), lam_table("C6")
     head, _, npy = save_table(tmp_path, g, table).read_bytes().partition(b"\n")
     buf = io.BytesIO()
     np.lib.format.write_array(buf, table.product, allow_pickle=False)
     assert npy == buf.getvalue()
-    h = hashlib.sha256(repr(g.mul).encode())
-    h.update("\n".join(s.serialize() for s in enumerate_mls(6)).encode() + b"\n" + npy)
-    assert head.split() == [b"superx-cache", b"v2", b"C6", h.hexdigest().encode()]
+    assert head.split() == [b"superx-cache", FORMAT_VERSION.encode(), b"C6", cache_digest(g, npy).encode()]
 
 
 def test_cache_save_keeps_its_scratch_below_1_mb(tmp_path, lam_table):
@@ -382,7 +377,7 @@ def test_cache_save_keeps_its_scratch_below_1_mb(tmp_path, lam_table):
 
 
 def test_cache_save_hashes_the_systems_one_at_a_time(tmp_path, lam_table):
-    """A warm save of lambda(C6) builds no string of its 2,646 serialized systems: its tracemalloc peak stays under 0.1 MB."""
+    """A warm save of lambda(C6) hashes the 21 KB of system words in place: its tracemalloc peak stays under 0.1 MB."""
     g, table = build_group("C6"), lam_table("C6")
     save_table(tmp_path, g, table)
     peak = traced_peak(lambda: save_table(tmp_path, g, table))
@@ -656,7 +651,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "argument --max-order: invalid int value: 'x'" in captured.err
     # an unusable cache directory is a usage error, not a mismatch
     (tmp_path / "file").write_text("")
-    (tmp_path / "taken" / "C3-table-v2.npy").mkdir(parents=True)
+    cache_path(tmp_path / "taken", "C3").mkdir(parents=True)
     for cache_dir in (tmp_path / "file" / "sub", tmp_path / "taken"):
         assert main(["lambda", "C3", "--what=table", f"--cache-dir={cache_dir}"]) == EXIT_USAGE, cache_dir
         captured = capsys.readouterr()
@@ -763,7 +758,8 @@ def test_main_formats(tmp_path, capsys):
 # sha256 of the stdout of the commands that bench/pinned.json does not pin;
 # JSON is digested without its elapsed_ms field.  Each command runs in an
 # empty working directory, so the relative --cache-dir is always a miss and
-# cache_file is stable.  A refactor must leave every one of them unchanged.
+# cache_file, which names the cache format version, is stable.  A refactor must
+# leave every one of them unchanged.
 UNPINNED_OUTPUT_DIGESTS = {
     ("sl-table", "text"): "7acc9b94fefeb8120304d8dbe696d46ea2d711ef8af45dd5b76cdcbce7b31183",
     ("sl-table", "json"): "0a0750850874d6007a53d2b458110aa7ee1db8c7821680c9144c254f3a49fd0d",
@@ -801,9 +797,9 @@ UNPINNED_OUTPUT_DIGESTS = {
     ("verify-paper --scope=fast", "text"): "c2eb5b3841e080e130bea0e0255b55de980c5d55bd697f9769616720f46b7105",
     ("verify-paper --scope=fast", "json"): "ab37afda7f836ed3d2ee617bd16ff76471241a394474f44c51e256f75348cac3",
     ("verify-paper --scope=fast", "csv"): "049720309ec2c1dbe1cc4ab5dd53b9d1666704837605ce276b7731968e29d2eb",
-    ("lambda C3 --what=table --cache-dir=cache", "text"): "fffe18758b50016f08cf1489d7b6e5cb49240ce0c09f364e585e9e734df050dd",
-    ("lambda C3 --what=table --cache-dir=cache", "json"): "8160166178b56942b84a23d26a6173e2eb7b7f3659768733848fba9eec4fabe7",
-    ("lambda C3 --what=table --cache-dir=cache", "csv"): "4b11c62b365814fd530cdf8bb7f5f0dff580b18883b5325197acc0f5ab81b80f",
+    ("lambda C3 --what=table --cache-dir=cache", "text"): "a42a50e008221d13d08eb4e7cd178ef6e90e5011011a0366b72a138797df1c80",
+    ("lambda C3 --what=table --cache-dir=cache", "json"): "87df4198827ee14da7d64f1a48b007c76ec7d274d69a8ca2738857f15851ebee",
+    ("lambda C3 --what=table --cache-dir=cache", "csv"): "a5f755b4f1038895d554adb5d8ffa9f6e38f392ab7497f7801d4500554ee3c7f",
 }
 
 

@@ -166,8 +166,8 @@ def test_enumerate_mls_canonical_order_and_validity():
             assert s.is_maximal_linked()
 
 
-# sha256 of the newline-joined serialize() list, the system part of the
-# cache digest; a change here turns every stored cache entry into a miss
+# sha256 of the newline-joined serialize() list: the enumeration order and
+# each system's minimal sets
 SERIALIZED_MLS_SHA256 = {
     1: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
     2: "b598b3a62a3f7cedb17e66d1cb31d53dffeebaf5c07e2c60d5e31971936fd35e",
@@ -184,10 +184,22 @@ def test_serialized_mls_digest_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
-def test_enumerate_mls_returns_a_fresh_list_each_call():
-    first = enumerate_mls(4)
-    first.reverse()
-    first.pop()
+def test_enumerate_mls_returns_one_shared_sequence_per_ground(monkeypatch):
+    """On a cleared cache, each ground 1-6 has one sequence with read-only words, and reading it twice, by
+    index and by iteration, builds each family once."""
+    families._shared_systems.cache_clear()
+    built = Counter()
+    derived = families._derived
+    monkeypatch.setattr(families, "_derived", lambda n, *rest: built.update([n]) or derived(n, *rest))
+    shared = [enumerate_mls(n) for n in range(1, 7)]
+    for n, systems in enumerate(shared, 1):
+        assert enumerate_mls(n) is systems and not isinstance(systems, list), n
+        with pytest.raises(ValueError):
+            systems.words[0, 0] = 0
+        for _ in range(2):
+            assert [s.minimal_sets for s in systems] == [systems[i].minimal_sets for i in range(len(systems))]
+        assert built[n] == len(systems) == MLS_COUNTS[n], n
+    assert len({id(s) for s in shared}) == 6
     assert [s.minimal_sets for s in enumerate_mls(4)] == oracle_all_mls(4)
 
 
@@ -285,7 +297,7 @@ def test_words_of_packs_the_bitmaps():
     for n in range(1, 7):
         systems = families._shared_systems(n)
         words = systems.words
-        assert list(systems) == enumerate_mls(n)
+        assert enumerate_mls(n) is systems
         bitmaps = [s.bitmap for s in systems]
         assert [int(w) for w in words[:, 0]] == bitmaps == [int(w) for w in words_of(bitmaps, n)[:, 0]]
         assert not words.flags.writeable

@@ -288,7 +288,7 @@ def test_lambda_table_rejects_a_product_outside_the_system_list(monkeypatch):
         kept = [s for i, s in enumerate(full) if i not in removed]
         _sigma(g, kept), _sigma(_opposite(g), kept)  # still closed under translation on both sides
         shared = families._SystemList(words_of([s.bitmap for s in kept], g.order), g.order)
-        monkeypatch.setattr(superext, "_shared_systems", lambda _n, shared=shared: shared)
+        monkeypatch.setattr(superext, "enumerate_mls", lambda _n, shared=shared: shared)
         with pytest.raises(ConsistencyError, match="a product left the enumerated system space"):
             build_lambda_table(g)
 
@@ -360,11 +360,10 @@ def test_cold_commands_derive_only_the_systems_they_read(tmp_path):
     """Exact ground-6 counts, each in a fresh interpreter.
 
     Building lambda(C6) and lambda(D6) reads only the words: no family.  A
-    ``lambda C6 --what=table`` miss then builds all 2,646 families in one
-    bulk pass, as the cache digest serializes every system, and the hit
-    after it builds none again.  ``lambda C6 --what=structure`` builds the
-    51 systems it names or looks up, and ``verify-paper --scope=all`` never
-    builds the ground-6 sequence in bulk.
+    ``lambda C6 --what=table`` miss and the hit after it build none either,
+    as the cache digest hashes the words.  ``lambda C6 --what=structure``
+    builds the 51 systems it names or looks up, and ``verify-paper
+    --scope=all`` never builds the ground-6 sequence in bulk.
     """
     table_code = (
         "for name in ('C6', 'D6'):\n"
@@ -373,7 +372,7 @@ def test_cold_commands_derive_only_the_systems_they_read(tmp_path):
         "hits = [cli.cmd_lambda('C6', 'table', cache_dir=sys.argv[1]).payload['cache_hit'] for _ in range(2)]\n"
         "assert hits == [False, True], hits\n"
     )
-    assert _cold_counts(table_code, str(tmp_path)) == [0, 0, 2646, 1]
+    assert _cold_counts(table_code, str(tmp_path)) == [0, 0, 0, 0]
     assert _cold_counts("cli.cmd_lambda('C6', 'structure')\n") == [51, 0]
     verify_code = "assert not cli.cmd_verify_paper('all').payload['all_pass']\n"  # the sl(D10) row
     assert _cold_counts(verify_code)[1] == 0
