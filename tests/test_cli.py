@@ -230,8 +230,7 @@ def test_cache_header_and_loaders(tmp_path):
     loaded = load_table(tmp_path, g)
     assert loaded is not None
     assert (loaded.product == table.product).all()
-    assert (loaded.elements, loaded.name) == (table.elements, table.name)
-    assert loaded.elements is table.elements  # the enumerator's one shared sequence
+    assert loaded.elements is table.elements and loaded.name == table.name  # the enumerator's one shared sequence
     assert load_table(tmp_path / "missing", g) is None
 
 
